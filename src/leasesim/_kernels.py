@@ -1,9 +1,11 @@
 """The slot loop, written once and compiled two ways.
 
 The recurrence over (q, z) cannot be vectorized, so the loop is the hot
-kernel of every run. The same function source is executed either as plain
-Python over numpy arrays or under numba's njit; all randomness is drawn
-before the loop, so both backends produce bit-identical traces. Selection:
+kernel of every run. It takes any indexable sequences for its market and
+output columns: the plain-Python backend is handed lists (indexing a list
+is far cheaper than reading a numpy scalar), numba's njit is handed
+arrays. All randomness is drawn before the loop, so both backends produce
+bit-identical traces. Selection:
 
     LEASESIM_BACKEND=auto    njit when numba is importable (default)
     LEASESIM_BACKEND=numba   require njit
@@ -76,7 +78,7 @@ def _slot_loop(
 ):
     q = q0
     z = z0
-    n = arrival.shape[0]
+    n = len(arrival)
     for i in range(n):
         q = q + arrival[i]  # arrival joins before the policy looks
         t = t0 + i

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -61,6 +62,10 @@ class ScenarioConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
+        for name in ("price_low", "price_high"):
+            price = getattr(self, name)
+            if not math.isfinite(price):
+                raise ConfigError(f"{name} must be finite, got {price}")
         if self.price_low <= 0 or self.price_high < self.price_low:
             raise ConfigError(
                 f"prices must satisfy 0 < price_low <= price_high, "
@@ -115,7 +120,10 @@ class Realization:
 
 
 def draw_slot(config: ScenarioConfig, rng: np.random.Generator) -> MarketObservation:
-    """Draw one slot's observation, advancing the generator deterministically."""
+    """Draw one slot's observation, advancing the generator deterministically.
+
+    The incremental reference: draw_realization must equal a chain of these.
+    """
     arrival = 1 if rng.random() < config.arrival_prob else 0
     price_ris = rng.uniform(config.price_low, config.price_high)
     price_spectrum = rng.uniform(config.price_low, config.price_high)
@@ -127,24 +135,22 @@ def draw_slot(config: ScenarioConfig, rng: np.random.Generator) -> MarketObserva
 def draw_realization(config: ScenarioConfig, n_slots: int | None = None) -> Realization:
     """Draw the whole observation sequence for a scenario up front.
 
-    Draws go through draw_slot one slot at a time, so a sequence assembled
-    here is bit-identical to what an incremental consumer of draw_slot sees.
+    One rng.random((n, 5)) call fills the slots row by row in draw_slot's
+    order, and each column repeats draw_slot's arithmetic on its uniform:
+    a flag is `u < p`, a price is `low + (high - low) * u`, exactly what
+    the scalar Generator.uniform computes. The sequence is therefore
+    bit-identical to a chain of draw_slot calls on one generator.
     """
     n = config.horizon_slots if n_slots is None else n_slots
-    rng = np.random.default_rng(config.seed)
-    arrival = np.zeros(n, dtype=np.int64)
-    price_ris = np.zeros(n, dtype=np.float64)
-    price_spectrum = np.zeros(n, dtype=np.float64)
-    avail_ris = np.zeros(n, dtype=np.int64)
-    avail_spectrum = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        obs = draw_slot(config, rng)
-        arrival[i] = obs.arrival
-        price_ris[i] = obs.price_ris
-        price_spectrum[i] = obs.price_spectrum
-        avail_ris[i] = obs.avail_ris
-        avail_spectrum[i] = obs.avail_spectrum
-    return Realization(arrival, price_ris, price_spectrum, avail_ris, avail_spectrum)
+    u = np.random.default_rng(config.seed).random((n, 5))
+    span = config.price_high - config.price_low
+    return Realization(
+        arrival=(u[:, 0] < config.arrival_prob).astype(np.int64),
+        price_ris=config.price_low + span * u[:, 1],
+        price_spectrum=config.price_low + span * u[:, 2],
+        avail_ris=(u[:, 3] < config.avail_prob_ris).astype(np.int64),
+        avail_spectrum=(u[:, 4] < config.avail_prob_spectrum).astype(np.int64),
+    )
 
 
 def expected_price(price_low: float, price_high: float) -> float:

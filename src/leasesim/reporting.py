@@ -163,22 +163,21 @@ def compare(
 # serialization
 
 
-def _format_value(name: str, value) -> str:
-    if name in _INT_TRACE_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
-    """Write the trace with the fixed column order and full float precision."""
+    """Write the trace with the fixed column order and full float precision.
+
+    Integer columns print as str(int), float columns as repr(float), in
+    csv.writer's excel dialect (no field needs quoting, rows end in CRLF).
+    """
+    cells = [
+        map(str, trace.column(name).astype(np.int64).tolist())
+        if name in _INT_TRACE_COLUMNS
+        else map(repr, trace.column(name).astype(np.float64).tolist())
+        for name in TRACE_COLUMNS
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        columns = [trace.column(name) for name in TRACE_COLUMNS]
-        for i in range(len(trace)):
-            writer.writerow(
-                _format_value(name, column[i]) for name, column in zip(TRACE_COLUMNS, columns)
-            )
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def read_trace_csv(path: str | Path) -> Trace:

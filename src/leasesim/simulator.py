@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import POLICY_CODES, get_loop
+from ._kernels import POLICY_CODES, get_loop, resolve_backend
 from .core import ConfigError, ControlParams, QueueState
 from .environment import (
     MarketObservation,
@@ -140,12 +140,36 @@ def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlP
     )
 
 
-def _policy_kernel_args(policy: PolicySpec) -> tuple[int, int, float, float]:
-    code = POLICY_CODES[policy.kind]
+def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
+    """The loop's scalar policy and control arguments, in argument order."""
     period_k = policy.period_k if policy.period_k is not None else 1
     price_cutoff = policy.price_cutoff if policy.price_cutoff is not None else 0.0
     queue_cutoff = policy.queue_cutoff if policy.queue_cutoff is not None else 0.0
-    return code, period_k, price_cutoff, queue_cutoff
+    return (
+        POLICY_CODES[policy.kind],
+        period_k,
+        float(price_cutoff),
+        float(queue_cutoff),
+        params.v,
+        params.eps_d,
+        params.expected_price_ris,
+        params.expected_price_spectrum,
+    )
+
+
+# the loop's output columns, in argument order, with their trace dtypes
+_LOOP_OUTPUTS = (
+    ("q_before", np.float64),
+    ("z_before", np.float64),
+    ("x_desired", np.int64),
+    ("y_desired", np.int64),
+    ("x_effective", np.int64),
+    ("y_effective", np.int64),
+    ("r", np.int64),
+    ("cost", np.float64),
+    ("q_after", np.float64),
+    ("z_after", np.float64),
+)
 
 
 def _run_loop(
@@ -159,49 +183,26 @@ def _run_loop(
     backend: str | None = None,
 ) -> dict[str, np.ndarray]:
     n = len(realization)
-    code, period_k, price_cutoff, queue_cutoff = _policy_kernel_args(policy)
-    out = {
-        "q_before": np.empty(n, dtype=np.float64),
-        "z_before": np.empty(n, dtype=np.float64),
-        "x_desired": np.empty(n, dtype=np.int64),
-        "y_desired": np.empty(n, dtype=np.int64),
-        "x_effective": np.empty(n, dtype=np.int64),
-        "y_effective": np.empty(n, dtype=np.int64),
-        "r": np.empty(n, dtype=np.int64),
-        "cost": np.empty(n, dtype=np.float64),
-        "q_after": np.empty(n, dtype=np.float64),
-        "z_after": np.empty(n, dtype=np.float64),
-    }
-    loop = get_loop(backend)
-    loop(
-        float(q0),
-        float(z0),
-        t0,
-        freeze_z,
+    market = (
         realization.arrival,
         realization.price_ris,
         realization.price_spectrum,
         realization.avail_ris,
         realization.avail_spectrum,
-        code,
-        period_k,
-        float(price_cutoff),
-        float(queue_cutoff),
-        params.v,
-        params.eps_d,
-        params.expected_price_ris,
-        params.expected_price_spectrum,
-        out["q_before"],
-        out["z_before"],
-        out["x_desired"],
-        out["y_desired"],
-        out["x_effective"],
-        out["y_effective"],
-        out["r"],
-        out["cost"],
-        out["q_after"],
-        out["z_after"],
     )
+    if resolve_backend(backend) == "python":
+        # the interpreted loop indexes plain lists far faster than numpy scalars
+        market = tuple(column.tolist() for column in market)
+        outputs = [[0] * n for _ in _LOOP_OUTPUTS]
+    else:
+        outputs = [np.empty(n, dtype=dtype) for _, dtype in _LOOP_OUTPUTS]
+    get_loop(backend)(
+        float(q0), float(z0), t0, freeze_z, *market, *_kernel_args(policy, params), *outputs
+    )
+    out = {
+        name: np.asarray(values, dtype=dtype)
+        for (name, dtype), values in zip(_LOOP_OUTPUTS, outputs)
+    }
     out["t"] = np.arange(t0, t0 + n, dtype=np.int64)
     out["arrival"] = realization.arrival
     out["avail_ris"] = realization.avail_ris
@@ -242,30 +243,35 @@ def step(
 ) -> tuple[QueueState, SlotRecord]:
     """Advance one slot; returns the new state and the slot's record.
 
-    Runs the same loop as run() on a single-slot realization, so a chain
+    Runs the same python loop as run() on one-slot columns, so a chain
     of step() calls reproduces a full run exactly.
     """
     if t < 1:
         raise ConfigError(f"slot index must be >= 1, got {t}")
-    realization = Realization(
-        arrival=np.array([observation.arrival], dtype=np.int64),
-        price_ris=np.array([observation.price_ris], dtype=np.float64),
-        price_spectrum=np.array([observation.price_spectrum], dtype=np.float64),
-        avail_ris=np.array([observation.avail_ris], dtype=np.int64),
-        avail_spectrum=np.array([observation.avail_spectrum], dtype=np.int64),
+    market = {
+        "arrival": int(observation.arrival),
+        "avail_ris": int(observation.avail_ris),
+        "avail_spectrum": int(observation.avail_spectrum),
+        "price_ris": float(observation.price_ris),
+        "price_spectrum": float(observation.price_spectrum),
+    }
+    outputs = [[0] for _ in _LOOP_OUTPUTS]
+    get_loop("python")(
+        float(state.q),
+        float(state.z),
+        t,
+        freeze_z_when_empty,
+        [market["arrival"]],
+        [market["price_ris"]],
+        [market["price_spectrum"]],
+        [market["avail_ris"]],
+        [market["avail_spectrum"]],
+        *_kernel_args(policy, params),
+        *outputs,
     )
-    columns = _run_loop(
-        realization,
-        q0=state.q,
-        z0=state.z,
-        t0=t,
-        freeze_z=freeze_z_when_empty,
-        policy=policy,
-        params=params,
-        backend="python",
+    record = SlotRecord(
+        t=t, **market, **{name: column[0] for (name, _), column in zip(_LOOP_OUTPUTS, outputs)}
     )
-    trace = Trace(columns)
-    record = trace.record(0)
     return QueueState(q=record.q_after, z=record.z_after), record
 
 

@@ -122,6 +122,21 @@ def test_validation():
         ScenarioConfig(initial_backlog=-1)
 
 
+@pytest.mark.parametrize(
+    "bounds,field",
+    [
+        ({"price_high": float("inf")}, "price_high"),
+        ({"price_high": float("nan")}, "price_high"),
+        ({"price_low": float("nan")}, "price_low"),
+        ({"price_low": float("inf"), "price_high": float("inf")}, "price_low"),
+    ],
+    ids=["high_inf", "high_nan", "low_nan", "both_inf"],
+)
+def test_validation_rejects_non_finite_prices(bounds, field):
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig(**bounds)
+
+
 def test_stability_headroom_warning():
     with pytest.warns(UserWarning):
         ScenarioConfig(arrival_prob=0.9, avail_prob_ris=0.9, avail_prob_spectrum=0.9)

@@ -6,7 +6,7 @@ traces for every policy kind; the simulator treats them as interchangeable.
 import numpy as np
 import pytest
 
-from leasesim import _kernels
+from leasesim import _kernels, simulator
 from leasesim.core import ConfigError, QueueState
 from leasesim.environment import ScenarioConfig, draw_realization
 from leasesim.policies import PolicyInput, decide, parse_policy
@@ -73,6 +73,25 @@ def test_backends_bit_identical(policy):
     b = run(scenario, spec, params, backend="numba")
     for name in TRACE_COLUMNS:
         assert np.array_equal(a.column(name), b.column(name)), name
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_array_path_matches_list_path(monkeypatch, policy):
+    """The numba path hands the loop numpy arrays, the python path lists.
+
+    Drive the plain loop down the array path too: every column must come
+    back with the same dtype and the same bytes.
+    """
+    scenario = ScenarioConfig(horizon_slots=800, initial_backlog=2, seed=11)
+    spec = parse_policy(policy)
+    params = default_params(scenario, v=5.0, eps_d=0.5)
+    want = run(scenario, spec, params, backend="python")
+    monkeypatch.setattr(simulator, "resolve_backend", lambda backend=None: "numba")
+    monkeypatch.setattr(simulator, "get_loop", lambda backend=None: _kernels._slot_loop)
+    got = run(scenario, spec, params)
+    for name in TRACE_COLUMNS:
+        assert got.column(name).dtype == want.column(name).dtype, name
+        assert got.column(name).tobytes() == want.column(name).tobytes(), name
 
 
 def test_kernel_matches_decide_slot_by_slot():

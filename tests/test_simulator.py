@@ -105,19 +105,31 @@ def test_step_rejects_bad_slot_index():
         step(QueueState(0.0, 0.0), flat_market(), DSF, params, t=0)
 
 
-@pytest.mark.parametrize("label", ["dsf", "myopic"])
-def test_step_chain_reproduces_run(label):
-    scenario = ScenarioConfig(horizon_slots=200, initial_backlog=3, seed=17)
+ALL_POLICIES = ["dsf", "dsf_exact_argmin", "periodic:3", "greedy", "price_only:8", "queue_threshold:5", "myopic"]
+
+
+@pytest.mark.parametrize(
+    "label,freeze",
+    [pytest.param(label, False, id=label) for label in ALL_POLICIES]
+    + [pytest.param(label, True, id=f"{label}-freeze_z") for label in ALL_POLICIES],
+)
+def test_step_chain_reproduces_run(label, freeze):
+    scenario = ScenarioConfig(
+        horizon_slots=200, initial_backlog=3, seed=17, freeze_z_when_empty=freeze
+    )
     spec = parse_policy(label)
-    params = default_params(scenario, v=10.0, eps_d=1.0)
+    params = default_params(scenario, v=10.0, eps_d=0.5)
     trace = run(scenario, spec, params, backend="python")
     realization = draw_realization(scenario)
 
     state = QueueState(float(scenario.initial_backlog), 0.0)
     for i in range(len(realization)):
-        state, record = step(state, realization.observation(i), spec, params, t=i + 1)
+        state, record = step(
+            state, realization.observation(i), spec, params, t=i + 1, freeze_z_when_empty=freeze
+        )
         want = trace.record(i)
         assert record == want, i
+        assert list(map(type, vars(record).values())) == list(map(type, vars(want).values())), i
 
 
 def test_conservation_of_packets():
