@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--realization", required=True, help="CSV with arrival/price/availability columns"
     )
     p_oracle.add_argument("--initial-backlog", type=int, required=True, help="packets at slot 1")
-    p_oracle.add_argument("--deadline", type=int, required=True, help="slots to clear by (max 16)")
+    p_oracle.add_argument("--deadline", type=int, required=True, help="slots to clear by")
     p_oracle.add_argument("--out", help="result JSON path")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -7,10 +7,14 @@ simulator, the policies, and the tests without any array machinery.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
     "ConfigError",
+    "check_int",
+    "check_price",
     "QueueState",
     "LeaseDecision",
     "ControlParams",
@@ -27,6 +31,26 @@ __all__ = [
 class ConfigError(ValueError):
     """Invalid configuration: bad field values, missing policy parameters,
     malformed files. Maps to exit code 1 at the CLI boundary."""
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject anything but an integer in [low, high] (bools too), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{name} must be <= {high}, got {value}")
+
+
+def check_price(name: str, value) -> None:
+    """Reject anything but a finite number >= 0 (bools too), naming the field."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value >= 0)
+    ):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_int, check_price
 
 __all__ = [
     "DEFAULT_SEED",
     "ScenarioConfig",
     "MarketObservation",
     "Realization",
+    "MARKET_FIELDS",
+    "check_market_slot",
     "draw_slot",
     "draw_realization",
     "expected_price",
@@ -117,6 +119,21 @@ class Realization:
             avail_spectrum=int(self.avail_spectrum[i]),
             arrival=int(self.arrival[i]),
         )
+
+
+# one slot's market values, in Realization's column order
+MARKET_FIELDS = ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_spectrum")
+
+
+def check_market_slot(where: str, arrival, price_ris, price_spectrum, avail_ris, avail_spectrum) -> None:
+    """Reject a slot the market model cannot produce: a negative or
+    non-integer arrival, a flag other than 0 or 1, a negative or non-finite
+    price. The ConfigError names `where` and the field."""
+    check_int(f"{where}: arrival", arrival, 0)
+    check_price(f"{where}: price_ris", price_ris)
+    check_price(f"{where}: price_spectrum", price_spectrum)
+    check_int(f"{where}: avail_ris", avail_ris, 0, 1)
+    check_int(f"{where}: avail_spectrum", avail_spectrum, 0, 1)
 
 
 def draw_slot(config: ScenarioConfig, rng: np.random.Generator) -> MarketObservation:

@@ -16,7 +16,15 @@ import numpy as np
 
 from ._version import VERSION
 from .core import ConfigError, ControlParams
-from .environment import ScenarioConfig, derive_seed, scenario_fingerprint, scenario_overridden
+from .environment import (
+    MARKET_FIELDS,
+    Realization,
+    ScenarioConfig,
+    check_market_slot,
+    derive_seed,
+    scenario_fingerprint,
+    scenario_overridden,
+)
 from .policies import PolicySpec, policy_label
 from .simulator import TRACE_COLUMNS, Trace, default_params, run
 
@@ -199,31 +207,44 @@ def read_trace_csv(path: str | Path) -> Trace:
     return Trace(columns)
 
 
-def read_realization_csv(path: str | Path):
+def read_realization_csv(path: str | Path) -> Realization:
     """Read market columns (arrival, prices, availability) from a CSV.
 
     Matches by header name and ignores any other columns, so a full trace
-    CSV works as input wherever a bare realization is expected.
+    CSV works as input wherever a bare realization is expected. A cell
+    that does not parse, or a slot the market model cannot produce, is a
+    ConfigError naming the field and the 1-based data row.
     """
-    from .environment import Realization
-
-    required = ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_spectrum")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ConfigError(f"{path}: empty file, expected a realization CSV header")
-        missing = [name for name in required if name not in reader.fieldnames]
+        missing = [name for name in MARKET_FIELDS if name not in reader.fieldnames]
         if missing:
             raise ConfigError(f"{path}: missing realization columns: {', '.join(missing)}")
         rows = list(reader)
     if not rows:
         raise ConfigError(f"{path}: realization CSV has no data rows")
+    slots = []
+    for i, row in enumerate(rows, start=1):
+        slot = []
+        for name, parse in zip(MARKET_FIELDS, (int, float, float, int, int)):
+            try:
+                slot.append(parse(row[name]))
+            except (TypeError, ValueError):
+                kind = "an integer" if parse is int else "a number"
+                raise ConfigError(
+                    f"{path}: row {i}: {name} must be {kind}, got {row[name]!r}"
+                ) from None
+        check_market_slot(f"{path}: row {i}", *slot)
+        slots.append(slot)
+    arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = zip(*slots)
     return Realization(
-        arrival=np.array([int(row["arrival"]) for row in rows], dtype=np.int64),
-        price_ris=np.array([float(row["price_ris"]) for row in rows], dtype=np.float64),
-        price_spectrum=np.array([float(row["price_spectrum"]) for row in rows], dtype=np.float64),
-        avail_ris=np.array([int(row["avail_ris"]) for row in rows], dtype=np.int64),
-        avail_spectrum=np.array([int(row["avail_spectrum"]) for row in rows], dtype=np.int64),
+        arrival=np.array(arrival, dtype=np.int64),
+        price_ris=np.array(price_ris, dtype=np.float64),
+        price_spectrum=np.array(price_spectrum, dtype=np.float64),
+        avail_ris=np.array(avail_ris, dtype=np.int64),
+        avail_spectrum=np.array(avail_spectrum, dtype=np.int64),
     )
 
 

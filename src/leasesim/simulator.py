@@ -7,7 +7,6 @@ advance. A run logs every stage so traces can be audited after the fact.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -15,18 +14,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._kernels import POLICY_CODES, get_loop, resolve_backend
-from .core import ConfigError, ControlParams, QueueState
+from .core import ConfigError, ControlParams, QueueState, check_int
 from .environment import (
+    MARKET_FIELDS,
     MarketObservation,
     Realization,
     ScenarioConfig,
+    check_market_slot,
     draw_realization,
     expected_price,
 )
 from .policies import PolicySpec
-
-# deadlines beyond this make 2^deadline enumeration unreasonable
-ORACLE_MAX_DEADLINE = 16
 
 TRACE_COLUMNS = (
     "t",
@@ -275,10 +273,25 @@ def step(
     return QueueState(q=record.q_after, z=record.z_after), record
 
 
-def _observations(realization: Realization | Sequence[MarketObservation]) -> list[MarketObservation]:
+def _market_slots(
+    realization: Realization | Sequence[MarketObservation], deadline: int
+) -> list[tuple]:
+    """The first `deadline` slots as checked MARKET_FIELDS tuples."""
     if isinstance(realization, Realization):
-        return [realization.observation(i) for i in range(len(realization))]
-    return list(realization)
+        n = len(realization)
+        columns = [getattr(realization, name)[:deadline].tolist() for name in MARKET_FIELDS]
+        slots = list(zip(*columns))
+    else:
+        observations = list(realization)
+        n = len(observations)
+        slots = [
+            tuple(getattr(obs, name) for name in MARKET_FIELDS) for obs in observations[:deadline]
+        ]
+    if n < deadline:
+        raise ConfigError(f"realization has {n} slots but the deadline needs {deadline}")
+    for t, slot in enumerate(slots, start=1):
+        check_market_slot(f"slot {t}", *slot)
+    return slots
 
 
 def offline_min_cost(
@@ -288,50 +301,70 @@ def offline_min_cost(
 ) -> tuple[float, list[int], bool]:
     """Cheapest lease schedule clearing the backlog by the deadline.
 
-    Enumerates every decision vector over the first `deadline` slots with
-    leases forced off wherever either resource is unavailable, and returns
-    (min_total_cost, decisions, feasible). Infeasible instances come back
-    as (inf, [], False).
-    """
-    if initial_backlog < 0:
-        raise ConfigError(f"initial backlog must be >= 0, got {initial_backlog}")
-    if deadline < 1:
-        raise ConfigError(f"deadline must be >= 1, got {deadline}")
-    if deadline > ORACLE_MAX_DEADLINE:
-        raise ConfigError(
-            f"deadline {deadline} exceeds the exhaustive-search limit of "
-            f"{ORACLE_MAX_DEADLINE} slots; a dynamic-programming variant would "
-            "be needed for longer windows"
-        )
-    observations = _observations(realization)
-    if len(observations) < deadline:
-        raise ConfigError(
-            f"realization has {len(observations)} slots but the deadline needs {deadline}"
-        )
-    observations = observations[:deadline]
-    open_slots = [
-        i for i, obs in enumerate(observations) if obs.avail_ris == 1 and obs.avail_spectrum == 1
-    ]
+    Over the first `deadline` slots, each slot either holds (the backlog
+    takes the arrival) or, where both resources are available, leases
+    jointly: one packet is served, clamped at empty, for
+    price_ris + price_spectrum. Returns (min_total_cost, decisions,
+    feasible); infeasible instances come back as (inf, [], False).
 
-    best_cost = math.inf
-    best_decisions: list[int] = []
-    feasible = False
-    for choices in itertools.product((0, 1), repeat=len(open_slots)):
-        decisions = [0] * deadline
-        for slot, d in zip(open_slots, choices):
-            decisions[slot] = d
-        q = float(initial_backlog)
-        cost = 0.0
-        for i, obs in enumerate(observations):
-            q += obs.arrival
-            d = decisions[i]
-            if d:
-                cost += obs.price_ris + obs.price_spectrum
-            q = max(q - d, 0.0)
-        if q == 0.0 and cost < best_cost:
-            best_cost = cost
-            best_decisions = decisions
-            feasible = True
-    if not feasible:
+    The answer is the one an exhaustive search over every decision vector
+    gives: the float cost summed in slot order, and among equal minima
+    the lexicographically first vector (hold before lease). A forward
+    dynamic program finds it in O(deadline x (backlog + arrivals)) time.
+    After each slot it keeps, per backlog, the cost of every surviving
+    prefix in lexicographic order. A prefix is dropped when a
+    lexicographically earlier one at the same backlog costs no more
+    (float addition is monotone, so every completion of the earlier one
+    costs no more and comes first), or when it costs more than the
+    cheapest there by a margin that rounding in the remaining additions
+    cannot close. The margin keeps prefixes whose costs differ but round
+    to one total later, as sums of prices such as 0.1 and 0.3 can; with
+    generic prices nothing falls inside it and one prefix per backlog
+    survives.
+
+    Bad inputs raise ConfigError naming the field (and the 1-based slot).
+    """
+    check_int("initial backlog", initial_backlog, 0)
+    check_int("deadline", deadline, 1)
+    slots = _market_slots(realization, deadline)
+
+    lease_price = [
+        price_ris + price_spectrum if avail_ris == 1 and avail_spectrum == 1 else None
+        for _, price_ris, price_spectrum, avail_ris, avail_spectrum in slots
+    ]
+    # one rounded addition narrows a cost gap by at most 2^-52 of the largest
+    # partial sum, itself at most the total; 2^-50 leaves a factor of 4 spare
+    margin = sum(price for price in lease_price if price is not None) * deadline * 2.0**-50
+    # surviving prefixes in lexicographic order, as (backlog after the slot, cost)
+    frontier = [(int(initial_backlog), 0.0)]
+    came_from = []  # per slot, per survivor: (index in the previous frontier, decision)
+    for (arrival, *_), price in zip(slots, lease_price):
+        # extensions come in (previous index, decision) order, i.e. lexicographically
+        moves = []
+        for i, (q, cost) in enumerate(frontier):
+            moves.append((q + arrival, cost, i, 0))
+            if price is not None:
+                moves.append((max(q + arrival - 1, 0), cost + price, i, 1))
+        cheapest: dict[int, float] = {}
+        for q, cost, _, _ in moves:
+            if cost < cheapest.get(q, math.inf):
+                cheapest[q] = cost
+        earlier: dict[int, float] = {}  # cheapest earlier survivor per backlog
+        frontier, back = [], []
+        for q, cost, i, d in moves:
+            if cost < earlier.get(q, math.inf) and cost <= cheapest[q] + margin:
+                earlier[q] = cost
+                frontier.append((q, cost))
+                back.append((i, d))
+        came_from.append(back)
+
+    cleared = [k for k, (q, _) in enumerate(frontier) if q == 0]
+    if not cleared:
         return math.inf, [], False
-    return best_cost, best_decisions, True
+    # survivors at one backlog get strictly cheaper in lexicographic order
+    k = cleared[-1]
+    min_cost = frontier[k][1]
+    decisions = [0] * deadline
+    for t in range(deadline - 1, -1, -1):
+        k, decisions[t] = came_from[t][k]
+    return min_cost, decisions, True

@@ -313,7 +313,39 @@ def test_oracle_deadline_guard(tmp_path, capsys):
     path.write_text(WORKED_CSV)
     code = main(["oracle", "--realization", str(path), "--initial-backlog", "1", "--deadline", "20"])
     assert code == 1
-    assert "16" in capsys.readouterr().err
+    assert "3 slots" in capsys.readouterr().err
+
+
+def test_oracle_long_window(tmp_path, capsys):
+    path = tmp_path / "real.csv"
+    path.write_text(WORKED_CSV.splitlines()[0] + "\n" + "".join(
+        f"{t},{t % 3 == 0:d},1,1,{t % 5}.5,1.25\n" for t in range(1, 21)
+    ))
+    code = main(["oracle", "--realization", str(path), "--initial-backlog", "4", "--deadline", "20"])
+    assert code == 0
+    assert "min cost" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "row,field,text",
+    [
+        ("2,1.0,1,1,9.0,9.0", "arrival", "integer"),
+        ("2,0,1,1,,9.0", "price_ris", "number"),
+        ("2,0,1,1,-5,9.0", "price_ris", ">= 0"),
+        ("2,0,1,1,9.0,nan", "price_spectrum", ">= 0"),
+        ("2,0,1,1,inf,9.0", "price_ris", ">= 0"),
+        ("2,0,2,1,9.0,9.0", "avail_ris", "<= 1"),
+    ],
+)
+def test_oracle_rejects_bad_realization_cells(tmp_path, capsys, row, field, text):
+    lines = WORKED_CSV.splitlines()
+    lines[2] = row
+    path = tmp_path / "real.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["oracle", "--realization", str(path), "--initial-backlog", "1", "--deadline", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"row 2: {field} must be" in err and text in err
 
 
 # --- global flags ------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Offline minimum-cost oracle: worked examples, guards, and a DP cross-check."""
+"""Offline minimum-cost oracle: worked examples, guards, and cross-checks
+against exhaustive search and a backward DP."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leasesim.core import ConfigError
 from leasesim.environment import MarketObservation, ScenarioConfig, draw_realization
 from leasesim.policies import parse_policy
-from leasesim.simulator import ORACLE_MAX_DEADLINE, default_params, offline_min_cost, run
+from leasesim.simulator import default_params, offline_min_cost, run
 
 
 def obs(price_ris, price_spectrum, avail=1, arrival=0):
@@ -21,6 +25,52 @@ def obs(price_ris, price_spectrum, avail=1, arrival=0):
 
 
 WORKED = [obs(2, 3), obs(9, 9), obs(1, 1)]
+
+
+def brute_force_min_cost(observations, initial_backlog, deadline):
+    """Reference: enumerate every decision vector over the open slots in
+    product order and keep the first strict minimum, so ties go to the
+    lexicographically first vector. Exponential; short windows only.
+    """
+    observations = list(observations)[:deadline]
+    open_slots = [
+        i for i, o in enumerate(observations) if o.avail_ris == 1 and o.avail_spectrum == 1
+    ]
+    best_cost = math.inf
+    best_decisions = []
+    feasible = False
+    for choices in itertools.product((0, 1), repeat=len(open_slots)):
+        decisions = [0] * deadline
+        for slot, d in zip(open_slots, choices):
+            decisions[slot] = d
+        q = float(initial_backlog)
+        cost = 0.0
+        for i, o in enumerate(observations):
+            q += o.arrival
+            d = decisions[i]
+            if d:
+                cost += o.price_ris + o.price_spectrum
+            q = max(q - d, 0.0)
+        if q == 0.0 and cost < best_cost:
+            best_cost = cost
+            best_decisions = decisions
+            feasible = True
+    if not feasible:
+        return math.inf, [], False
+    return best_cost, best_decisions, True
+
+
+def replay(observations, backlog, decisions):
+    """Final backlog and cost of a schedule, summed in slot order."""
+    q = float(backlog)
+    cost = 0.0
+    for o, d in zip(observations, decisions):
+        q += o.arrival
+        if d:
+            assert o.avail_ris == 1 and o.avail_spectrum == 1
+            cost += o.price_ris + o.price_spectrum
+        q = max(q - d, 0.0)
+    return q, cost
 
 
 def dp_min_cost(observations, initial_backlog, deadline):
@@ -85,15 +135,54 @@ def test_arrivals_must_be_cleared_too():
 
 
 def test_guards():
-    long_real = [obs(1, 1)] * 20
-    with pytest.raises(ConfigError, match=str(ORACLE_MAX_DEADLINE)):
-        offline_min_cost(long_real, 1, 17)
     with pytest.raises(ConfigError):
         offline_min_cost(WORKED, 1, 0)
     with pytest.raises(ConfigError):
         offline_min_cost(WORKED, -1, 3)
     with pytest.raises(ConfigError, match="slots"):
         offline_min_cost(WORKED, 1, 5)
+
+
+def test_long_window_replays_to_claimed_cost():
+    scenario = ScenarioConfig(horizon_slots=200, initial_backlog=5, arrival_prob=0.3, seed=5)
+    realization = draw_realization(scenario)
+    cost, decisions, feasible = offline_min_cost(realization, 5, 200)
+    assert feasible and len(decisions) == 200
+    observations = [realization.observation(i) for i in range(200)]
+    assert replay(observations, 5, decisions) == (0.0, cost)
+
+
+@pytest.mark.parametrize(
+    "backlog,deadline,field",
+    [
+        (1.5, 3, "initial backlog"),
+        (True, 3, "initial backlog"),
+        (1, 2.5, "deadline"),
+        (1, True, "deadline"),
+    ],
+)
+def test_rejects_non_integer_backlog_and_deadline(backlog, deadline, field):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        offline_min_cost(WORKED, backlog, deadline)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(price_ris=-5), "slot 2: price_ris"),
+        (dict(price_spectrum=math.nan), "slot 2: price_spectrum"),
+        (dict(price_ris=math.inf), "slot 2: price_ris"),
+        (dict(arrival=1.5), "slot 2: arrival"),
+        (dict(arrival=-1), "slot 2: arrival"),
+        (dict(avail_ris=2), "slot 2: avail_ris"),
+        (dict(avail_spectrum=True), "slot 2: avail_spectrum"),
+    ],
+)
+def test_rejects_bad_market_values(fields, message):
+    market = list(WORKED)
+    market[1] = MarketObservation(**{**vars(WORKED[1]), **fields})
+    with pytest.raises(ConfigError, match=message):
+        offline_min_cost(market, 1, 3)
 
 
 def test_accepts_realization_object():
@@ -123,16 +212,7 @@ def test_returned_schedule_replays_to_claimed_cost():
         cost, decisions, feasible = offline_min_cost(observations, backlog, deadline)
         if not feasible:
             continue
-        q = float(backlog)
-        replay = 0.0
-        for o, d in zip(observations, decisions):
-            q += o.arrival
-            if d:
-                assert o.avail_ris == 1 and o.avail_spectrum == 1
-                replay += o.price_ris + o.price_spectrum
-            q = max(q - d, 0.0)
-        assert q == 0.0
-        assert replay == cost
+        assert replay(observations, backlog, decisions) == (0.0, cost)
 
 
 def test_enumeration_agrees_with_dp():
@@ -171,3 +251,93 @@ def test_online_policies_never_beat_oracle(label):
         oracle_cost, _, feasible = offline_min_cost(draw_realization(scenario), 2, 10)
         assert feasible
         assert trace.column("cost").sum() >= oracle_cost - 1e-9
+
+
+# float prices, and tie-heavy ones: integers 0-3, halves, and tenths whose
+# sums round, so equal totals can come from prefixes of unequal cost
+prices = st.one_of(
+    st.floats(0, 10, allow_nan=False, allow_infinity=False),
+    st.integers(0, 3),
+    st.integers(0, 6).map(lambda k: k / 2),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7]),
+)
+slots = st.builds(
+    MarketObservation,
+    price_ris=prices,
+    price_spectrum=prices,
+    avail_ris=st.integers(0, 1),
+    avail_spectrum=st.integers(0, 1),
+    arrival=st.integers(0, 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(observations=st.lists(slots, min_size=1, max_size=12), backlog=st.integers(0, 5))
+def test_matches_brute_force(observations, backlog):
+    deadline = len(observations)
+    cost, decisions, feasible = offline_min_cost(observations, backlog, deadline)
+    expected_cost, expected_decisions, expected_feasible = brute_force_min_cost(
+        observations, backlog, deadline
+    )
+    assert (repr(cost), decisions, feasible) == (
+        repr(expected_cost), expected_decisions, expected_feasible
+    )
+
+
+ROUNDING_PAIRS = [
+    (0.1, 0.1), (0.3, 0.1), (0.3, 0.3), (0.1, 0.3), (0.1, 0.1), (0.3, 0.2),
+    (0.1, 0.3), (0.1, 0.7), (0.2, 0.2), (0.2, 0.2), (0.3, 0.1), (0.3, 0.3),
+]
+
+
+@pytest.mark.parametrize(
+    "market,backlog,expected",
+    [
+        # one total, 1.6, from prefixes whose costs differ in the last bit:
+        # keeping only the cheapest prefix per backlog picks another schedule
+        (
+            [obs(p, s, arrival=int(t == 5)) for t, (p, s) in enumerate(ROUNDING_PAIRS)],
+            4,
+            (1.6, [1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0], True),
+        ),
+        # 0.15 + 0.15 is 0.3 but 0.1 + 0.2 is not: the first vector, [0, 1],
+        # costs one ulp more than [1, 0]
+        ([obs(0.15, 0.15), obs(0.1, 0.2)], 1, (0.3, [1, 0], True)),
+    ],
+)
+def test_rounding_ties_match_brute_force(market, backlog, expected):
+    result = offline_min_cost(market, backlog, len(market))
+    assert result == expected
+    assert result == brute_force_min_cost(market, backlog, len(market))
+
+
+ALL_KINDS = [
+    "dsf", "dsf_exact_argmin", "greedy", "myopic",
+    "periodic:3", "price_only:12", "queue_threshold:1",
+]
+
+
+@pytest.mark.parametrize("label", ALL_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    backlog=st.integers(0, 5),
+    arrival_prob=st.sampled_from([0.0, 0.05, 0.15, 0.3]),
+    v=st.sampled_from([0.5, 10.0]),
+)
+def test_no_policy_beats_oracle_on_long_windows(label, seed, backlog, arrival_prob, v):
+    """A policy's lease pattern up to the last slot its queue is empty is
+    itself a clearing schedule over that window, so its cost there is at
+    least the oracle's; a run that clears its queue by slot 200 checks the
+    whole 200-slot window."""
+    scenario = ScenarioConfig(
+        horizon_slots=200, initial_backlog=backlog, arrival_prob=arrival_prob, seed=seed
+    )
+    trace = run(scenario, parse_policy(label), default_params(scenario, v=v, eps_d=1.0))
+    empty = np.flatnonzero(trace.column("q_after") == 0.0)
+    if empty.size == 0:
+        return
+    window = int(empty[-1]) + 1
+    oracle_cost, _, feasible = offline_min_cost(draw_realization(scenario), backlog, window)
+    assert feasible
+    assert trace.column("cost")[:window].sum() >= oracle_cost - 1e-9
