@@ -1,18 +1,31 @@
 """The slot loop, written once and compiled two ways.
 
 The recurrence over (q, z) cannot be vectorized, so the loop is the hot
-kernel of every run. It takes any indexable sequences for its market and
-output columns: the plain-Python backend is handed lists (indexing a list
-is far cheaper than reading a numpy scalar), numba's njit is handed
-arrays. All randomness is drawn before the loop, so both backends produce
-bit-identical traces. Selection:
+kernel of every run, and it does nothing else. It reads three market
+columns, all computed by the caller before the loop:
+
+    arrival       packets arriving in the slot
+    joint_price   price_ris + price_spectrum
+    joint_avail   1 where both avail flags equal 1, else 0
+
+and writes four: x_desired (the policy's wish), r (1 where the joint
+lease went through), q_after and z_after. The caller derives the other
+trace columns from these with numpy. The threshold of both dsf rules,
+v * (expected_price_ris + expected_price_spectrum), comes in precomputed.
+
+It takes any indexable sequences for its columns: the plain-Python
+backend is handed lists (indexing a list is far cheaper than reading a
+numpy scalar), numba's njit is handed arrays. All randomness is drawn
+before the loop, so both backends produce bit-identical traces.
+Selection:
 
     LEASESIM_BACKEND=auto    njit when numba is importable (default)
     LEASESIM_BACKEND=numba   require njit
     LEASESIM_BACKEND=python  force the plain loop
 
-The decision expressions below must stay textually in sync with
-policies.decide; tests enforce agreement on randomized inputs.
+The seven decision rules below are kept inline, so numba compiles the
+same source, and must stay in sync with policies.decide; tests enforce
+agreement on randomized inputs.
 """
 from __future__ import annotations
 
@@ -53,82 +66,58 @@ def _slot_loop(
     t0,
     freeze_z,
     arrival,
-    price_ris,
-    price_spectrum,
-    avail_ris,
-    avail_spectrum,
+    joint_price,
+    joint_avail,
     policy_code,
     period_k,
     price_cutoff,
     queue_cutoff,
     v,
     eps_d,
-    exp_price_ris,
-    exp_price_spectrum,
-    q_before,
-    z_before,
+    threshold,
     x_desired,
-    y_desired,
-    x_effective,
-    y_effective,
     r_out,
-    cost,
     q_after,
     z_after,
 ):
     q = q0
     z = z0
-    n = len(arrival)
-    for i in range(n):
+    for i in range(len(arrival)):
         q = q + arrival[i]  # arrival joins before the policy looks
-        t = t0 + i
-        qb = q
-        zb = z
-        p = price_ris[i]
-        s = price_spectrum[i]
 
         if policy_code == 0:  # threshold rule on expected prices
-            want = qb + zb > v * (exp_price_ris + exp_price_spectrum)
+            want = q + z > threshold
         elif policy_code == 1:  # exact argmin, expected prices
-            want = qb + eps_d * zb > v * (exp_price_ris + exp_price_spectrum)
+            want = q + eps_d * z > threshold
         elif policy_code == 2:  # periodic cadence
-            want = t % period_k == 0 and qb > 0.0
+            want = (t0 + i) % period_k == 0 and q > 0.0
         elif policy_code == 3:  # greedy
-            want = qb > 0.0
+            want = q > 0.0
         elif policy_code == 4:  # price_only
-            want = p + s <= price_cutoff and qb > 0.0
+            want = joint_price[i] <= price_cutoff and q > 0.0
         elif policy_code == 5:  # queue_threshold
-            want = qb >= queue_cutoff
+            want = q >= queue_cutoff
         else:  # myopic: exact argmin, realized prices
-            want = qb + eps_d * zb > v * (p + s)
+            want = q + eps_d * z > v * joint_price[i]
 
-        xd = 1 if want else 0
-        yd = xd
-        both_avail = avail_ris[i] == 1 and avail_spectrum[i] == 1
-        xe = xd if both_avail else 0  # atomic mask: all or nothing
-        ye = yd if both_avail else 0
-        r = xe * ye
-        c = xe * p + ye * s
+        # core's z - r + eps * (1 - r), split on r: the same IEEE result
+        # for any finite eps, which ControlParams guarantees
+        if want and joint_avail[i]:  # atomic mask: all or nothing
+            r = 1
+            q = q - 1
+            z = z - 1
+        else:  # urgency accrues, unless frozen on an empty queue
+            r = 0
+            z = z + (0.0 if freeze_z and q == 0.0 else eps_d)
+        if q < 0.0:
+            q = 0.0
+        if z < 0.0:
+            z = 0.0
 
-        eff_eps = eps_d
-        if freeze_z and qb == 0.0:
-            eff_eps = 0.0
-        qn = max(qb - r, 0.0)
-        zn = max(zb - r + eff_eps * (1 - r), 0.0)
-
-        q_before[i] = qb
-        z_before[i] = zb
-        x_desired[i] = xd
-        y_desired[i] = yd
-        x_effective[i] = xe
-        y_effective[i] = ye
+        x_desired[i] = 1 if want else 0
         r_out[i] = r
-        cost[i] = c
-        q_after[i] = qn
-        z_after[i] = zn
-
-        q = qn
-        z = zn
+        q_after[i] = q
+        z_after[i] = z
 
 
 _slot_loop_njit = njit(cache=True)(_slot_loop) if HAVE_NUMBA else None

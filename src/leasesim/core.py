@@ -15,6 +15,7 @@ __all__ = [
     "ConfigError",
     "check_int",
     "check_price",
+    "check_positive",
     "QueueState",
     "LeaseDecision",
     "ControlParams",
@@ -51,6 +52,16 @@ def check_price(name: str, value) -> None:
         or not (math.isfinite(value) and value >= 0)
     ):
         raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Reject anything but a finite number > 0 (bools too), naming the field."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,12 +109,8 @@ class ControlParams:
     expected_price_spectrum: float
 
     def __post_init__(self) -> None:
-        if self.v <= 0:
-            raise ConfigError(f"v must be positive, got {self.v}")
-        if self.eps_d <= 0:
-            raise ConfigError(f"eps_d must be positive, got {self.eps_d}")
-        if self.expected_price_ris <= 0 or self.expected_price_spectrum <= 0:
-            raise ConfigError("expected prices must be positive")
+        for name in ("v", "eps_d", "expected_price_ris", "expected_price_spectrum"):
+            check_positive(name, getattr(self, name))
 
 
 def advance_data_queue(q: float, r: int, a: int) -> float:

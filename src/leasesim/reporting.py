@@ -15,32 +15,17 @@ from pathlib import Path
 import numpy as np
 
 from ._version import VERSION
-from .core import ConfigError, ControlParams
+from .core import ConfigError, ControlParams, check_int, check_price
 from .environment import (
     MARKET_FIELDS,
     Realization,
     ScenarioConfig,
-    check_market_slot,
     derive_seed,
     scenario_fingerprint,
     scenario_overridden,
 )
 from .policies import PolicySpec, policy_label
-from .simulator import TRACE_COLUMNS, Trace, default_params, run
-
-_INT_TRACE_COLUMNS = frozenset(
-    (
-        "t",
-        "arrival",
-        "avail_ris",
-        "avail_spectrum",
-        "x_desired",
-        "y_desired",
-        "x_effective",
-        "y_effective",
-        "r",
-    )
-)
+from .simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS, Trace, default_params, run
 
 
 @dataclass(frozen=True)
@@ -179,7 +164,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
     """
     cells = [
         map(str, trace.column(name).astype(np.int64).tolist())
-        if name in _INT_TRACE_COLUMNS
+        if name in INT_TRACE_COLUMNS
         else map(repr, trace.column(name).astype(np.float64).tolist())
         for name in TRACE_COLUMNS
     ]
@@ -188,23 +173,71 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
-def read_trace_csv(path: str | Path) -> Trace:
-    """Read a trace CSV back; columns are matched by name."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty file, expected a trace CSV header")
-        missing = [name for name in TRACE_COLUMNS if name not in reader.fieldnames]
-        if missing:
-            raise ConfigError(f"{path}: missing trace columns: {', '.join(missing)}")
-        rows = list(reader)
-    columns: dict[str, np.ndarray] = {}
-    for name in TRACE_COLUMNS:
-        if name in _INT_TRACE_COLUMNS:
-            columns[name] = np.array([int(row[name]) for row in rows], dtype=np.int64)
+# (low, high) of the integer columns that are not 0/1 flags
+_INT_RANGES = {"t": (1, 2**63 - 1), "arrival": (0, 2**63 - 1)}
+
+
+def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
+    """One CSV column as an int64 or float64 array.
+
+    Integer columns hold integers in their range (0 or 1 for the flags),
+    every other column finite numbers >= 0. The first bad cell is a
+    ConfigError naming the field and its 1-based data row.
+    """
+    if name in INT_TRACE_COLUMNS:
+        parse, dtype = int, np.int64
+        low, high = _INT_RANGES.get(name, (0, 1))
+    else:
+        parse, dtype = float, np.float64
+    try:
+        values = np.array(list(map(parse, cells)), dtype=dtype)
+    except (ValueError, OverflowError):
+        pass
+    else:
+        if parse is float:
+            if (np.isfinite(values) & (values >= 0)).all():
+                return values
+        elif not len(values) or (low <= values.min() and values.max() <= high):
+            return values
+    for row, cell in enumerate(cells, start=1):
+        try:
+            value = parse(cell)
+        except ValueError:
+            value = cell
+        where = f"{path}: row {row}: {name}"
+        if parse is int:
+            check_int(where, value, low, high)
         else:
-            columns[name] = np.array([float(row[name]) for row in rows], dtype=np.float64)
-    return Trace(columns)
+            check_price(where, value)
+    raise AssertionError("a cell that failed the column check passed the cell check")
+
+
+def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
+    """The named columns of a CSV, matched by header and checked cell by cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty file, expected a {what} CSV header")
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise ConfigError(f"{path}: missing {what} columns: {', '.join(missing)}")
+        rows = [row for row in reader if row]  # blank lines are skipped
+    for row, cells in enumerate(rows, start=1):
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}: row {row}: expected {len(header)} cells, got {len(cells)}")
+    columns = list(zip(*rows)) or [()] * len(header)
+    return {name: _parse_column(path, name, columns[header.index(name)]) for name in names}
+
+
+def read_trace_csv(path: str | Path) -> Trace:
+    """Read a trace CSV back; columns are matched by name.
+
+    A cell that does not parse, or a value no run can write (a negative or
+    non-finite float, an integer out of its column's range), is a
+    ConfigError naming the field and the 1-based data row.
+    """
+    return Trace(_read_csv_columns(path, TRACE_COLUMNS, "trace"))
 
 
 def read_realization_csv(path: str | Path) -> Realization:
@@ -215,37 +248,10 @@ def read_realization_csv(path: str | Path) -> Realization:
     that does not parse, or a slot the market model cannot produce, is a
     ConfigError naming the field and the 1-based data row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty file, expected a realization CSV header")
-        missing = [name for name in MARKET_FIELDS if name not in reader.fieldnames]
-        if missing:
-            raise ConfigError(f"{path}: missing realization columns: {', '.join(missing)}")
-        rows = list(reader)
-    if not rows:
+    columns = _read_csv_columns(path, MARKET_FIELDS, "realization")
+    if not len(columns["arrival"]):
         raise ConfigError(f"{path}: realization CSV has no data rows")
-    slots = []
-    for i, row in enumerate(rows, start=1):
-        slot = []
-        for name, parse in zip(MARKET_FIELDS, (int, float, float, int, int)):
-            try:
-                slot.append(parse(row[name]))
-            except (TypeError, ValueError):
-                kind = "an integer" if parse is int else "a number"
-                raise ConfigError(
-                    f"{path}: row {i}: {name} must be {kind}, got {row[name]!r}"
-                ) from None
-        check_market_slot(f"{path}: row {i}", *slot)
-        slots.append(slot)
-    arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = zip(*slots)
-    return Realization(
-        arrival=np.array(arrival, dtype=np.int64),
-        price_ris=np.array(price_ris, dtype=np.float64),
-        price_spectrum=np.array(price_spectrum, dtype=np.float64),
-        avail_ris=np.array(avail_ris, dtype=np.int64),
-        avail_spectrum=np.array(avail_spectrum, dtype=np.int64),
-    )
+    return Realization(**columns)
 
 
 def summary_to_dict(summary: RunSummary) -> dict:

@@ -45,7 +45,8 @@ TRACE_COLUMNS = (
     "z_after",
 )
 
-_INT_COLUMNS = frozenset(
+# the trace columns held as int64; every other column is float64
+INT_TRACE_COLUMNS = frozenset(
     (
         "t",
         "arrival",
@@ -115,7 +116,7 @@ class Trace:
         values = {}
         for name in TRACE_COLUMNS:
             raw = self._columns[name][i]
-            values[name] = int(raw) if name in _INT_COLUMNS else float(raw)
+            values[name] = int(raw) if name in INT_TRACE_COLUMNS else float(raw)
         return SlotRecord(**values)
 
     def __iter__(self) -> Iterator[SlotRecord]:
@@ -150,24 +151,45 @@ def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
         float(queue_cutoff),
         params.v,
         params.eps_d,
-        params.expected_price_ris,
-        params.expected_price_spectrum,
+        params.v * (params.expected_price_ris + params.expected_price_spectrum),
     )
 
 
-# the loop's output columns, in argument order, with their trace dtypes
-_LOOP_OUTPUTS = (
-    ("q_before", np.float64),
-    ("z_before", np.float64),
-    ("x_desired", np.int64),
-    ("y_desired", np.int64),
-    ("x_effective", np.int64),
-    ("y_effective", np.int64),
-    ("r", np.int64),
-    ("cost", np.float64),
-    ("q_after", np.float64),
-    ("z_after", np.float64),
-)
+# dtypes of the loop's output columns x_desired, r, q_after, z_after
+_LOOP_DTYPES = (np.int64, np.int64, np.float64, np.float64)
+
+
+def _shifted(first: float, column: np.ndarray) -> np.ndarray:
+    """The column one slot later, with `first` in slot 0."""
+    out = np.empty(len(column))
+    out[:1] = first
+    out[1:] = column[:-1]
+    return out
+
+
+def _trace_columns(
+    realization: Realization, t0: int, q0: float, z0: float,
+    x_desired: np.ndarray, r: np.ndarray, q_after: np.ndarray, z_after: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """All trace columns, from the market and the loop's four outputs.
+
+    Each derived column repeats the arithmetic the slot itself did, so it
+    comes out bit for bit as if the loop had written it.
+    """
+    return {
+        "t": np.arange(t0, t0 + len(r), dtype=np.int64),
+        "q_before": _shifted(q0, q_after) + realization.arrival,
+        "z_before": _shifted(z0, z_after),
+        **{name: getattr(realization, name) for name in MARKET_FIELDS},
+        "x_desired": x_desired,
+        "y_desired": x_desired,
+        "x_effective": r,
+        "y_effective": r,
+        "r": r,
+        "cost": r * realization.price_ris + r * realization.price_spectrum,
+        "q_after": q_after,
+        "z_after": z_after,
+    }
 
 
 def _run_loop(
@@ -183,31 +205,19 @@ def _run_loop(
     n = len(realization)
     market = (
         realization.arrival,
-        realization.price_ris,
-        realization.price_spectrum,
-        realization.avail_ris,
-        realization.avail_spectrum,
+        realization.price_ris + realization.price_spectrum,
+        ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64),
     )
     if resolve_backend(backend) == "python":
         # the interpreted loop indexes plain lists far faster than numpy scalars
         market = tuple(column.tolist() for column in market)
-        outputs = [[0] * n for _ in _LOOP_OUTPUTS]
+        outputs = [[0] * n for _ in _LOOP_DTYPES]
     else:
-        outputs = [np.empty(n, dtype=dtype) for _, dtype in _LOOP_OUTPUTS]
-    get_loop(backend)(
-        float(q0), float(z0), t0, freeze_z, *market, *_kernel_args(policy, params), *outputs
-    )
-    out = {
-        name: np.asarray(values, dtype=dtype)
-        for (name, dtype), values in zip(_LOOP_OUTPUTS, outputs)
-    }
-    out["t"] = np.arange(t0, t0 + n, dtype=np.int64)
-    out["arrival"] = realization.arrival
-    out["avail_ris"] = realization.avail_ris
-    out["avail_spectrum"] = realization.avail_spectrum
-    out["price_ris"] = realization.price_ris
-    out["price_spectrum"] = realization.price_spectrum
-    return out
+        outputs = [np.empty(n, dtype=dtype) for dtype in _LOOP_DTYPES]
+    q0, z0 = float(q0), float(z0)
+    get_loop(backend)(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
+    outputs = [np.asarray(values, dtype=dtype) for dtype, values in zip(_LOOP_DTYPES, outputs)]
+    return _trace_columns(realization, t0, q0, z0, *outputs)
 
 
 def run(
@@ -246,29 +256,20 @@ def step(
     """
     if t < 1:
         raise ConfigError(f"slot index must be >= 1, got {t}")
-    market = {
-        "arrival": int(observation.arrival),
-        "avail_ris": int(observation.avail_ris),
-        "avail_spectrum": int(observation.avail_spectrum),
-        "price_ris": float(observation.price_ris),
-        "price_spectrum": float(observation.price_spectrum),
-    }
-    outputs = [[0] for _ in _LOOP_OUTPUTS]
+    q, z = float(state.q), float(state.z)
+    arrival = int(observation.arrival)
+    avail_ris, avail_spectrum = int(observation.avail_ris), int(observation.avail_spectrum)
+    price_ris, price_spectrum = float(observation.price_ris), float(observation.price_spectrum)
+    joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
+    x_desired, r_out, q_after, z_after = [0], [0], [0], [0]
     get_loop("python")(
-        float(state.q),
-        float(state.z),
-        t,
-        freeze_z_when_empty,
-        [market["arrival"]],
-        [market["price_ris"]],
-        [market["price_spectrum"]],
-        [market["avail_ris"]],
-        [market["avail_spectrum"]],
-        *_kernel_args(policy, params),
-        *outputs,
+        q, z, t, freeze_z_when_empty, [arrival], [price_ris + price_spectrum], [joint_avail],
+        *_kernel_args(policy, params), x_desired, r_out, q_after, z_after
     )
+    xd, r = x_desired[0], r_out[0]
     record = SlotRecord(
-        t=t, **market, **{name: column[0] for (name, _), column in zip(_LOOP_OUTPUTS, outputs)}
+        t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+        xd, xd, r, r, r, r * price_ris + r * price_spectrum, q_after[0], z_after[0]
     )
     return QueueState(q=record.q_after, z=record.z_after), record
 

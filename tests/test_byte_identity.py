@@ -1,19 +1,23 @@
-"""Byte-identity gate: trace CSVs must not change by a single byte.
+"""Byte-identity gate: trace CSVs and sweep JSONs must not change by a single byte.
 
-The digests below are sha256 sums of write_trace_csv(run(...)) taken
-from the implementation in which every draw went through draw_slot and
-the python loop indexed numpy arrays. Any optimisation of the draw, the
-loop, or the CSV writer must reproduce them exactly; a mismatch means the
-reproducibility contract broke, not that the digests need refreshing.
+The trace digests below are sha256 sums of write_trace_csv(run(...))
+taken from the implementation in which every draw went through draw_slot
+and the python loop indexed numpy arrays. The sweep digests are sha256
+sums of the sweep_to_dict JSON taken from the implementation in which the
+loop wrote all ten of its trace columns itself. Any optimisation of the
+draw, the loop, or the writers must reproduce them exactly; a mismatch
+means the reproducibility contract broke, not that the digests need
+refreshing.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from leasesim.environment import ScenarioConfig, draw_realization, draw_slot
 from leasesim.policies import parse_policy
-from leasesim.reporting import write_trace_csv
+from leasesim.reporting import sweep, sweep_to_dict, write_trace_csv
 from leasesim.simulator import default_params, run
 
 SCENARIOS = {
@@ -47,6 +51,54 @@ def test_trace_csv_digest(tmp_path, scenario_name, label):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(scenario, parse_policy(label), params, backend="python"), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(scenario_name, label)]
+
+
+SWEEP_SCENARIOS = {
+    "default": ScenarioConfig(horizon_slots=600),
+    "backlog_freeze": ScenarioConfig(horizon_slots=600, initial_backlog=3, freeze_z_when_empty=True),
+}
+SWEEP_V_GRID = [0.5, 4.0, 20.0]
+SWEEP_EPS_GRID = [0.25, 1.0]
+
+# keyed (scenario, common random numbers, policy)
+SWEEP_DIGESTS = {
+    ("default", True, "dsf"): "4104cc3e49b6fc69144e7847261d9175e65c201cfe22cc53139c52d429fb0f66",
+    ("default", True, "dsf_exact_argmin"): "78e972c7d3576bd8ccab11ea99f48dc3e463231c4063a4c8afc574f243c64a61",
+    ("default", True, "periodic:3"): "bb0bf559a48ce37782112a232b4cac7113aaf687248a98e9472502839c2385ec",
+    ("default", True, "greedy"): "f02b67c8be675439e41ee1ab2de26b772367efce08f318d10eb6048b98876dee",
+    ("default", True, "price_only:8"): "8daf5e81670fbb0a7d41369a3585f9b30b25f88668047c98e6105231cc0bcb57",
+    ("default", True, "queue_threshold:5"): "358cc36f224aca1ea8b12a14076b1239ad3dc0b9c39da84fbf9cf7d5411a1a1a",
+    ("default", True, "myopic"): "354570f9fdbb089fa75639ce48c65de9dc26d19af67191b5ed55e92525efda8a",
+    ("default", False, "dsf"): "92679197c7d197a7c162624896060c2d7590991e44ab85aa71d277ca46e72718",
+    ("default", False, "dsf_exact_argmin"): "c85b8a504c06fc4ca254952b1e5420e1d0e610d442b92e9e48f4a9ff4ba66344",
+    ("default", False, "periodic:3"): "c96537be95f9b8cb7df1de3e34425d43c7ff0bb2d0ba9405d223fc514019eee3",
+    ("default", False, "greedy"): "abc107e8eb374df1452f5c2efa1e7a9f39742686628abb00b12ab3f180d0f5ae",
+    ("default", False, "price_only:8"): "5d15286d5b0b5afbfc4ddefd1aac8f723d73c7f683bc92e1b83803181ce41594",
+    ("default", False, "queue_threshold:5"): "d7d6f047e205f204c564eb5da7b19832ca80657f655b0d11fc647ebc2c4c331c",
+    ("default", False, "myopic"): "a606294d0f77d351d42a249a2dcc66f32cf55c4139cb94e1be103a150b60234b",
+    ("backlog_freeze", True, "dsf"): "dd08fb8b8657580c6f0bfc4155bcf264b031dfdd344f91d705866fa53f750592",
+    ("backlog_freeze", True, "dsf_exact_argmin"): "fb2e726a5bdffd3f4526bfb323d87b9d904461ef511921f3ad7918920fcf8b21",
+    ("backlog_freeze", True, "periodic:3"): "d218f27ab8c4224c4b0fe67e0d1915436069275253e33fe0b88facac60ef8d83",
+    ("backlog_freeze", True, "greedy"): "7a9fc4adf3d45cd9726c10514b1a2217cd6822baba8f6bb4a338ca11bbfcd16a",
+    ("backlog_freeze", True, "price_only:8"): "a62ebaa8da2a22998626209efa78ca7776788992a502ac08983ab9fcfebb35dd",
+    ("backlog_freeze", True, "queue_threshold:5"): "9bd4606d034d1e758004bd7de0a68a34f6164694849e6e8bc9525965cfd38164",
+    ("backlog_freeze", True, "myopic"): "9e1ecc21018c47cde41332d60131a15c1ac403abe87a4071c44f70b337758b50",
+    ("backlog_freeze", False, "dsf"): "52350132385b721897c5b9553e8c5d32c851b8968adced42964c9b3b84ab2f13",
+    ("backlog_freeze", False, "dsf_exact_argmin"): "04f136710f3040ed0cc7f11167f579c7ae3a077dd92223c1851092b0c987d422",
+    ("backlog_freeze", False, "periodic:3"): "79c17ee08eb5d80c8afa32cf64f3d4511a1ff14a1fff22fc7a938dc060e2e9a2",
+    ("backlog_freeze", False, "greedy"): "cf72f81711ebb5e99a831a5c06a709029051ca7d802f0c068a43d6c533945626",
+    ("backlog_freeze", False, "price_only:8"): "29de8d3a26d9174e24940bcf434c8d98683be82af8cbc6bebe0dd4b97a70b382",
+    ("backlog_freeze", False, "queue_threshold:5"): "bf952555d657145388ae6b8fdc115d5226807a96812f7a337b5d1ff4fd4b7b0f",
+    ("backlog_freeze", False, "myopic"): "63713872eb9f0445596a7296e22f29e58552f83bc1f6f7d9e6baf88c8e855109",
+}
+
+
+@pytest.mark.parametrize("scenario_name,crn,label", sorted(SWEEP_DIGESTS))
+def test_sweep_json_digest(scenario_name, crn, label):
+    scenario = SWEEP_SCENARIOS[scenario_name]
+    table = sweep(scenario, parse_policy(label), SWEEP_V_GRID, SWEEP_EPS_GRID, common_random_numbers=crn)
+    document = json.dumps(sweep_to_dict(table, scenario), indent=2) + "\n"
+    assert hashlib.sha256(document.encode()).hexdigest() == SWEEP_DIGESTS[(scenario_name, crn, label)]
 
 
 @pytest.mark.filterwarnings("ignore:arrival_prob")  # degenerate markets have no headroom

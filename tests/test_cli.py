@@ -66,6 +66,19 @@ def test_run_policy_missing_param_is_usage_error(tmp_path, scenario_path, capsys
     assert "period_k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [("--v", "nan", "v"), ("--v", "inf", "v"), ("--eps", "nan", "eps_d"), ("--eps", "inf", "eps_d")],
+)
+def test_run_rejects_non_finite_control(tmp_path, scenario_path, capsys, flag, value, field):
+    out = tmp_path / "t.csv"
+    assert main(["run", "--scenario", scenario_path, flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{field} must be a finite number > 0, got {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_missing_scenario_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "t.csv")]) == 1
     assert "error" in capsys.readouterr().err
@@ -276,6 +289,33 @@ def test_assure_truncated_run_exits_two(tmp_path, assured_pipeline, capsys):
     code = main(["assure", "--trace", short_trace, "--intent", intent_path, "--translation", translation_path])
     assert code == 2
     assert "verdict: fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "column,cell,text",
+    [
+        ("arrival", "1.0", "must be an integer, got '1.0'"),
+        ("r", "2", "must be <= 1, got 2"),
+        ("t", "", "must be an integer, got ''"),
+        ("cost", "nan", "must be a finite number >= 0, got nan"),
+        ("q_after", "-1.0", "must be a finite number >= 0, got -1.0"),
+        ("price_ris", "x", "must be a finite number >= 0, got 'x'"),
+    ],
+)
+def test_assure_rejects_bad_trace_cell(tmp_path, assured_pipeline, capsys, column, cell, text):
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    lines = open(trace_path, newline="").read().split("\r\n")
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    cells[header.index(column)] = cell
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    code = main(["assure", "--trace", str(bad), "--intent", intent_path, "--translation", translation_path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"bad.csv: row 3: {column} {text}" in err
+    assert "Traceback" not in err
 
 
 # --- oracle ------------------------------------------------------------

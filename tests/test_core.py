@@ -1,4 +1,6 @@
 """Unit tests for the scalar building blocks."""
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,6 +130,17 @@ def test_lease_decision_validation():
         LeaseDecision(2, 0)
     with pytest.raises(ValueError):
         LeaseDecision(0, -1)
+
+
+@pytest.mark.parametrize(
+    "field", ["v", "eps_d", "expected_price_ris", "expected_price_spectrum"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0"])
+def test_control_params_rejects_non_finite_and_non_numbers(field, value):
+    fields = dict(v=1.0, eps_d=0.5, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    fields[field] = value
+    with pytest.raises(ConfigError, match=f"^{field} must be a finite number > 0"):
+        ControlParams(**fields)
 
 
 def test_control_params_validation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from leasesim import _kernels, simulator
-from leasesim.core import ConfigError, QueueState
+from leasesim.core import ConfigError, QueueState, advance_virtual_queue
 from leasesim.environment import ScenarioConfig, draw_realization
 from leasesim.policies import PolicyInput, decide, parse_policy
 from leasesim.simulator import TRACE_COLUMNS, default_params, run
@@ -92,6 +92,30 @@ def test_array_path_matches_list_path(monkeypatch, policy):
     for name in TRACE_COLUMNS:
         assert got.column(name).dtype == want.column(name).dtype, name
         assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_loop_follows_core_recurrence(policy, freeze):
+    """Slot by slot, the loop's queues are exactly core's recurrences.
+
+    q_after is max(q_before - r, 0) and z_after is
+    advance_virtual_queue(z_before, r, eps), with eps zeroed on an empty
+    queue when z is frozen; compared bit for bit.
+    """
+    scenario = ScenarioConfig(
+        horizon_slots=600, initial_backlog=2, seed=29, freeze_z_when_empty=freeze
+    )
+    params = default_params(scenario, v=3.0, eps_d=0.7)
+    trace = run(scenario, parse_policy(policy), params, backend="python")
+    q_before, z_before, r = (trace.column(name).tolist() for name in ("q_before", "z_before", "r"))
+    want_q, want_z = [], []
+    for qb, zb, served in zip(q_before, z_before, r):
+        eps = 0.0 if freeze and qb == 0.0 else params.eps_d
+        want_q.append(max(qb - served, 0.0))
+        want_z.append(advance_virtual_queue(zb, served, eps))
+    assert np.array(want_q).tobytes() == trace.column("q_after").tobytes()
+    assert np.array(want_z).tobytes() == trace.column("z_after").tobytes()
 
 
 def test_kernel_matches_decide_slot_by_slot():

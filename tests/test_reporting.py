@@ -226,6 +226,36 @@ def test_read_trace_csv_rejects_missing_columns(tmp_path):
         read_trace_csv(path)
 
 
+def test_read_trace_csv_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(small_trace(horizon=5), path)
+    with open(path, "a", newline="") as fh:
+        fh.write("6,0.0\r\n")
+    with pytest.raises(ConfigError, match="row 6: expected 16 cells, got 2"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_names_the_first_bad_row(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(small_trace(horizon=5), path)
+    lines = path.read_text().splitlines()
+    for i in (2, 4):  # data rows 2 and 4
+        cells = lines[i].split(",")
+        cells[TRACE_COLUMNS.index("z_after")] = "inf"
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n\n")  # a trailing blank line is skipped
+    with pytest.raises(ConfigError, match="row 2: z_after must be a finite number >= 0, got inf"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_header_only_is_an_empty_trace(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n")
+    trace = read_trace_csv(path)
+    assert len(trace) == 0
+    assert {trace.column(name).dtype for name in TRACE_COLUMNS} == {np.dtype(np.int64), np.dtype(np.float64)}
+
+
 def test_read_realization_from_trace_csv(tmp_path):
     trace = small_trace(horizon=30)
     path = tmp_path / "trace.csv"

@@ -9,9 +9,9 @@ from leasesim.core import (
     advance_data_queue,
     advance_virtual_queue,
 )
-from leasesim.environment import MarketObservation, ScenarioConfig, draw_realization
+from leasesim.environment import MarketObservation, Realization, ScenarioConfig, draw_realization
 from leasesim.policies import parse_policy
-from leasesim.simulator import TRACE_COLUMNS, Trace, default_params, run, step
+from leasesim.simulator import TRACE_COLUMNS, Trace, _run_loop, default_params, run, step
 
 DSF = parse_policy("dsf")
 GREEDY = parse_policy("greedy")
@@ -89,6 +89,44 @@ def test_step_masking_is_atomic():
     assert (record.x_effective, record.y_effective) == (0, 0)
     assert record.cost == 0.0 and record.r == 0
     assert state.q == 50.0
+
+
+@pytest.mark.parametrize("avail_ris,avail_spectrum", [(2, 1), (1, 2), (2, 2)])
+def test_step_flag_other_than_one_blocks_the_lease(avail_ris, avail_spectrum):
+    """Only a flag equal to 1 counts as available, whatever else it holds."""
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    obs = MarketObservation(
+        price_ris=2.0, price_spectrum=3.0, avail_ris=avail_ris, avail_spectrum=avail_spectrum, arrival=1
+    )
+    state, record = step(QueueState(4.0, 2.0), obs, GREEDY, params, t=3)
+    assert (record.avail_ris, record.avail_spectrum) == (avail_ris, avail_spectrum)
+    assert (record.x_desired, record.y_desired) == (1, 1)
+    assert (record.x_effective, record.y_effective, record.r) == (0, 0, 0)
+    assert record.cost == 0.0
+    assert (record.q_before, record.q_after) == (5.0, 5.0)
+    assert (record.z_before, record.z_after) == (2.0, 3.0)
+    assert state == QueueState(5.0, 3.0)
+
+
+def test_run_treats_only_flag_one_as_available():
+    """A market with flags other than 0 and 1 runs as a step chain does,
+    from any starting state and slot."""
+    avail_ris = [2, 1, 0, 1, 2, 1]
+    avail_spectrum = [1, 2, 1, 1, 2, 1]
+    realization = Realization(
+        arrival=np.array([1, 0, 1, 0, 0, 1]),
+        price_ris=np.array([2.0, 3.0, 1.5, 4.0, 2.5, 1.0]),
+        price_spectrum=np.array([1.0, 2.0, 2.5, 0.5, 3.5, 2.0]),
+        avail_ris=np.array(avail_ris),
+        avail_spectrum=np.array(avail_spectrum),
+    )
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    columns = _run_loop(realization, 4.0, 1.5, 3, False, GREEDY, params, backend="python")
+    assert columns["r"].tolist() == [0, 0, 0, 1, 0, 1]
+    state = QueueState(4.0, 1.5)
+    for i in range(len(realization)):
+        state, record = step(state, realization.observation(i), GREEDY, params, t=i + 3)
+        assert record == Trace(columns).record(i), i
 
 
 def test_step_lease_serves_one_packet():
