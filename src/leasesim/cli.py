@@ -62,6 +62,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # a token that reads as a number is a value, so `--v -1e3` reaches
+        # the field check instead of being taken for a flag
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     values = []

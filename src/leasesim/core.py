@@ -16,6 +16,7 @@ __all__ = [
     "check_int",
     "check_price",
     "check_positive",
+    "frozen",
     "QueueState",
     "LeaseDecision",
     "ControlParams",
@@ -62,6 +63,19 @@ def check_positive(name: str, value) -> None:
         or not (math.isfinite(value) and value > 0)
     ):
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def frozen(cls, values):
+    """An instance of the frozen dataclass `cls` holding `values` in field order.
+
+    Equal to `cls(*values)`, hash and `vars()` order included, but built
+    without the generated __init__, which pays one guarded setattr per
+    field. __post_init__ does not run either, so its checks are skipped:
+    for per-slot records whose values are known to pass them.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return instance
 
 
 @dataclass(frozen=True)
@@ -121,15 +135,19 @@ def advance_data_queue(q: float, r: int, a: int) -> float:
 
 
 def advance_virtual_queue(z: float, r: int, eps_d: float) -> float:
-    """Next delay urgency: a served slot relieves one unit, an idle slot
-    accrues eps_d, clamped at zero."""
+    """Next delay urgency: a slot with a joint lease (r = 1) relieves one
+    unit, even on an empty queue where the lease serves nothing; any other
+    slot accrues eps_d. Clamped at zero."""
     if z < 0 or r < 0 or eps_d < 0:
         raise ValueError("advance_virtual_queue arguments must be non-negative")
     return max(z - r + eps_d * (1 - r), 0.0)
 
 
 def departure(x: int, y: int) -> int:
-    """Packets served this slot: 1 only when both resources are leased."""
+    """The joint-lease flag r: 1 only when both resources are leased.
+
+    It is 1 on an empty queue too, where the lease serves nothing; the
+    packets served are q_before - q_after, as intent.assure counts them."""
     return x * y
 
 

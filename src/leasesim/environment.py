@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import ConfigError, check_int, check_price
+from .core import ConfigError, check_int, check_price, frozen
 
 __all__ = [
     "DEFAULT_SEED",
@@ -58,8 +58,9 @@ class ScenarioConfig:
     freeze_z_when_empty: bool = False
 
     def __post_init__(self) -> None:
-        if self.horizon_slots < 1:
-            raise ConfigError(f"horizon_slots must be >= 1, got {self.horizon_slots}")
+        check_int("horizon_slots", self.horizon_slots, 1)
+        check_int("initial_backlog", self.initial_backlog, 0)
+        check_int("seed", self.seed, 0, 2**64 - 1)
         for name in ("arrival_prob", "avail_prob_ris", "avail_prob_spectrum"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -73,10 +74,6 @@ class ScenarioConfig:
                 f"prices must satisfy 0 < price_low <= price_high, "
                 f"got [{self.price_low}, {self.price_high}]"
             )
-        if self.initial_backlog < 0:
-            raise ConfigError(f"initial_backlog must be >= 0, got {self.initial_backlog}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         joint = self.avail_prob_ris * self.avail_prob_spectrum
         if self.arrival_prob >= joint and self.arrival_prob > 0:
             warnings.warn(
@@ -112,13 +109,13 @@ class Realization:
         return len(self.arrival)
 
     def observation(self, i: int) -> MarketObservation:
-        return MarketObservation(
-            price_ris=float(self.price_ris[i]),
-            price_spectrum=float(self.price_spectrum[i]),
-            avail_ris=int(self.avail_ris[i]),
-            avail_spectrum=int(self.avail_spectrum[i]),
-            arrival=int(self.arrival[i]),
-        )
+        return frozen(MarketObservation, (
+            float(self.price_ris[i]),
+            float(self.price_spectrum[i]),
+            int(self.avail_ris[i]),
+            int(self.avail_spectrum[i]),
+            int(self.arrival[i]),
+        ))
 
 
 # one slot's market values, in Realization's column order

@@ -9,11 +9,12 @@ a finished trace back against the intent and reports drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigError, ControlParams
+from .core import ConfigError, ControlParams, check_positive
 from .environment import ScenarioConfig, expected_price
 
 PRIORITIES = ("cost_saver", "balanced", "delay_critical")
@@ -38,14 +39,11 @@ class IntentSpec:
     priority: str = "balanced"
 
     def __post_init__(self) -> None:
-        if self.payload_mb <= 0:
-            raise ConfigError(f"payload_mb must be positive, got {self.payload_mb!r}")
-        if self.deadline_s <= 0:
-            raise ConfigError(f"deadline_s must be positive, got {self.deadline_s!r}")
-        if not 0 < self.reliability_pct <= 100:
-            raise ConfigError(
-                f"reliability_pct must be in (0, 100], got {self.reliability_pct!r}"
-            )
+        check_positive("payload_mb", self.payload_mb)
+        check_positive("deadline_s", self.deadline_s)
+        pct = self.reliability_pct
+        if isinstance(pct, bool) or not isinstance(pct, numbers.Real) or not 0 < pct <= 100:
+            raise ConfigError(f"reliability_pct must be a number in (0, 100], got {pct!r}")
         if self.priority not in PRIORITIES:
             raise ConfigError(
                 f"priority must be one of {', '.join(PRIORITIES)}; got {self.priority!r}"
@@ -89,10 +87,8 @@ def translate_intent(
     Tightness above 1 yields feasible=False, with parameters still
     emitted so the caller can decide what to do.
     """
-    if slot_duration_s <= 0:
-        raise ConfigError(f"slot_duration_s must be positive, got {slot_duration_s!r}")
-    if packet_size_mb <= 0:
-        raise ConfigError(f"packet_size_mb must be positive, got {packet_size_mb!r}")
+    check_positive("slot_duration_s", slot_duration_s)
+    check_positive("packet_size_mb", packet_size_mb)
 
     n_packets = math.ceil(intent.payload_mb / packet_size_mb)
     deadline_slots = math.floor(intent.deadline_s / slot_duration_s)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HOLD, LEASE, ConfigError, ControlParams, LeaseDecision, QueueState
+from .core import HOLD, LEASE, ConfigError, ControlParams, LeaseDecision, QueueState, check_positive
 
 __all__ = [
     "POLICY_KINDS",
@@ -95,8 +95,8 @@ class PolicySpec:
         if required == "period_k":
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"period_k must be a positive integer, got {value!r}")
-        elif value <= 0:
-            raise ConfigError(f"{required} must be positive, got {value!r}")
+        else:
+            check_positive(required, value)
 
 
 def dsf_objective(

@@ -8,13 +8,13 @@ advance. A run logs every stage so traces can be audited after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._kernels import POLICY_CODES, get_loop, resolve_backend
-from .core import ConfigError, ControlParams, QueueState, check_int
+from .core import ConfigError, ControlParams, QueueState, check_int, frozen
 from .environment import (
     MARKET_FIELDS,
     MarketObservation,
@@ -26,44 +26,15 @@ from .environment import (
 )
 from .policies import PolicySpec
 
-TRACE_COLUMNS = (
-    "t",
-    "q_before",
-    "z_before",
-    "arrival",
-    "avail_ris",
-    "avail_spectrum",
-    "price_ris",
-    "price_spectrum",
-    "x_desired",
-    "y_desired",
-    "x_effective",
-    "y_effective",
-    "r",
-    "cost",
-    "q_after",
-    "z_after",
-)
-
-# the trace columns held as int64; every other column is float64
-INT_TRACE_COLUMNS = frozenset(
-    (
-        "t",
-        "arrival",
-        "avail_ris",
-        "avail_spectrum",
-        "x_desired",
-        "y_desired",
-        "x_effective",
-        "y_effective",
-        "r",
-    )
-)
-
 
 @dataclass(frozen=True)
 class SlotRecord:
-    """Everything observed and decided during one slot."""
+    """Everything observed and decided during one slot.
+
+    r is the joint lease (both resources leased and available), not a
+    departure: it is 1 on an empty queue too, where the lease serves
+    nothing. The packets served are q_before - q_after.
+    """
 
     t: int
     q_before: float
@@ -81,6 +52,15 @@ class SlotRecord:
     cost: float
     q_after: float
     z_after: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(SlotRecord))
+
+# the trace columns held as int64, SlotRecord's int fields; the rest are float64
+INT_TRACE_COLUMNS = frozenset(f.name for f in fields(SlotRecord) if f.type in ("int", int))
+
+# per trace column, the Python type a SlotRecord field holds
+_RECORD_TYPES = tuple(int if name in INT_TRACE_COLUMNS else float for name in TRACE_COLUMNS)
 
 
 class Trace:
@@ -113,11 +93,10 @@ class Trace:
         return self._columns[name]
 
     def record(self, i: int) -> SlotRecord:
-        values = {}
-        for name in TRACE_COLUMNS:
-            raw = self._columns[name][i]
-            values[name] = int(raw) if name in INT_TRACE_COLUMNS else float(raw)
-        return SlotRecord(**values)
+        return frozen(
+            SlotRecord,
+            [cast(column[i]) for cast, column in zip(_RECORD_TYPES, self._columns.values())],
+        )
 
     def __iter__(self) -> Iterator[SlotRecord]:
         for i in range(len(self)):
@@ -267,11 +246,39 @@ def step(
         *_kernel_args(policy, params), x_desired, r_out, q_after, z_after
     )
     xd, r = x_desired[0], r_out[0]
-    record = SlotRecord(
+    record = frozen(SlotRecord, (
         t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
         xd, xd, r, r, r, r * price_ris + r * price_spectrum, q_after[0], z_after[0]
+    ))
+    # the loop clamps both queues at zero, so QueueState's check cannot fail
+    return frozen(QueueState, (q_after[0], z_after[0])), record
+
+
+# per MARKET_FIELDS column, the dtype kinds whose tolist() values
+# check_market_slot can take: integers for arrival and flags (bools are
+# not), integers or floats for prices
+_MARKET_KINDS = ("iu", "iuf", "iuf", "iu", "iu")
+
+
+def _columns_pass(columns: list[np.ndarray], values: list[list]) -> bool:
+    """True when every slot of these market columns passes check_market_slot.
+
+    Each column must be one-dimensional and of a kind in _MARKET_KINDS.
+    Then, column by column over `values`, the columns' tolist(): arrival
+    >= 0, flags 0 or 1, prices finite (their sum is; a sum that overflows
+    only sends the check slot by slot) and >= 0.
+    """
+    if not all(
+        column.ndim == 1 and column.dtype.kind in kinds
+        for column, kinds in zip(columns, _MARKET_KINDS)
+    ):
+        return False
+    arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = values
+    return (
+        min(arrival) >= 0
+        and all(min(flag) >= 0 and max(flag) <= 1 for flag in (avail_ris, avail_spectrum))
+        and all(math.isfinite(sum(price)) and min(price) >= 0 for price in (price_ris, price_spectrum))
     )
-    return QueueState(q=record.q_after, z=record.z_after), record
 
 
 def _market_slots(
@@ -280,18 +287,23 @@ def _market_slots(
     """The first `deadline` slots as checked MARKET_FIELDS tuples."""
     if isinstance(realization, Realization):
         n = len(realization)
-        columns = [getattr(realization, name)[:deadline].tolist() for name in MARKET_FIELDS]
-        slots = list(zip(*columns))
+        columns = [getattr(realization, name)[:deadline] for name in MARKET_FIELDS]
+        values = [column.tolist() for column in columns]
+        slots = list(zip(*values))
+        checked = n >= deadline and _columns_pass(columns, values)
     else:
         observations = list(realization)
         n = len(observations)
         slots = [
             tuple(getattr(obs, name) for name in MARKET_FIELDS) for obs in observations[:deadline]
         ]
+        checked = False
     if n < deadline:
         raise ConfigError(f"realization has {n} slots but the deadline needs {deadline}")
-    for t, slot in enumerate(slots, start=1):
-        check_market_slot(f"slot {t}", *slot)
+    if not checked:
+        # slot by slot, to name the first bad slot
+        for t, slot in enumerate(slots, start=1):
+            check_market_slot(f"slot {t}", *slot)
     return slots
 
 

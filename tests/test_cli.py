@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 import json
+import math
 
 import pytest
 
@@ -68,13 +69,54 @@ def test_run_policy_missing_param_is_usage_error(tmp_path, scenario_path, capsys
 
 @pytest.mark.parametrize(
     "flag,value,field",
-    [("--v", "nan", "v"), ("--v", "inf", "v"), ("--eps", "nan", "eps_d"), ("--eps", "inf", "eps_d")],
+    [
+        ("--v", "nan", "v"),
+        ("--v", "inf", "v"),
+        ("--eps", "nan", "eps_d"),
+        ("--eps", "inf", "eps_d"),
+        ("--v", "-1e3", "v"),
+        ("--eps", "-inf", "eps_d"),
+    ],
 )
 def test_run_rejects_non_finite_control(tmp_path, scenario_path, capsys, flag, value, field):
     out = tmp_path / "t.csv"
     assert main(["run", "--scenario", scenario_path, flag, value, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{field} must be a finite number > 0, got {value}" in err
+    assert f"{field} must be a finite number > 0, got {float(value)!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "policy,message",
+    [
+        ("queue_threshold:nan", "queue_cutoff must be a finite number > 0, got nan"),
+        ("price_only:inf", "price_cutoff must be a finite number > 0, got inf"),
+    ],
+)
+def test_run_rejects_non_finite_policy_cutoff(tmp_path, scenario_path, capsys, policy, message):
+    out = tmp_path / "t.csv"
+    assert main(["run", "--scenario", scenario_path, "--policy", policy, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        ({"horizon_slots": 10.5}, "horizon_slots must be an integer, got 10.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"initial_backlog": 1.5}, "initial_backlog must be an integer, got 1.5"),
+    ],
+)
+def test_run_rejects_mistyped_scenario_field(tmp_path, capsys, document, message):
+    out = tmp_path / "t.csv"
+    scenario = write_json(tmp_path, "scenario.json", document)
+    assert main(["run", "--scenario", scenario, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -187,6 +229,29 @@ def test_intent_flagship_to_file(tmp_path, capsys):
     assert round(translation["params"]["v"], 2) == 17.26
     assert translation["feasible"] is True
     assert document["header"]["translator"]["packet_size_mb"] == 10.0
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("payload_mb", "1000", "payload_mb must be a finite number > 0, got '1000'"),
+        ("payload_mb", math.nan, "payload_mb must be a finite number > 0, got nan"),
+        ("deadline_s", math.inf, "deadline_s must be a finite number > 0, got inf"),
+        ("reliability_pct", "99", "reliability_pct must be a number in (0, 100], got '99'"),
+    ],
+)
+def test_intent_rejects_bad_field(tmp_path, capsys, field, value, message):
+    intent_path = write_json(tmp_path, "intent.json", {**FLAGSHIP_DOC, field: value})
+    assert main(["intent", "--file", intent_path, "--out", str(tmp_path / "t.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_intent_rejects_non_finite_packet_size(tmp_path, capsys):
+    intent_path = write_json(tmp_path, "intent.json", FLAGSHIP_DOC)
+    assert main(["intent", "--file", intent_path, "--packet-size", "nan"]) == 1
+    assert "packet_size_mb must be a finite number > 0, got nan" in capsys.readouterr().err
 
 
 def test_intent_stdout_mode(tmp_path, capsys):

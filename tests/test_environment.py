@@ -123,6 +123,29 @@ def test_validation():
 
 
 @pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"horizon_slots": 10.5}, "horizon_slots must be an integer, got 10.5"),
+        ({"horizon_slots": True}, "horizon_slots must be an integer, got True"),
+        ({"initial_backlog": 1.5}, "initial_backlog must be an integer, got 1.5"),
+        ({"initial_backlog": "3"}, "initial_backlog must be an integer, got '3'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 4.0}, "seed must be an integer, got 4.0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 2**64}, "seed must be <= 18446744073709551615"),
+    ],
+)
+def test_validation_rejects_non_integer_counts(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**fields)
+
+
+def test_validation_accepts_numpy_integers():
+    config = ScenarioConfig(horizon_slots=np.int64(10), seed=np.uint64(2**64 - 1))
+    assert len(draw_realization(config)) == 10
+
+
+@pytest.mark.parametrize(
     "bounds,field",
     [
         ({"price_high": float("inf")}, "price_high"),

@@ -100,6 +100,31 @@ def test_intent_validation():
         IntentSpec(payload_mb=10.0, deadline_s=10.0, reliability_pct=99.0, priority="rush")
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"payload_mb": "1000"}, "payload_mb must be a finite number > 0, got '1000'"),
+        ({"payload_mb": math.nan}, "payload_mb must be a finite number > 0, got nan"),
+        ({"payload_mb": True}, "payload_mb must be a finite number > 0, got True"),
+        ({"deadline_s": math.inf}, "deadline_s must be a finite number > 0, got inf"),
+        ({"deadline_s": None}, "deadline_s must be a finite number > 0, got None"),
+        ({"reliability_pct": "99"}, r"reliability_pct must be a number in \(0, 100\], got '99'"),
+        ({"reliability_pct": math.nan}, "reliability_pct must be a number"),
+        ({"reliability_pct": True}, "reliability_pct must be a number"),
+    ],
+)
+def test_intent_rejects_non_numbers_and_non_finite(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        IntentSpec(**{"payload_mb": 1000.0, "deadline_s": 900.0, "reliability_pct": 99.0, **fields})
+
+
+@pytest.mark.parametrize("knob", ["slot_duration_s", "packet_size_mb"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_translate_rejects_non_finite_knobs(knob, value):
+    with pytest.raises(ConfigError, match=f"{knob} must be a finite number > 0"):
+        translate_intent(FLAGSHIP, DEFAULT_SCENARIO, **{knob: value})
+
+
 @given(
     payload=st.floats(min_value=1.0, max_value=5000.0, allow_nan=False),
     d1=st.floats(min_value=2.0, max_value=5000.0),

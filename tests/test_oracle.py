@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leasesim.core import ConfigError
-from leasesim.environment import MarketObservation, ScenarioConfig, draw_realization
+from leasesim.environment import (
+    MARKET_FIELDS,
+    MarketObservation,
+    Realization,
+    ScenarioConfig,
+    check_market_slot,
+    draw_realization,
+)
 from leasesim.policies import parse_policy
 from leasesim.simulator import default_params, offline_min_cost, run
 
@@ -166,23 +173,145 @@ def test_rejects_non_integer_backlog_and_deadline(backlog, deadline, field):
         offline_min_cost(WORKED, backlog, deadline)
 
 
-@pytest.mark.parametrize(
-    "fields,message",
-    [
-        (dict(price_ris=-5), "slot 2: price_ris"),
-        (dict(price_spectrum=math.nan), "slot 2: price_spectrum"),
-        (dict(price_ris=math.inf), "slot 2: price_ris"),
-        (dict(arrival=1.5), "slot 2: arrival"),
-        (dict(arrival=-1), "slot 2: arrival"),
-        (dict(avail_ris=2), "slot 2: avail_ris"),
-        (dict(avail_spectrum=True), "slot 2: avail_spectrum"),
-    ],
-)
+# (what slot 2 becomes, the message on observations, the message on a
+# Realization); as a column the bad value sets the dtype, so a float
+# arrival or a bool flag column is already wrong in slot 1
+BAD_MARKET_VALUES = [
+    (dict(price_ris=-5), "slot 2: price_ris", "slot 2: price_ris"),
+    (dict(price_spectrum=math.nan), "slot 2: price_spectrum", "slot 2: price_spectrum"),
+    (dict(price_ris=math.inf), "slot 2: price_ris", "slot 2: price_ris"),
+    (dict(arrival=1.5), "slot 2: arrival", "slot 1: arrival must be an integer, got 0.0"),
+    (dict(arrival=-1), "slot 2: arrival", "slot 2: arrival"),
+    (dict(avail_ris=2), "slot 2: avail_ris", "slot 2: avail_ris"),
+    (
+        dict(avail_spectrum=True),
+        "slot 2: avail_spectrum",
+        "slot 1: avail_spectrum must be an integer, got True",
+    ),
+    (
+        dict(arrival=1.0),
+        "slot 2: arrival must be an integer, got 1.0",
+        "slot 1: arrival must be an integer, got 0.0",
+    ),
+    (
+        dict(avail_ris=False),
+        "slot 2: avail_ris must be an integer, got False",
+        "slot 1: avail_ris must be an integer, got True",
+    ),
+]
+
+
+@pytest.mark.parametrize("fields,message", [case[:2] for case in BAD_MARKET_VALUES])
 def test_rejects_bad_market_values(fields, message):
     market = list(WORKED)
     market[1] = MarketObservation(**{**vars(WORKED[1]), **fields})
     with pytest.raises(ConfigError, match=message):
         offline_min_cost(market, 1, 3)
+
+
+def per_slot_error(realization, deadline):
+    """Reference: what the slot-by-slot check, the oracle's fallback, says
+    of a realization's first `deadline` slots; None when every slot
+    passes."""
+    columns = [getattr(realization, name)[:deadline].tolist() for name in MARKET_FIELDS]
+    try:
+        for t, slot in enumerate(zip(*columns), start=1):
+            check_market_slot(f"slot {t}", *slot)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def oracle_error(market, deadline):
+    try:
+        offline_min_cost(market, 1, deadline)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fields,message", [case[::2] for case in BAD_MARKET_VALUES])
+def test_rejects_bad_market_values_on_realization(fields, message):
+    ((name, value),) = fields.items()
+    columns = {field: [getattr(o, field) for o in WORKED] for field in MARKET_FIELDS}
+    columns[name][1] = value
+    realization = Realization(
+        **{
+            field: np.array(values, dtype=type(value) if field == name else None)
+            for field, values in columns.items()
+        }
+    )
+    error = oracle_error(realization, 3)
+    assert error is not None and error.startswith(message)
+    assert error == per_slot_error(realization, 3)
+
+
+# per dtype, values a market column of that dtype can hold; the first two
+# of each are valid everywhere, the rest wrong for some or all columns
+COLUMN_VALUES = {
+    np.int64: [0, 1, 2, -1, 7],
+    np.int32: [0, 1, -3, 2],
+    np.uint8: [0, 1, 2, 255],
+    np.float64: [0.0, 1.0, 2.5, -1.0, -0.0, math.nan, math.inf, 1e308],
+    np.float32: [0.0, 1.0, 0.5, -2.0, math.inf],
+    np.float16: [0.0, 1.0, 3.5, math.nan],
+    np.bool_: [False, True],
+    np.longdouble: [0.0, 1.0, np.longdouble(1e300) * 1e100],
+    object: [0, 1, 1.0, -1, True, 3.5, None],
+}
+
+
+def test_column_pass_agrees_with_the_per_slot_check():
+    """Random columns of every dtype: the oracle accepts a Realization
+    exactly when the per-slot check does, with the same message, and an
+    accepted one gives the answer of the same slots as observations."""
+    rng = np.random.default_rng(2)
+    dtypes = list(COLUMN_VALUES)
+    accepted = 0
+    for _ in range(1500):
+        n = int(rng.integers(1, 7))
+        columns = {}
+        for name in MARKET_FIELDS:
+            usual = np.float64 if name.startswith("price") else np.int64
+            dtype = usual if rng.random() < 0.75 else dtypes[rng.integers(len(dtypes))]
+            values = COLUMN_VALUES[dtype]
+            picks = [values[rng.integers(2 if rng.random() < 0.9 else len(values))] for _ in range(n)]
+            columns[name] = np.array(picks, dtype=dtype)
+        realization = Realization(**columns)
+        deadline = int(rng.integers(1, n + 1))
+        error = per_slot_error(realization, deadline)
+        assert oracle_error(realization, deadline) == error
+        if error is None:
+            accepted += 1
+            observations = [
+                MarketObservation(**dict(zip(MARKET_FIELDS, slot)))
+                for slot in zip(*(column.tolist() for column in columns.values()))
+            ]
+            assert offline_min_cost(realization, 1, deadline) == offline_min_cost(
+                observations, 1, deadline
+            )
+    assert 300 < accepted < 1200
+
+
+def test_price_sum_overflow_is_not_a_bad_price():
+    huge = np.array([1e308, 1e308])
+    flags = np.ones(2, dtype=np.int64)
+    realization = Realization(np.zeros(2, dtype=np.int64), huge, huge, flags, flags)
+    assert oracle_error(realization, 2) is None
+    assert per_slot_error(realization, 2) is None
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_realization_shorter_than_deadline(n):
+    ints, floats = np.zeros(n, dtype=np.int64), np.ones(n)
+    realization = Realization(ints, floats, floats, ints + 1, ints + 1)
+    assert oracle_error(realization, 3) == f"realization has {n} slots but the deadline needs 3"
+
+
+def test_two_dimensional_column_is_checked_slot_by_slot():
+    flags = np.ones(2, dtype=np.int64)
+    realization = Realization(np.zeros((2, 2), dtype=np.int64), np.ones(2), np.ones(2), flags, flags)
+    assert oracle_error(realization, 2) == "slot 1: arrival must be an integer, got [0, 0]"
 
 
 def test_accepts_realization_object():

@@ -149,6 +149,10 @@ def test_parse_policy_errors():
         parse_policy("")
     with pytest.raises(ConfigError):
         parse_policy("periodic:2:3")
+    with pytest.raises(ConfigError, match="queue_cutoff must be a finite number > 0, got nan"):
+        parse_policy("queue_threshold:nan")
+    with pytest.raises(ConfigError, match="price_cutoff must be a finite number > 0, got inf"):
+        parse_policy("price_only:inf")
 
 
 def test_policy_input_validation():

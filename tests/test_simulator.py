@@ -1,4 +1,6 @@
 """Slot engine tests: full runs, single steps, and trace bookkeeping."""
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,16 @@ from leasesim.core import (
 )
 from leasesim.environment import MarketObservation, Realization, ScenarioConfig, draw_realization
 from leasesim.policies import parse_policy
-from leasesim.simulator import TRACE_COLUMNS, Trace, _run_loop, default_params, run, step
+from leasesim.simulator import (
+    INT_TRACE_COLUMNS,
+    TRACE_COLUMNS,
+    SlotRecord,
+    Trace,
+    _run_loop,
+    default_params,
+    run,
+    step,
+)
 
 DSF = parse_policy("dsf")
 GREEDY = parse_policy("greedy")
@@ -168,6 +179,43 @@ def test_step_chain_reproduces_run(label, freeze):
         want = trace.record(i)
         assert record == want, i
         assert list(map(type, vars(record).values())) == list(map(type, vars(want).values())), i
+
+
+def assert_same_as_init(built, cls):
+    """`built` is what cls(*values) would be: same ==, hash, vars() order
+    and value types (each field's annotated type), and still frozen."""
+    reference = cls(*vars(built).values())
+    assert type(built) is cls
+    assert built == reference and hash(built) == hash(reference)
+    assert list(vars(built)) == list(vars(reference)) == [f.name for f in fields(cls)]
+    assert [type(value).__name__ for value in vars(built).values()] == [f.type for f in fields(cls)]
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, fields(cls)[0].name, 0)
+
+
+@pytest.mark.parametrize("label", ALL_POLICIES)
+def test_records_equal_generated_init(label):
+    scenario = ScenarioConfig(horizon_slots=40, initial_backlog=2, seed=8)
+    spec = parse_policy(label)
+    params = default_params(scenario, v=10.0, eps_d=1.0)
+    trace = run(scenario, spec, params, backend="python")
+    realization = draw_realization(scenario)
+    state = QueueState(2.0, 0.0)
+    for i in range(len(realization)):
+        observation = realization.observation(i)
+        assert_same_as_init(observation, MarketObservation)
+        state, record = step(state, observation, spec, params, t=i + 1)
+        assert_same_as_init(state, QueueState)
+        assert_same_as_init(record, SlotRecord)
+        assert_same_as_init(trace.record(i), SlotRecord)
+
+
+def test_trace_schema_is_slot_record():
+    assert TRACE_COLUMNS == tuple(vars(SlotRecord(*range(16))))
+    assert INT_TRACE_COLUMNS == {
+        "t", "arrival", "avail_ris", "avail_spectrum",
+        "x_desired", "y_desired", "x_effective", "y_effective", "r",
+    }
 
 
 def test_conservation_of_packets():
