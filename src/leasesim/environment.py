@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import ConfigError, check_int, check_price, frozen
+from .core import ConfigError, check_int, check_positive, check_price, frozen
 
 __all__ = [
     "DEFAULT_SEED",
@@ -63,16 +62,19 @@ class ScenarioConfig:
         check_int("seed", self.seed, 0, 2**64 - 1)
         for name in ("arrival_prob", "avail_prob_ris", "avail_prob_spectrum"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            check_price(name, p)
+            if p > 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
-        for name in ("price_low", "price_high"):
-            price = getattr(self, name)
-            if not math.isfinite(price):
-                raise ConfigError(f"{name} must be finite, got {price}")
-        if self.price_low <= 0 or self.price_high < self.price_low:
+        check_positive("price_low", self.price_low)
+        check_positive("price_high", self.price_high)
+        if self.price_high < self.price_low:
             raise ConfigError(
                 f"prices must satisfy 0 < price_low <= price_high, "
                 f"got [{self.price_low}, {self.price_high}]"
+            )
+        if not isinstance(self.freeze_z_when_empty, bool):
+            raise ConfigError(
+                f"freeze_z_when_empty must be true or false, got {self.freeze_z_when_empty!r}"
             )
         joint = self.avail_prob_ris * self.avail_prob_spectrum
         if self.arrival_prob >= joint and self.arrival_prob > 0:

@@ -3,13 +3,16 @@
 Everything here is deterministic: sweeps assemble rows by grid position,
 comparisons run every policy against the identical market realization,
 and files are written with round-trip float precision so repeated runs
-diff clean.
+diff clean. Every CSV is written by `_write_csv`; trace and realization
+CSVs are read by numpy's loadtxt, with the csv module as the fallback
+that names a bad cell (`_read_csv_columns`).
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+import warnings
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -156,32 +159,69 @@ def compare(
 # serialization
 
 
+def _write_csv(path: str | Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns under `header`: the one CSV formatting rule.
+
+    A float column prints as repr(float), an integer or text column as
+    str(value), in csv.writer's excel dialect: cells joined by ",", rows
+    ending in CRLF, and no quoting, since no cell written here holds a
+    comma, a quote or a line break. Each distinct value of a column is
+    formatted once, separator included; floats are told apart by their
+    bit pattern, so -0.0 keeps its sign. The texts are scattered into an
+    (n, columns) grid and written with one join.
+    """
+    grid = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, values in enumerate(columns):
+        end = "\r\n" if j == len(columns) - 1 else ","
+        if values.dtype.kind == "f":
+            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+            bits, inverse = np.unique(bits, return_inverse=True)
+            texts = [repr(value) + end for value in bits.view(np.float64).tolist()]
+        else:
+            distinct, inverse = np.unique(values, return_inverse=True)
+            texts = [str(value) + end for value in distinct.tolist()]
+        grid[:, j] = np.array(texts, dtype=object)[inverse]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(grid.ravel().tolist()))
+
+
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
     """Write the trace with the fixed column order and full float precision.
 
-    Integer columns print as str(int), float columns as repr(float), in
-    csv.writer's excel dialect (no field needs quoting, rows end in CRLF).
+    Integer columns print as str(int), float columns as repr(float), rows
+    end in CRLF (see `_write_csv`).
     """
-    cells = [
-        map(str, trace.column(name).astype(np.int64).tolist())
-        if name in INT_TRACE_COLUMNS
-        else map(repr, trace.column(name).astype(np.float64).tolist())
-        for name in TRACE_COLUMNS
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+    _write_csv(
+        path,
+        TRACE_COLUMNS,
+        [
+            trace.column(name).astype(np.int64 if name in INT_TRACE_COLUMNS else np.float64)
+            for name in TRACE_COLUMNS
+        ],
+    )
 
 
 # (low, high) of the integer columns that are not 0/1 flags
 _INT_RANGES = {"t": (1, 2**63 - 1), "arrival": (0, 2**63 - 1)}
 
 
-def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
-    """One CSV column as an int64 or float64 array.
+def _column_ok(name: str, values: np.ndarray) -> bool:
+    """Whether a parsed column holds only values a run can write.
 
     Integer columns hold integers in their range (0 or 1 for the flags),
-    every other column finite numbers >= 0. The first bad cell is a
+    every other column finite numbers >= 0.
+    """
+    if name in INT_TRACE_COLUMNS:
+        low, high = _INT_RANGES.get(name, (0, 1))
+        return not len(values) or bool(low <= values.min() and values.max() <= high)
+    return bool((np.isfinite(values) & (values >= 0)).all())
+
+
+def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
+    """One CSV column as an int64 or float64 array, parsed cell by cell.
+
+    The first cell that does not parse or fails `_column_ok`'s rule is a
     ConfigError naming the field and its 1-based data row.
     """
     if name in INT_TRACE_COLUMNS:
@@ -194,10 +234,7 @@ def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
     except (ValueError, OverflowError):
         pass
     else:
-        if parse is float:
-            if (np.isfinite(values) & (values >= 0)).all():
-                return values
-        elif not len(values) or (low <= values.min() and values.max() <= high):
+        if _column_ok(name, values):
             return values
     for row, cell in enumerate(cells, start=1):
         try:
@@ -212,8 +249,38 @@ def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
     raise AssertionError("a cell that failed the column check passed the cell check")
 
 
+def _loadtxt_columns(
+    lines: list[str], header: list[str], names: tuple[str, ...]
+) -> dict[str, np.ndarray] | None:
+    """The named columns of the body `lines`, parsed by numpy's C reader.
+
+    Every header column is one positional field, int64 for the integer
+    trace columns and float64 otherwise. None, to fall back to the csv
+    module, when loadtxt rejects the body (a quoted cell, `1_0`, text in
+    any column, a ragged row, no data rows) or a named column fails
+    `_column_ok`.
+    """
+    dtype = np.dtype(
+        [(f"f{i}", np.int64 if name in INT_TRACE_COLUMNS else np.float64) for i, name in enumerate(header)]
+    )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data" on an empty body
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    columns = {name: np.ascontiguousarray(table[f"f{header.index(name)}"]) for name in names}
+    return columns if all(_column_ok(name, values) for name, values in columns.items()) else None
+
+
 def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
-    """The named columns of a CSV, matched by header and checked cell by cell."""
+    """The named columns of a CSV, matched by header and checked.
+
+    The body lines go to numpy's loadtxt first. When that rejects them or
+    a value fails the check, the csv module splits the same lines into
+    rows and `_parse_column` parses them cell by cell, which returns the
+    values or raises a ConfigError naming the first bad row or cell.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -222,7 +289,11 @@ def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.n
         missing = [name for name in names if name not in header]
         if missing:
             raise ConfigError(f"{path}: missing {what} columns: {', '.join(missing)}")
-        rows = [row for row in reader if row]  # blank lines are skipped
+        lines = fh.readlines()  # kept for the fallback: the file may be a pipe
+    columns = _loadtxt_columns(lines, header, names)
+    if columns is not None:
+        return columns
+    rows = [row for row in csv.reader(lines) if row]  # blank lines are skipped
     for row, cells in enumerate(rows, start=1):
         if len(cells) != len(header):
             raise ConfigError(f"{path}: row {row}: expected {len(header)} cells, got {len(cells)}")
@@ -328,29 +399,16 @@ def sweep_to_dict(table: SweepTable, scenario: ScenarioConfig) -> dict:
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     """Long-form CSV of the sweep table, one row per grid cell."""
-    fields = (
-        "v",
-        "eps_d",
-        "seed",
-        "accumulated_cost",
-        "average_queue",
-        "average_virtual_queue",
-        "lease_count",
-        "final_backlog",
-        "cumulative_average_cost_final",
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for cell in table.rows:
-            summary = summary_to_dict(cell.summary)
-            writer.writerow(
-                [repr(float(cell.v)), repr(float(cell.eps_d)), str(cell.seed)]
-                + [
-                    str(summary[name]) if name == "lease_count" else repr(float(summary[name]))
-                    for name in fields[3:]
-                ]
-            )
+    rows = table.rows
+    columns = {
+        "v": np.array([cell.v for cell in rows], dtype=np.float64),
+        "eps_d": np.array([cell.eps_d for cell in rows], dtype=np.float64),
+        "seed": np.array([cell.seed for cell in rows], dtype=object),  # up to 2**64 - 1
+    }
+    for field in fields(RunSummary):
+        values = [getattr(cell.summary, field.name) for cell in rows]
+        columns[field.name] = np.array(values, dtype=object if field.type in ("int", int) else np.float64)
+    _write_csv(path, tuple(columns), list(columns.values()))
 
 
 def comparison_ranking(
@@ -369,10 +427,15 @@ def write_comparison_series_csv(
     path: str | Path,
 ) -> None:
     """Per-policy cumulative-average-cost series in long form."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("policy", "t", "cumulative_average_cost"))
-        for policy, _summary, series in results:
-            label = policy_label(policy)
-            for t, value in enumerate(series, start=1):
-                writer.writerow((label, str(t), repr(float(value))))
+    labels = np.array([policy_label(policy) for policy, _summary, _series in results], dtype=object)
+    series = [np.asarray(values, dtype=np.float64) for _policy, _summary, values in results]
+    _write_csv(
+        path,
+        ("policy", "t", "cumulative_average_cost"),
+        [
+            np.repeat(labels, [len(values) for values in series]),
+            # the leading empty arrays keep an empty `results` writable
+            np.concatenate([np.empty(0, np.int64)] + [np.arange(1, len(values) + 1) for values in series]),
+            np.concatenate([np.empty(0)] + series),
+        ],
+    )

@@ -286,7 +286,13 @@ def _market_slots(
 ) -> list[tuple]:
     """The first `deadline` slots as checked MARKET_FIELDS tuples."""
     if isinstance(realization, Realization):
-        n = len(realization)
+        lengths = [len(getattr(realization, name)) for name in MARKET_FIELDS]
+        n = min(lengths)
+        if n < max(lengths):
+            short = MARKET_FIELDS[lengths.index(n)]
+            raise ConfigError(
+                f"realization columns differ in length: {short} has {n} slots, another has {max(lengths)}"
+            )
         columns = [getattr(realization, name)[:deadline] for name in MARKET_FIELDS]
         values = [column.tolist() for column in columns]
         slots = list(zip(*values))

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from leasesim.cli import main
 from leasesim.environment import ScenarioConfig, draw_realization, draw_slot
 from leasesim.policies import parse_policy
 from leasesim.reporting import sweep, sweep_to_dict, write_trace_csv
@@ -133,3 +134,19 @@ def test_draw_realization_matches_draw_slot_chain(fields):
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+# sha256 of the CSVs written by a default `leasesim sweep` and `leasesim
+# compare`, taken before the two writers shared the trace CSV's formatter
+CLI_CSV_DIGESTS = {
+    "sweep": ("sweep.csv", "f5c9db86723631883f1aa697195f6957a7399b012c7fb284ed5536814d138633"),
+    "compare": ("compare/series.csv", "c03b8dce2807d31c399a06c9944621374e30196a10f1a5123fec1a21cd92c905"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CSV_DIGESTS))
+def test_default_cli_csv_digest(tmp_path, command):
+    out = tmp_path / ("sweep.json" if command == "sweep" else "compare")
+    assert main([command, "--out", str(out)]) == 0
+    name, digest = CLI_CSV_DIGESTS[command]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -109,6 +109,9 @@ def test_run_rejects_non_finite_policy_cutoff(tmp_path, scenario_path, capsys, p
         ({"horizon_slots": 10.5}, "horizon_slots must be an integer, got 10.5"),
         ({"seed": True}, "seed must be an integer, got True"),
         ({"initial_backlog": 1.5}, "initial_backlog must be an integer, got 1.5"),
+        ({"freeze_z_when_empty": "no"}, "freeze_z_when_empty must be true or false, got 'no'"),
+        ({"arrival_prob": "0.3"}, "arrival_prob must be a finite number >= 0, got '0.3'"),
+        ({"price_low": True}, "price_low must be a finite number > 0, got True"),
     ],
 )
 def test_run_rejects_mistyped_scenario_field(tmp_path, capsys, document, message):

@@ -308,6 +308,20 @@ def test_realization_shorter_than_deadline(n):
     assert oracle_error(realization, 3) == f"realization has {n} slots but the deadline needs 3"
 
 
+@pytest.mark.parametrize("deadline", [2, 4])
+@pytest.mark.parametrize("short", MARKET_FIELDS)
+def test_realization_with_a_short_column(short, deadline):
+    columns = {
+        name: (np.zeros if name == "arrival" else np.ones)(
+            2 if name == short else 4, dtype=np.float64 if name.startswith("price") else np.int64
+        )
+        for name in MARKET_FIELDS
+    }
+    assert oracle_error(Realization(**columns), deadline) == (
+        f"realization columns differ in length: {short} has 2 slots, another has 4"
+    )
+
+
 def test_two_dimensional_column_is_checked_slot_by_slot():
     flags = np.ones(2, dtype=np.int64)
     realization = Realization(np.zeros((2, 2), dtype=np.int64), np.ones(2), np.ones(2), flags, flags)
