@@ -150,3 +150,54 @@ def test_default_cli_csv_digest(tmp_path, command):
     assert main([command, "--out", str(out)]) == 0
     name, digest = CLI_CSV_DIGESTS[command]
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# sha256 of the JSON files the CLI writes, taken while each result
+# dataclass was still serialized from a hand-written field list
+CLI_JSON_DIGESTS = {
+    "run": ("trace.summary.json", "c4626afebabdfa56cf4df5336f9a3e6d440bbc7b15e2f84c03776167c7ba144f"),
+    "compare": ("compare/ranking.json", "bffa9ca89e69153f5a300b70dde5949d8229a630ee5ad419dbd83e177e6553ed"),
+    "intent": ("translation.json", "24d2b59cf6c512e54568cc3de9dbb9f0ae3267761c7550b5d822e4f47058beaf"),
+    "intent_scenario": ("derived.json", "91f31dee399ec9cc62362db414f4cdf4b2a2c740942cd4768bc4b0a8f203687c"),
+    "assure_drift": ("report.json", "543a0edd0c498a178bbcba7317ac8c5036c1e5c7d7cded803a2cf0cbfc26a2ab"),
+    "oracle_feasible": ("oracle.json", "689a1beda29eb52a01533ac747582c4d7bea3f0bda7ec5008a615917ad05dbcc"),
+    "oracle_infeasible": ("oracle_infeasible.json", "85524050eba6ff1845d0ca8ce487c4265ac6e05b7aa680c1e234f4800bc0ad51"),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_json_dir(tmp_path_factory):
+    """One run of every JSON-writing command, each exit code checked."""
+    d = tmp_path_factory.mktemp("cli_json")
+    (d / "scenario.json").write_text(json.dumps({"horizon_slots": 300, "seed": 7}))
+    (d / "intent.json").write_text(json.dumps({"payload_mb": 50, "deadline_s": 50, "reliability_pct": 99}))
+    (d / "real.csv").write_text(
+        "t,arrival,avail_ris,avail_spectrum,price_ris,price_spectrum\n"
+        "1,0,1,1,2.0,3.0\n"
+        "2,1,1,1,9.0,9.0\n"
+        "3,0,1,1,1.25,1.0\n"
+    )
+    steps = [
+        (0, ["run", "--scenario", "scenario.json", "--out", "trace.csv"]),
+        (0, ["compare", "--scenario", "scenario.json", "--out", "compare"]),
+        (0, ["intent", "--file", "intent.json", "--out", "translation.json", "--scenario-out", "derived.json"]),
+        # leasing every 20th slot misses the 99% target, with drift warnings
+        (0, ["run", "--scenario", "derived.json", "--policy", "periodic:20", "--out", "bulk.csv"]),
+        (2, ["assure", "--trace", "bulk.csv", "--intent", "intent.json",
+             "--translation", "translation.json", "--out", "report.json"]),
+        (0, ["oracle", "--realization", "real.csv", "--initial-backlog", "1", "--deadline", "3",
+             "--out", "oracle.json"]),
+        (0, ["oracle", "--realization", "real.csv", "--initial-backlog", "3", "--deadline", "3",
+             "--out", "oracle_infeasible.json"]),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(d)
+        for code, argv in steps:
+            assert main(argv) == code, argv
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(CLI_JSON_DIGESTS))
+def test_cli_json_digest(cli_json_dir, case):
+    name, digest = CLI_JSON_DIGESTS[case]
+    assert hashlib.sha256((cli_json_dir / name).read_bytes()).hexdigest() == digest
