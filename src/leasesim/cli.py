@@ -24,11 +24,9 @@ from .intent import (
     assure,
     derive_scenario,
     intent_from_dict,
-    intent_to_dict,
     report_to_dict,
     translate_intent,
     translation_from_dict,
-    translation_to_dict,
 )
 from .policies import parse_policy, policy_label
 from .reporting import (
@@ -38,7 +36,6 @@ from .reporting import (
     read_trace_csv,
     report_header,
     summarize,
-    summary_to_dict,
     sweep,
     sweep_to_dict,
     write_comparison_series_csv,
@@ -89,7 +86,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -187,8 +184,8 @@ def cmd_intent(args) -> int:
     )
     document = {
         "header": _translator_header(scenario, args.slot_duration, args.packet_size),
-        "intent": intent_to_dict(intent),
-        "translation": translation_to_dict(translation),
+        "intent": asdict(intent),
+        "translation": asdict(translation),
     }
     if args.out:
         write_json(document, args.out)
@@ -229,8 +226,8 @@ def cmd_assure(args) -> int:
         write_json(
             {
                 "header": {"tool": "leasesim", "version": VERSION},
-                "intent": intent_to_dict(intent),
-                "translation": translation_to_dict(translation),
+                "intent": asdict(intent),
+                "translation": asdict(translation),
                 "report": report_to_dict(report),
             },
             args.out,

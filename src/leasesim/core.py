@@ -123,7 +123,7 @@ class ControlParams:
     expected_price_spectrum: float
 
     def __post_init__(self) -> None:
-        for name in ("v", "eps_d", "expected_price_ris", "expected_price_spectrum"):
+        for name in self.__dataclass_fields__:
             check_positive(name, getattr(self, name))
 
 

@@ -81,7 +81,7 @@ class ScenarioConfig:
             warnings.warn(
                 f"arrival_prob={self.arrival_prob} is not below the joint availability "
                 f"{joint:.4f}; the data queue has no stability headroom",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the code that built it
             )
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .core import ConfigError, ControlParams, check_positive
+from .core import ConfigError, ControlParams, check_int, check_positive
 from .environment import ScenarioConfig, expected_price
 
 PRIORITIES = ("cost_saver", "balanced", "delay_critical")
@@ -54,11 +54,20 @@ class IntentSpec:
 class TranslationResult:
     """Controller parameters derived from an intent, plus the sizing facts."""
 
-    params: ControlParams
     n_packets: int
     deadline_slots: int
     tightness: float
     feasible: bool
+    params: ControlParams
+
+    def __post_init__(self) -> None:
+        check_int("n_packets", self.n_packets, 1)
+        check_int("deadline_slots", self.deadline_slots, 1)
+        if not isinstance(self.feasible, bool):
+            raise ConfigError(f"feasible must be true or false, got {self.feasible!r}")
+        tightness = self.tightness  # inf when the resources are never jointly available
+        if isinstance(tightness, bool) or not isinstance(tightness, numbers.Real) or not tightness >= 0:
+            raise ConfigError(f"tightness must be a number >= 0, got {tightness!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,7 @@ def translate_intent(
         n_packets=n_packets,
         deadline_slots=deadline_slots,
         tightness=tightness,
-        feasible=tightness <= 1,
+        feasible=bool(tightness <= 1),  # a numpy bool when the scenario holds numpy floats
     )
 
 
@@ -232,55 +241,27 @@ def intent_from_dict(data: dict) -> IntentSpec:
     """Build an IntentSpec from parsed JSON, rejecting unknown fields."""
     if not isinstance(data, dict):
         raise ConfigError(f"intent document must be a JSON object, got {type(data).__name__}")
-    allowed = {"payload_mb", "deadline_s", "reliability_pct", "priority"}
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - set(IntentSpec.__dataclass_fields__))
     if unknown:
         raise ConfigError(f"unknown intent fields: {', '.join(unknown)}")
-    missing = sorted({"payload_mb", "deadline_s", "reliability_pct"} - set(data))
+    required = {field.name for field in fields(IntentSpec) if field.default is MISSING}
+    missing = sorted(required - set(data))
     if missing:
         raise ConfigError(f"intent is missing required fields: {', '.join(missing)}")
     return IntentSpec(**data)
 
 
-def intent_to_dict(intent: IntentSpec) -> dict:
-    return {
-        "payload_mb": intent.payload_mb,
-        "deadline_s": intent.deadline_s,
-        "reliability_pct": intent.reliability_pct,
-        "priority": intent.priority,
-    }
-
-
-def translation_to_dict(translation: TranslationResult) -> dict:
-    return {
-        "n_packets": translation.n_packets,
-        "deadline_slots": translation.deadline_slots,
-        "tightness": translation.tightness,
-        "feasible": translation.feasible,
-        "params": {
-            "v": translation.params.v,
-            "eps_d": translation.params.eps_d,
-            "expected_price_ris": translation.params.expected_price_ris,
-            "expected_price_spectrum": translation.params.expected_price_spectrum,
-        },
-    }
-
-
 def translation_from_dict(data: dict) -> TranslationResult:
-    """Inverse of translation_to_dict, for reloading emitted JSON."""
+    """Inverse of asdict(TranslationResult), for reloading emitted JSON."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"translation document must be a JSON object, got {type(data).__name__}")
     try:
-        params = ControlParams(
-            v=data["params"]["v"],
-            eps_d=data["params"]["eps_d"],
-            expected_price_ris=data["params"]["expected_price_ris"],
-            expected_price_spectrum=data["params"]["expected_price_spectrum"],
-        )
+        params = data["params"]
+        if not isinstance(params, dict):
+            raise ConfigError(f"translation params must be a JSON object, got {type(params).__name__}")
         return TranslationResult(
-            params=params,
-            n_packets=data["n_packets"],
-            deadline_slots=data["deadline_slots"],
-            tightness=data["tightness"],
-            feasible=data["feasible"],
+            **{field.name: data[field.name] for field in fields(TranslationResult) if field.name != "params"},
+            params=ControlParams(**{field.name: params[field.name] for field in fields(ControlParams)}),
         )
     except KeyError as exc:
         raise ConfigError(f"translation document is missing field {exc.args[0]!r}") from exc
@@ -288,11 +269,7 @@ def translation_from_dict(data: dict) -> TranslationResult:
 
 def report_to_dict(report: AssuranceReport) -> dict:
     return {
-        "delivered_packets": report.delivered_packets,
-        "required_packets": report.required_packets,
-        "deadline_met": report.deadline_met,
-        "reliability_met": report.reliability_met,
-        "verdict": report.verdict,
+        **asdict(report),
         "drift_warnings": [
             {"slot": slot, "message": message} for slot, message in report.drift_warnings
         ],

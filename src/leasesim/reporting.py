@@ -279,21 +279,26 @@ def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.n
     The body lines go to numpy's loadtxt first. When that rejects them or
     a value fails the check, the csv module splits the same lines into
     rows and `_parse_column` parses them cell by cell, which returns the
-    values or raises a ConfigError naming the first bad row or cell.
+    values or raises a ConfigError naming the first bad row or cell. Text
+    that is not UTF-8, or a cell over the csv module's field size limit, is
+    a ConfigError naming the file.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty file, expected a {what} CSV header")
-        missing = [name for name in names if name not in header]
-        if missing:
-            raise ConfigError(f"{path}: missing {what} columns: {', '.join(missing)}")
-        lines = fh.readlines()  # kept for the fallback: the file may be a pipe
-    columns = _loadtxt_columns(lines, header, names)
-    if columns is not None:
-        return columns
-    rows = [row for row in csv.reader(lines) if row]  # blank lines are skipped
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path}: empty file, expected a {what} CSV header")
+            missing = [name for name in names if name not in header]
+            if missing:
+                raise ConfigError(f"{path}: missing {what} columns: {', '.join(missing)}")
+            lines = fh.readlines()  # kept for the fallback: the file may be a pipe
+        columns = _loadtxt_columns(lines, header, names)
+        if columns is not None:
+            return columns
+        rows = [row for row in csv.reader(lines) if row]  # blank lines are skipped
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: unreadable {what} CSV ({exc})") from exc
     for row, cells in enumerate(rows, start=1):
         if len(cells) != len(header):
             raise ConfigError(f"{path}: row {row}: expected {len(header)} cells, got {len(cells)}")
@@ -325,17 +330,6 @@ def read_realization_csv(path: str | Path) -> Realization:
     return Realization(**columns)
 
 
-def summary_to_dict(summary: RunSummary) -> dict:
-    return {
-        "accumulated_cost": summary.accumulated_cost,
-        "average_queue": summary.average_queue,
-        "average_virtual_queue": summary.average_virtual_queue,
-        "lease_count": summary.lease_count,
-        "final_backlog": summary.final_backlog,
-        "cumulative_average_cost_final": summary.cumulative_average_cost_final,
-    }
-
-
 def report_header(
     scenario: ScenarioConfig,
     policy: PolicySpec | None = None,
@@ -352,12 +346,7 @@ def report_header(
     if policy is not None:
         header["policy"] = policy_label(policy)
     if params is not None:
-        header["params"] = {
-            "v": params.v,
-            "eps_d": params.eps_d,
-            "expected_price_ris": params.expected_price_ris,
-            "expected_price_spectrum": params.expected_price_spectrum,
-        }
+        header["params"] = asdict(params)
     return header
 
 
@@ -372,7 +361,7 @@ def write_summary_json(trace: Trace, path: str | Path) -> None:
         raise ConfigError("trace lacks scenario/policy/params; cannot build a summary header")
     document = {
         "header": report_header(trace.scenario, trace.policy, trace.params),
-        "summary": summary_to_dict(summarize(trace)),
+        "summary": asdict(summarize(trace)),
     }
     write_json(document, path)
 
@@ -385,29 +374,21 @@ def sweep_to_dict(table: SweepTable, scenario: ScenarioConfig) -> dict:
         "common_random_numbers": table.common_random_numbers,
         "base_seed": table.base_seed,
         "scenario_fingerprint": table.scenario_fingerprint,
-        "rows": [
-            {
-                "v": cell.v,
-                "eps_d": cell.eps_d,
-                "seed": cell.seed,
-                "summary": summary_to_dict(cell.summary),
-            }
-            for cell in table.rows
-        ],
+        "rows": [asdict(cell) for cell in table.rows],
     }
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
     """Long-form CSV of the sweep table, one row per grid cell."""
-    rows = table.rows
+    rows = [vars(cell) | vars(cell.summary) for cell in table.rows]
     columns = {
-        "v": np.array([cell.v for cell in rows], dtype=np.float64),
-        "eps_d": np.array([cell.eps_d for cell in rows], dtype=np.float64),
-        "seed": np.array([cell.seed for cell in rows], dtype=object),  # up to 2**64 - 1
+        # int columns stay Python ints: a seed can reach 2**64 - 1
+        field.name: np.array(
+            [row[field.name] for row in rows], dtype=object if field.type in ("int", int) else np.float64
+        )
+        for field in fields(SweepCell) + fields(RunSummary)
+        if field.name != "summary"
     }
-    for field in fields(RunSummary):
-        values = [getattr(cell.summary, field.name) for cell in rows]
-        columns[field.name] = np.array(values, dtype=object if field.type in ("int", int) else np.float64)
     _write_csv(path, tuple(columns), list(columns.values()))
 
 
@@ -417,7 +398,7 @@ def comparison_ranking(
     """Policies ordered by accumulated cost, cheapest first; label breaks ties."""
     ordered = sorted(results, key=lambda item: (item[1].accumulated_cost, policy_label(item[0])))
     return [
-        {"rank": rank, "policy": policy_label(policy), "summary": summary_to_dict(summary)}
+        {"rank": rank, "policy": policy_label(policy), "summary": asdict(summary)}
         for rank, (policy, summary, _series) in enumerate(ordered, start=1)
     ]
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through main(argv)."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -372,7 +373,8 @@ def test_assure_truncated_run_exits_two(tmp_path, assured_pipeline, capsys):
 )
 def test_assure_rejects_bad_trace_cell(tmp_path, assured_pipeline, capsys, column, cell, text):
     intent_path, translation_path, _, trace_path = assured_pipeline
-    lines = open(trace_path, newline="").read().split("\r\n")
+    with open(trace_path, newline="") as fh:
+        lines = fh.read().split("\r\n")
     header = lines[0].split(",")
     cells = lines[3].split(",")
     cells[header.index(column)] = cell
@@ -383,6 +385,74 @@ def test_assure_rejects_bad_trace_cell(tmp_path, assured_pipeline, capsys, colum
     err = capsys.readouterr().err
     assert code == 1
     assert f"bad.csv: row 3: {column} {text}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (None, [1, 2], "translation document must be a JSON object, got list"),
+        ("params", [1.0], "translation params must be a JSON object, got list"),
+        ("deadline_slots", "50", "deadline_slots must be an integer, got '50'"),
+        ("deadline_slots", True, "deadline_slots must be an integer, got True"),
+        ("n_packets", 0, "n_packets must be >= 1, got 0"),
+        ("feasible", "yes", "feasible must be true or false, got 'yes'"),
+        ("tightness", -0.5, "tightness must be a number >= 0, got -0.5"),
+        ("tightness", math.nan, "tightness must be a number >= 0, got nan"),
+    ],
+)
+def test_assure_rejects_bad_translation(tmp_path, assured_pipeline, capsys, field, value, message):
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    with open(translation_path) as fh:
+        translation = json.load(fh)["translation"]
+    bad = write_json(tmp_path, "bad.json", value if field is None else {**translation, field: value})
+    code = main(["assure", "--trace", trace_path, "--intent", intent_path, "--translation", bad])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag,damage",
+    [
+        ("--realization", "0xff"),
+        ("--trace", "0xff"),
+        ("--scenario", "0xff"),
+        ("--intent", "0xff"),
+        ("--translation", "0xff"),
+        ("--file", "0xff"),
+        ("--realization", "huge cell"),
+        ("--trace", "huge cell"),
+    ],
+)
+def test_unreadable_input_file_names_the_path(tmp_path, assured_pipeline, capsys, flag, damage):
+    intent_path, translation_path, derived_path, trace_path = assured_pipeline
+    assure = ["assure", "--trace", trace_path, "--intent", intent_path, "--translation", translation_path]
+    argv = {
+        "--realization": ["oracle", "--realization", trace_path, "--initial-backlog", "1", "--deadline", "3"],
+        "--trace": assure,
+        "--scenario": ["run", "--scenario", str(derived_path), "--out", str(tmp_path / "t.csv")],
+        "--intent": assure,
+        "--translation": assure,
+        "--file": ["intent", "--file", intent_path],
+    }[flag]
+    where = argv.index(flag) + 1
+    with open(argv[where], "rb") as fh:
+        text = fh.read()
+    if damage == "0xff":
+        text = text[:-3] + b"\xff" + text[-3:]
+    else:
+        lines = text.split(b"\r\n")
+        lines[2] = b",".join([b"x" * 140_000] + lines[2].split(b",")[1:])  # over the csv module's limit
+        text = b"\r\n".join(lines)
+    bad = tmp_path / ("bad" + Path(argv[where]).suffix)
+    bad.write_bytes(text)
+    argv[where] = str(bad)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{bad}: " in err
     assert "Traceback" not in err
 
 

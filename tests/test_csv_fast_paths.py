@@ -12,7 +12,7 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from leasesim.policies import parse_policy
 from leasesim.reporting import (
     read_realization_csv,
     read_trace_csv,
-    summary_to_dict,
     sweep,
     write_sweep_csv,
     write_trace_csv,
@@ -175,12 +174,12 @@ def test_writer_keeps_negative_zero_apart_from_zero(tmp_path):
 
 
 def reference_write_sweep_csv(table, path):
-    fields = ("v", "eps_d", "seed", *summary_to_dict(table.rows[0].summary))
+    fields = ("v", "eps_d", "seed", *asdict(table.rows[0].summary))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for cell in table.rows:
-            summary = summary_to_dict(cell.summary)
+            summary = asdict(cell.summary)
             writer.writerow(
                 [repr(float(cell.v)), repr(float(cell.eps_d)), str(cell.seed)]
                 + [

@@ -161,8 +161,9 @@ def test_validation_rejects_non_finite_prices(bounds, field):
 
 
 def test_stability_headroom_warning():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         ScenarioConfig(arrival_prob=0.9, avail_prob_ris=0.9, avail_prob_spectrum=0.9)
+    assert record[0].filename == __file__  # the caller, not the generated __init__
     with pytest.warns(UserWarning):
         ScenarioConfig(arrival_prob=1.0, avail_prob_ris=1.0, avail_prob_spectrum=1.0)
 

@@ -1,5 +1,6 @@
 """Intent translation and assurance tests."""
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from leasesim.intent import (
     assure,
     derive_scenario,
     intent_from_dict,
-    intent_to_dict,
     required_packet_count,
     translate_intent,
     translation_from_dict,
-    translation_to_dict,
 )
 from leasesim.policies import parse_policy
 from leasesim.simulator import Trace, default_params, run
@@ -283,7 +282,7 @@ def test_assure_is_deterministic():
 
 
 def test_intent_dict_round_trip():
-    doc = intent_to_dict(FLAGSHIP)
+    doc = asdict(FLAGSHIP)
     assert doc == {
         "payload_mb": 1000.0,
         "deadline_s": 900.0,
@@ -302,7 +301,17 @@ def test_intent_from_dict_errors():
         intent_from_dict([1, 2, 3])
 
 
+def test_translation_of_a_scenario_holding_numpy_floats():
+    scenario = ScenarioConfig(avail_prob_ris=np.float64(0.9))
+    assert translate_intent(FLAGSHIP, scenario).feasible is True
+
+
 def test_translation_dict_round_trip():
     translation = translate_intent(FLAGSHIP, DEFAULT_SCENARIO)
-    again = translation_from_dict(translation_to_dict(translation))
+    again = translation_from_dict(asdict(translation))
     assert again == translation
+    # no joint availability: tightness is inf, which the document may carry
+    never = ScenarioConfig(arrival_prob=0.0, avail_prob_ris=0.0)
+    translation = translate_intent(FLAGSHIP, never)
+    assert translation.tightness == math.inf
+    assert translation_from_dict(asdict(translation)) == translation

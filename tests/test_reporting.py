@@ -1,5 +1,6 @@
 """Summaries, sweeps, comparisons, and serialization round-trips."""
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from leasesim.reporting import (
     read_trace_csv,
     report_header,
     summarize,
-    summary_to_dict,
     sweep,
     sweep_to_dict,
     write_comparison_series_csv,
@@ -283,7 +283,7 @@ def test_summary_json_header_suffices_to_rerun(tmp_path):
 
     rebuilt = scenario_from_dict(document["header"]["scenario"])
     rerun = run(rebuilt, DSF, trace.params)
-    assert summary_to_dict(summarize(rerun)) == document["summary"]
+    assert asdict(summarize(rerun)) == document["summary"]
 
 
 def test_summary_json_requires_provenance(tmp_path):

@@ -69,14 +69,15 @@ def test_run_first_lease_under_saturated_deterministic_market():
     # and accrues one slot behind the data queue, so q+z walks
     # 1,3,5,7,9,11 over slots 1..6 (11 is not strictly above 11) and the
     # first lease lands on slot 7.
-    scenario = ScenarioConfig(
-        horizon_slots=10,
-        arrival_prob=1.0,
-        price_low=5.5,
-        price_high=5.5,
-        avail_prob_ris=1.0,
-        avail_prob_spectrum=1.0,
-    )
+    with pytest.warns(UserWarning, match="stability headroom"):
+        scenario = ScenarioConfig(
+            horizon_slots=10,
+            arrival_prob=1.0,
+            price_low=5.5,
+            price_high=5.5,
+            avail_prob_ris=1.0,
+            avail_prob_spectrum=1.0,
+        )
     trace = run(scenario, DSF, default_params(scenario, v=1.0, eps_d=1.0))
     desired = trace.column("x_desired")
     assert desired[:6].sum() == 0
@@ -237,7 +238,8 @@ def test_cost_accounting_elementwise():
 
 
 def test_masking_soundness():
-    scenario = ScenarioConfig(horizon_slots=3000, avail_prob_ris=0.5, avail_prob_spectrum=0.5, seed=2)
+    with pytest.warns(UserWarning, match="stability headroom"):
+        scenario = ScenarioConfig(horizon_slots=3000, avail_prob_ris=0.5, avail_prob_spectrum=0.5, seed=2)
     trace = run(scenario, GREEDY, default_params(scenario, v=1.0, eps_d=1.0))
     xe = trace.column("x_effective")
     ye = trace.column("y_effective")
