@@ -158,7 +158,10 @@ def draw_realization(config: ScenarioConfig, n_slots: int | None = None) -> Real
     bit-identical to a chain of draw_slot calls on one generator.
     """
     n = config.horizon_slots if n_slots is None else n_slots
-    u = np.random.default_rng(config.seed).random((n, 5))
+    try:
+        u = np.random.default_rng(config.seed).random((n, 5))
+    except (ValueError, MemoryError) as exc:  # numpy's size limit, or too little memory
+        raise ConfigError(f"horizon_slots={n} is too many slots to draw ({exc})") from exc
     span = config.price_high - config.price_low
     return Realization(
         arrival=(u[:, 0] < config.arrival_prob).astype(np.int64),

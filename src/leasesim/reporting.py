@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from ._version import VERSION
-from .core import ConfigError, ControlParams, check_int, check_price
+from .core import ConfigError, ControlParams, check_int, check_price, frozen
 from .environment import (
     MARKET_FIELDS,
     Realization,
     ScenarioConfig,
     derive_seed,
     scenario_fingerprint,
-    scenario_overridden,
 )
 from .policies import PolicySpec, policy_label
 from .simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS, Trace, default_params, run
@@ -119,7 +118,14 @@ def sweep(
     for v in v_grid:
         for eps_d in eps_grid:
             seed = scenario.seed if common_random_numbers else derive_seed(scenario.seed, cell_index)
-            cell_scenario = scenario_overridden(scenario, seed=seed)
+            cell_scenario = scenario
+            if not common_random_numbers:
+                # built without the checks: the base scenario passed them and any
+                # derived seed is valid, so they would only repeat its warnings
+                cell_scenario = frozen(ScenarioConfig, [
+                    seed if name == "seed" else getattr(scenario, name)
+                    for name in ScenarioConfig.__dataclass_fields__
+                ])
             params = default_params(cell_scenario, v=v, eps_d=eps_d)
             trace = run(cell_scenario, policy, params)
             rows.append(SweepCell(v=v, eps_d=eps_d, seed=seed, summary=summarize(trace)))

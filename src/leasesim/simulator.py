@@ -7,6 +7,7 @@ advance. A run logs every stage so traces can be audited after the fact.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
@@ -326,20 +327,19 @@ def offline_min_cost(
     price_ris + price_spectrum. Returns (min_total_cost, decisions,
     feasible); infeasible instances come back as (inf, [], False).
 
-    The answer is the one an exhaustive search over every decision vector
-    gives: the float cost summed in slot order, and among equal minima
-    the lexicographically first vector (hold before lease). A forward
-    dynamic program finds it in O(deadline x (backlog + arrivals)) time.
-    After each slot it keeps, per backlog, the cost of every surviving
-    prefix in lexicographic order. A prefix is dropped when a
-    lexicographically earlier one at the same backlog costs no more
-    (float addition is monotone, so every completion of the earlier one
-    costs no more and comes first), or when it costs more than the
-    cheapest there by a margin that rounding in the remaining additions
-    cannot close. The margin keeps prefixes whose costs differ but round
-    to one total later, as sums of prices such as 0.1 and 0.3 can; with
-    generic prices nothing falls inside it and one prefix per backlog
-    survives.
+    A packet can be served by any open slot from its arrival on, and the
+    initial backlog arrives in the first slot. These sets of slots are
+    nested suffixes, so a backward sweep is optimal: it pushes each open
+    slot onto a min-heap keyed (joint price, -slot) and pops one slot per
+    packet arriving there; an empty heap means the instance is infeasible.
+    That is O(deadline log deadline), with at most deadline + 1 pops
+    whatever the backlog.
+
+    The schedule minimises the exact sum of the slots' float joint prices,
+    since the heap only compares single prices. Among exact ties the later
+    slot wins, so the decisions are the lexicographically first optimal
+    vector (hold before lease). The returned cost is the leased prices
+    added in slot order.
 
     Bad inputs raise ConfigError naming the field (and the 1-based slot).
     """
@@ -347,43 +347,20 @@ def offline_min_cost(
     check_int("deadline", deadline, 1)
     slots = _market_slots(realization, deadline)
 
-    lease_price = [
-        price_ris + price_spectrum if avail_ris == 1 and avail_spectrum == 1 else None
-        for _, price_ris, price_spectrum, avail_ris, avail_spectrum in slots
-    ]
-    # one rounded addition narrows a cost gap by at most 2^-52 of the largest
-    # partial sum, itself at most the total; 2^-50 leaves a factor of 4 spare
-    margin = sum(price for price in lease_price if price is not None) * deadline * 2.0**-50
-    # surviving prefixes in lexicographic order, as (backlog after the slot, cost)
-    frontier = [(int(initial_backlog), 0.0)]
-    came_from = []  # per slot, per survivor: (index in the previous frontier, decision)
-    for (arrival, *_), price in zip(slots, lease_price):
-        # extensions come in (previous index, decision) order, i.e. lexicographically
-        moves = []
-        for i, (q, cost) in enumerate(frontier):
-            moves.append((q + arrival, cost, i, 0))
-            if price is not None:
-                moves.append((max(q + arrival - 1, 0), cost + price, i, 1))
-        cheapest: dict[int, float] = {}
-        for q, cost, _, _ in moves:
-            if cost < cheapest.get(q, math.inf):
-                cheapest[q] = cost
-        earlier: dict[int, float] = {}  # cheapest earlier survivor per backlog
-        frontier, back = [], []
-        for q, cost, i, d in moves:
-            if cost < earlier.get(q, math.inf) and cost <= cheapest[q] + margin:
-                earlier[q] = cost
-                frontier.append((q, cost))
-                back.append((i, d))
-        came_from.append(back)
-
-    cleared = [k for k, (q, _) in enumerate(frontier) if q == 0]
-    if not cleared:
-        return math.inf, [], False
-    # survivors at one backlog get strictly cheaper in lexicographic order
-    k = cleared[-1]
-    min_cost = frontier[k][1]
+    heap: list[tuple[float, int]] = []  # open slots not leased yet, as (joint price, -slot)
     decisions = [0] * deadline
     for t in range(deadline - 1, -1, -1):
-        k, decisions[t] = came_from[t][k]
-    return min_cost, decisions, True
+        arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = slots[t]
+        if avail_ris == 1 and avail_spectrum == 1:
+            heapq.heappush(heap, (price_ris + price_spectrum, -t))
+        # range is lazy: a huge backlog stops at the first pop from an empty heap
+        for _ in range(int(arrival) + (int(initial_backlog) if t == 0 else 0)):
+            if not heap:
+                return math.inf, [], False
+            decisions[-heapq.heappop(heap)[1]] = 1
+    # a plain loop, not sum(): from Python 3.12 sum() compensates float rounding
+    cost = 0.0
+    for (_, price_ris, price_spectrum, _, _), leased in zip(slots, decisions):
+        if leased:
+            cost += price_ris + price_spectrum
+    return cost, decisions, True

@@ -113,6 +113,7 @@ def test_run_rejects_non_finite_policy_cutoff(tmp_path, scenario_path, capsys, p
         ({"freeze_z_when_empty": "no"}, "freeze_z_when_empty must be true or false, got 'no'"),
         ({"arrival_prob": "0.3"}, "arrival_prob must be a finite number >= 0, got '0.3'"),
         ({"price_low": True}, "price_low must be a finite number > 0, got True"),
+        ({"horizon_slots": 10**20}, f"horizon_slots={10**20} is too many slots to draw"),
     ],
 )
 def test_run_rejects_mistyped_scenario_field(tmp_path, capsys, document, message):
@@ -168,6 +169,18 @@ def test_sweep_no_crn_flag(tmp_path, scenario_path):
     assert table["common_random_numbers"] is False
     seeds = {row["seed"] for row in table["rows"]}
     assert len(seeds) == 2
+
+
+@pytest.mark.parametrize("crn", [[], ["--no-crn"]])
+def test_sweep_warns_once_about_headroom(tmp_path, crn):
+    """The no-headroom warning comes from loading the scenario, not again
+    from every cell."""
+    path = write_json(tmp_path, "hot.json", {"arrival_prob": 0.9, "horizon_slots": 50})
+    argv = ["sweep", "--scenario", path, "--v", "1,2", "--eps", "1", *crn, "--out", str(tmp_path / "s.json")]
+    with pytest.warns(UserWarning, match="stability headroom") as record:
+        assert main(argv) == 0
+    assert len(record) == 1
+    assert not record[0].filename.endswith("dataclasses.py")
 
 
 def test_sweep_malformed_grid(tmp_path, scenario_path, capsys):

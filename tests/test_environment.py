@@ -160,6 +160,16 @@ def test_validation_rejects_non_finite_prices(bounds, field):
         ScenarioConfig(**bounds)
 
 
+def test_draw_without_memory_names_horizon(monkeypatch):
+    class NoMemory:
+        def random(self, shape):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoMemory())
+    with pytest.raises(ConfigError, match=r"horizon_slots=7 is too many slots to draw \(Unable"):
+        draw_realization(ScenarioConfig(horizon_slots=7))
+
+
 def test_stability_headroom_warning():
     with pytest.warns(UserWarning) as record:
         ScenarioConfig(arrival_prob=0.9, avail_prob_ris=0.9, avail_prob_spectrum=0.9)

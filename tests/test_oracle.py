@@ -2,14 +2,16 @@
 against exhaustive search and a backward DP."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leasesim.core import ConfigError
 from leasesim.environment import (
+    DEFAULT_SEED,
     MARKET_FIELDS,
     MarketObservation,
     Realization,
@@ -34,16 +36,19 @@ def obs(price_ris, price_spectrum, avail=1, arrival=0):
 WORKED = [obs(2, 3), obs(9, 9), obs(1, 1)]
 
 
-def brute_force_min_cost(observations, initial_backlog, deadline):
+def brute_force_min_cost(observations, initial_backlog, deadline, exact=False):
     """Reference: enumerate every decision vector over the open slots in
     product order and keep the first strict minimum, so ties go to the
-    lexicographically first vector. Exponential; short windows only.
+    lexicographically first vector. The minimum is of the float cost added
+    in slot order or, with `exact`, of the exact rational sum of the same
+    per-slot float joint prices; the cost returned is the float sum either
+    way. Exponential; short windows only.
     """
     observations = list(observations)[:deadline]
     open_slots = [
         i for i, o in enumerate(observations) if o.avail_ris == 1 and o.avail_spectrum == 1
     ]
-    best_cost = math.inf
+    best_key = best_cost = math.inf
     best_decisions = []
     feasible = False
     for choices in itertools.product((0, 1), repeat=len(open_slots)):
@@ -52,13 +57,17 @@ def brute_force_min_cost(observations, initial_backlog, deadline):
             decisions[slot] = d
         q = float(initial_backlog)
         cost = 0.0
+        exact_cost = Fraction(0)
         for i, o in enumerate(observations):
             q += o.arrival
             d = decisions[i]
             if d:
                 cost += o.price_ris + o.price_spectrum
+                exact_cost += Fraction(o.price_ris + o.price_spectrum)
             q = max(q - d, 0.0)
-        if q == 0.0 and cost < best_cost:
+        key = exact_cost if exact else cost
+        if q == 0.0 and key < best_key:
+            best_key = key
             best_cost = cost
             best_decisions = decisions
             feasible = True
@@ -417,14 +426,68 @@ slots = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(observations=st.lists(slots, min_size=1, max_size=12), backlog=st.integers(0, 5))
 def test_matches_brute_force(observations, backlog):
+    """The oracle minimises the exact sum of the float joint prices; its
+    cost is within rounding of the cheapest float sum added in slot order."""
     deadline = len(observations)
     cost, decisions, feasible = offline_min_cost(observations, backlog, deadline)
     expected_cost, expected_decisions, expected_feasible = brute_force_min_cost(
-        observations, backlog, deadline
+        observations, backlog, deadline, exact=True
     )
     assert (repr(cost), decisions, feasible) == (
         repr(expected_cost), expected_decisions, expected_feasible
     )
+    float_cost, _, float_feasible = brute_force_min_cost(observations, backlog, deadline)
+    assert float_feasible == feasible
+    if feasible:
+        # adding at most `deadline` prices in floats errs by at most
+        # deadline x 2^-53 x the total lease price, and the oracle's exact sum
+        # is the least, so the gap is at most twice that; 2^-50 leaves 4x spare
+        total = sum(o.price_ris + o.price_spectrum for o in observations if o.avail_ris and o.avail_spectrum)
+        assert float_cost <= cost <= float_cost + total * deadline * 2.0**-50
+
+
+def test_exact_sum_tie_rule():
+    """Where the exact sum and the float sum pick different schedules, the
+    oracle follows the exact sum. Slots 0 and 4 both cost 1.0, so leasing
+    slots 1, 3 and one of them ties exactly, and [0, 1, 0, 1, 1] comes
+    first. Added in slot order, the two sums round to 2.1 and
+    2.0999999999999996, so the float-sum enumeration takes [1, 1, 0, 1, 0]."""
+    market = [
+        MarketObservation(*slot)
+        for slot in [
+            (0.3, 0.7, 1, 1, 0),
+            (0.7, 0.1, 1, 1, 1),
+            (0.1, 0.7, 1, 0, 0),
+            (0.2, 0.1, 1, 1, 0),
+            (0.7, 0.3, 1, 1, 0),
+        ]
+    ]
+    expected = (2.1, [0, 1, 0, 1, 1], True)
+    assert offline_min_cost(market, 2, 5) == expected
+    assert brute_force_min_cost(market, 2, 5, exact=True) == expected
+    assert brute_force_min_cost(market, 2, 5) == (2.0999999999999996, [1, 1, 0, 1, 0], True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_long_windows_match_dp(seed):
+    rng = np.random.default_rng(seed)
+    deadline = int(rng.integers(300, 501))
+    backlog = int(rng.integers(0, 6))
+    scenario = ScenarioConfig(
+        horizon_slots=deadline,
+        initial_backlog=backlog,
+        arrival_prob=float(rng.choice([0.3, 0.6])),
+        seed=seed,
+    )
+    realization = draw_realization(scenario)
+    cost, _, feasible = offline_min_cost(realization, backlog, deadline)
+    dp_cost = dp_min_cost(
+        [realization.observation(i) for i in range(deadline)], backlog, deadline
+    )
+    if feasible:
+        assert cost == pytest.approx(dp_cost, rel=1e-12)
+    else:
+        assert math.isinf(dp_cost)
 
 
 ROUNDING_PAIRS = [
@@ -463,18 +526,21 @@ ALL_KINDS = [
 @pytest.mark.parametrize("label", ALL_KINDS)
 @settings(max_examples=15, deadline=None)
 @given(
+    horizon=st.just(200),
     seed=st.integers(0, 2**32),
     backlog=st.integers(0, 5),
     arrival_prob=st.sampled_from([0.0, 0.05, 0.15, 0.3]),
     v=st.sampled_from([0.5, 10.0]),
 )
-def test_no_policy_beats_oracle_on_long_windows(label, seed, backlog, arrival_prob, v):
+# the default 5000-slot scenario
+@example(horizon=5000, seed=DEFAULT_SEED, backlog=0, arrival_prob=0.3, v=10.0)
+def test_no_policy_beats_oracle_on_long_windows(label, horizon, seed, backlog, arrival_prob, v):
     """A policy's lease pattern up to the last slot its queue is empty is
     itself a clearing schedule over that window, so its cost there is at
-    least the oracle's; a run that clears its queue by slot 200 checks the
-    whole 200-slot window."""
+    least the oracle's; a run that clears its queue by the last slot checks
+    the whole horizon."""
     scenario = ScenarioConfig(
-        horizon_slots=200, initial_backlog=backlog, arrival_prob=arrival_prob, seed=seed
+        horizon_slots=horizon, initial_backlog=backlog, arrival_prob=arrival_prob, seed=seed
     )
     trace = run(scenario, parse_policy(label), default_params(scenario, v=v, eps_d=1.0))
     empty = np.flatnonzero(trace.column("q_after") == 0.0)
