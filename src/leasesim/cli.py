@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ._version import VERSION
 from .core import ConfigError
-from .environment import ScenarioConfig, scenario_from_dict, scenario_overridden
+from .environment import ScenarioConfig, scenario_from_dict, with_seed
 from .intent import (
     PACKET_SIZE_MB,
     PRIORITY_MULTIPLIER,
@@ -105,7 +105,7 @@ def _summary_json_path(out: str) -> str:
 def cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = scenario_overridden(scenario, seed=args.seed)
+        scenario = with_seed(scenario, args.seed)
     policy = parse_policy(args.policy)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
     trace = run(scenario, policy, params)

@@ -24,6 +24,9 @@ __all__ = [
     "MarketObservation",
     "Realization",
     "MARKET_FIELDS",
+    "COLUMN_RULES",
+    "check_value",
+    "first_bad_row",
     "check_market_slot",
     "draw_slot",
     "draw_realization",
@@ -32,6 +35,7 @@ __all__ = [
     "derive_seed",
     "scenario_fingerprint",
     "scenario_from_dict",
+    "with_seed",
 ]
 
 DEFAULT_SEED = 42
@@ -99,7 +103,8 @@ class MarketObservation:
 
 @dataclass
 class Realization:
-    """A fully drawn observation sequence as columns, one entry per slot."""
+    """A fully drawn observation sequence as columns, one entry per slot;
+    unchecked, since the oracle checks the slots it reads (COLUMN_RULES)."""
 
     arrival: np.ndarray = field(repr=False)
     price_ris: np.ndarray = field(repr=False)
@@ -123,16 +128,52 @@ class Realization:
 # one slot's market values, in Realization's column order
 MARKET_FIELDS = ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_spectrum")
 
+# the values each market and trace column may hold: an integer column's
+# (low, high) range, or None for a float column of finite numbers >= 0;
+# the oracle, the CSV readers and check_market_slot all apply this table
+COLUMN_RULES = {
+    "t": (1, 2**63 - 1),
+    "arrival": (0, 2**63 - 1),
+    **dict.fromkeys(
+        ("avail_ris", "avail_spectrum", "x_desired", "y_desired", "x_effective", "y_effective", "r"), (0, 1)
+    ),
+    **dict.fromkeys(("q_before", "z_before", "price_ris", "price_spectrum", "cost", "q_after", "z_after")),
+}
+
+
+def check_value(where: str, name: str, value) -> None:
+    """Reject a value of column `name` that breaks its COLUMN_RULES entry,
+    through check_int or check_price, as "{where}: {name} must be ..."."""
+    rule = COLUMN_RULES[name]
+    if rule is None:
+        check_price(f"{where}: {name}", value)
+    else:
+        check_int(f"{where}: {name}", value, *rule)
+
+
+def first_bad_row(name: str, column: np.ndarray) -> int | None:
+    """Index of the first value of `column` that breaks COLUMN_RULES[name],
+    or None. Only 1-D integer (or, under a float rule, float) columns at
+    most 8 bytes wide are judged, where numpy agrees with check_value on
+    their tolist() values; any other column is bad from row 0, for its
+    caller to check value by value."""
+    rule = COLUMN_RULES[name]
+    kinds = "iuf" if rule is None else "iu"
+    if column.ndim != 1 or column.dtype.kind not in kinds or column.dtype.itemsize > 8:
+        return 0
+    if rule is None:
+        bad = ~(np.isfinite(column) & (column >= 0))
+    else:
+        bad = (column < rule[0]) | (column > rule[1])
+    rows = bad.nonzero()[0]
+    return int(rows[0]) if len(rows) else None
+
 
 def check_market_slot(where: str, arrival, price_ris, price_spectrum, avail_ris, avail_spectrum) -> None:
-    """Reject a slot the market model cannot produce: a negative or
-    non-integer arrival, a flag other than 0 or 1, a negative or non-finite
-    price. The ConfigError names `where` and the field."""
-    check_int(f"{where}: arrival", arrival, 0)
-    check_price(f"{where}: price_ris", price_ris)
-    check_price(f"{where}: price_spectrum", price_spectrum)
-    check_int(f"{where}: avail_ris", avail_ris, 0, 1)
-    check_int(f"{where}: avail_spectrum", avail_spectrum, 0, 1)
+    """Reject a slot whose values break COLUMN_RULES, as a ConfigError
+    naming `where` and the field."""
+    for name, value in zip(MARKET_FIELDS, (arrival, price_ris, price_spectrum, avail_ris, avail_spectrum)):
+        check_value(where, name, value)
 
 
 def draw_slot(config: ScenarioConfig, rng: np.random.Generator) -> MarketObservation:
@@ -229,6 +270,14 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         return ScenarioConfig(**data)
     except TypeError as exc:
         raise ConfigError(f"bad scenario document: {exc}") from exc
+
+
+def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
+    """Copy a scenario with another seed. Only the seed is checked: the
+    other fields passed when `config` was built, and checking them again
+    would repeat their warning."""
+    check_int("seed", seed, 0, 2**64 - 1)
+    return frozen(ScenarioConfig, {**vars(config), "seed": seed}.values())
 
 
 def scenario_overridden(config: ScenarioConfig, **overrides) -> ScenarioConfig:

@@ -5,7 +5,8 @@ comparisons run every policy against the identical market realization,
 and files are written with round-trip float precision so repeated runs
 diff clean. Every CSV is written by `_write_csv`; trace and realization
 CSVs are read by numpy's loadtxt, with the csv module as the fallback
-that names a bad cell (`_read_csv_columns`).
+that names a bad cell (`_read_csv_columns`). The values a cell may hold
+are environment.COLUMN_RULES, the rule the oracle applies too.
 """
 from __future__ import annotations
 
@@ -18,13 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from ._version import VERSION
-from .core import ConfigError, ControlParams, check_int, check_price, frozen
+from .core import ConfigError, ControlParams
 from .environment import (
     MARKET_FIELDS,
     Realization,
     ScenarioConfig,
+    check_value,
     derive_seed,
+    first_bad_row,
     scenario_fingerprint,
+    with_seed,
 )
 from .policies import PolicySpec, policy_label
 from .simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS, Trace, default_params, run
@@ -118,14 +122,7 @@ def sweep(
     for v in v_grid:
         for eps_d in eps_grid:
             seed = scenario.seed if common_random_numbers else derive_seed(scenario.seed, cell_index)
-            cell_scenario = scenario
-            if not common_random_numbers:
-                # built without the checks: the base scenario passed them and any
-                # derived seed is valid, so they would only repeat its warnings
-                cell_scenario = frozen(ScenarioConfig, [
-                    seed if name == "seed" else getattr(scenario, name)
-                    for name in ScenarioConfig.__dataclass_fields__
-                ])
+            cell_scenario = scenario if common_random_numbers else with_seed(scenario, seed)
             params = default_params(cell_scenario, v=v, eps_d=eps_d)
             trace = run(cell_scenario, policy, params)
             rows.append(SweepCell(v=v, eps_d=eps_d, seed=seed, summary=summarize(trace)))
@@ -208,31 +205,14 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
     )
 
 
-# (low, high) of the integer columns that are not 0/1 flags
-_INT_RANGES = {"t": (1, 2**63 - 1), "arrival": (0, 2**63 - 1)}
-
-
-def _column_ok(name: str, values: np.ndarray) -> bool:
-    """Whether a parsed column holds only values a run can write.
-
-    Integer columns hold integers in their range (0 or 1 for the flags),
-    every other column finite numbers >= 0.
-    """
-    if name in INT_TRACE_COLUMNS:
-        low, high = _INT_RANGES.get(name, (0, 1))
-        return not len(values) or bool(low <= values.min() and values.max() <= high)
-    return bool((np.isfinite(values) & (values >= 0)).all())
-
-
 def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
     """One CSV column as an int64 or float64 array, parsed cell by cell.
 
-    The first cell that does not parse or fails `_column_ok`'s rule is a
+    The first cell that does not parse or breaks COLUMN_RULES is a
     ConfigError naming the field and its 1-based data row.
     """
     if name in INT_TRACE_COLUMNS:
         parse, dtype = int, np.int64
-        low, high = _INT_RANGES.get(name, (0, 1))
     else:
         parse, dtype = float, np.float64
     try:
@@ -240,18 +220,14 @@ def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
     except (ValueError, OverflowError):
         pass
     else:
-        if _column_ok(name, values):
+        if first_bad_row(name, values) is None:
             return values
     for row, cell in enumerate(cells, start=1):
         try:
             value = parse(cell)
         except ValueError:
             value = cell
-        where = f"{path}: row {row}: {name}"
-        if parse is int:
-            check_int(where, value, low, high)
-        else:
-            check_price(where, value)
+        check_value(f"{path}: row {row}", name, value)
     raise AssertionError("a cell that failed the column check passed the cell check")
 
 
@@ -263,8 +239,8 @@ def _loadtxt_columns(
     Every header column is one positional field, int64 for the integer
     trace columns and float64 otherwise. None, to fall back to the csv
     module, when loadtxt rejects the body (a quoted cell, `1_0`, text in
-    any column, a ragged row, no data rows) or a named column fails
-    `_column_ok`.
+    any column, a ragged row, no data rows) or a named column breaks
+    COLUMN_RULES.
     """
     dtype = np.dtype(
         [(f"f{i}", np.int64 if name in INT_TRACE_COLUMNS else np.float64) for i, name in enumerate(header)]
@@ -276,7 +252,7 @@ def _loadtxt_columns(
     except (ValueError, Warning):
         return None
     columns = {name: np.ascontiguousarray(table[f"f{header.index(name)}"]) for name in names}
-    return columns if all(_column_ok(name, values) for name, values in columns.items()) else None
+    return columns if all(first_bad_row(name, values) is None for name, values in columns.items()) else None
 
 
 def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
@@ -315,8 +291,7 @@ def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.n
 def read_trace_csv(path: str | Path) -> Trace:
     """Read a trace CSV back; columns are matched by name.
 
-    A cell that does not parse, or a value no run can write (a negative or
-    non-finite float, an integer out of its column's range), is a
+    A cell that does not parse, or a value that breaks COLUMN_RULES, is a
     ConfigError naming the field and the 1-based data row.
     """
     return Trace(_read_csv_columns(path, TRACE_COLUMNS, "trace"))
@@ -327,7 +302,7 @@ def read_realization_csv(path: str | Path) -> Realization:
 
     Matches by header name and ignores any other columns, so a full trace
     CSV works as input wherever a bare realization is expected. A cell
-    that does not parse, or a slot the market model cannot produce, is a
+    that does not parse, or a value that breaks COLUMN_RULES, is a
     ConfigError naming the field and the 1-based data row.
     """
     columns = _read_csv_columns(path, MARKET_FIELDS, "realization")

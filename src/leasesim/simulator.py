@@ -4,6 +4,8 @@ Each slot proceeds through the same stages regardless of policy:
 arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage so traces can be audited after the fact.
+The oracle checks the market slots it reads against
+environment.COLUMN_RULES, the rule the CSV readers apply too.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .environment import (
     check_market_slot,
     draw_realization,
     expected_price,
+    first_bad_row,
 )
 from .policies import PolicySpec
 
@@ -255,60 +258,33 @@ def step(
     return frozen(QueueState, (q_after[0], z_after[0])), record
 
 
-# per MARKET_FIELDS column, the dtype kinds whose tolist() values
-# check_market_slot can take: integers for arrival and flags (bools are
-# not), integers or floats for prices
-_MARKET_KINDS = ("iu", "iuf", "iuf", "iu", "iu")
-
-
-def _columns_pass(columns: list[np.ndarray], values: list[list]) -> bool:
-    """True when every slot of these market columns passes check_market_slot.
-
-    Each column must be one-dimensional and of a kind in _MARKET_KINDS.
-    Then, column by column over `values`, the columns' tolist(): arrival
-    >= 0, flags 0 or 1, prices finite (their sum is; a sum that overflows
-    only sends the check slot by slot) and >= 0.
-    """
-    if not all(
-        column.ndim == 1 and column.dtype.kind in kinds
-        for column, kinds in zip(columns, _MARKET_KINDS)
-    ):
-        return False
-    arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = values
-    return (
-        min(arrival) >= 0
-        and all(min(flag) >= 0 and max(flag) <= 1 for flag in (avail_ris, avail_spectrum))
-        and all(math.isfinite(sum(price)) and min(price) >= 0 for price in (price_ris, price_spectrum))
-    )
-
-
 def _market_slots(
     realization: Realization | Sequence[MarketObservation], deadline: int
 ) -> list[tuple]:
-    """The first `deadline` slots as checked MARKET_FIELDS tuples."""
-    if isinstance(realization, Realization):
-        lengths = [len(getattr(realization, name)) for name in MARKET_FIELDS]
-        n = min(lengths)
-        if n < max(lengths):
-            short = MARKET_FIELDS[lengths.index(n)]
-            raise ConfigError(
-                f"realization columns differ in length: {short} has {n} slots, another has {max(lengths)}"
-            )
-        columns = [getattr(realization, name)[:deadline] for name in MARKET_FIELDS]
-        values = [column.tolist() for column in columns]
-        slots = list(zip(*values))
-        checked = n >= deadline and _columns_pass(columns, values)
-    else:
+    """The first `deadline` slots as MARKET_FIELDS tuples, checked.
+
+    Observations become object columns. A column that first_bad_row
+    rejects, or cannot check, sends the slots to check_market_slot one by
+    one, to name the first bad slot.
+    """
+    if not isinstance(realization, Realization):
         observations = list(realization)
-        n = len(observations)
-        slots = [
-            tuple(getattr(obs, name) for name in MARKET_FIELDS) for obs in observations[:deadline]
-        ]
-        checked = False
+        realization = Realization(*(
+            np.fromiter((getattr(obs, name) for obs in observations), dtype=object, count=len(observations))
+            for name in MARKET_FIELDS
+        ))
+    lengths = [len(getattr(realization, name)) for name in MARKET_FIELDS]
+    n = min(lengths)
+    if n < max(lengths):
+        short = MARKET_FIELDS[lengths.index(n)]
+        raise ConfigError(
+            f"realization columns differ in length: {short} has {n} slots, another has {max(lengths)}"
+        )
     if n < deadline:
         raise ConfigError(f"realization has {n} slots but the deadline needs {deadline}")
-    if not checked:
-        # slot by slot, to name the first bad slot
+    columns = [getattr(realization, name)[:deadline] for name in MARKET_FIELDS]
+    slots = list(zip(*(column.tolist() for column in columns)))
+    if any(first_bad_row(name, column) is not None for name, column in zip(MARKET_FIELDS, columns)):
         for t, slot in enumerate(slots, start=1):
             check_market_slot(f"slot {t}", *slot)
     return slots

@@ -62,6 +62,32 @@ def test_run_seed_override_changes_market(tmp_path, scenario_path):
     assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
 
+def test_run_seed_override_warns_once_about_headroom(tmp_path):
+    """--seed changes the seed alone: the scenario's checks, and so its
+    no-headroom warning, are not repeated."""
+    path = write_json(tmp_path, "hot.json", {"arrival_prob": 0.9, "horizon_slots": 50})
+    with pytest.warns(UserWarning, match="stability headroom") as record:
+        assert main(["run", "--scenario", path, "--seed", "3", "--out", str(tmp_path / "t.csv")]) == 0
+    assert len(record) == 1
+    assert not record[0].filename.endswith("dataclasses.py")
+
+
+@pytest.mark.parametrize(
+    "seed,message",
+    [
+        ("-1", "seed must be >= 0, got -1"),
+        ("18446744073709551616", "seed must be <= 18446744073709551615, got 18446744073709551616"),
+    ],
+)
+def test_run_rejects_out_of_range_seed_override(tmp_path, scenario_path, capsys, seed, message):
+    out = tmp_path / "t.csv"
+    assert main(["run", "--scenario", scenario_path, "--seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_policy_missing_param_is_usage_error(tmp_path, scenario_path, capsys):
     out = str(tmp_path / "t.csv")
     assert main(["run", "--scenario", scenario_path, "--policy", "periodic", "--out", out]) == 1

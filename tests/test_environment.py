@@ -6,18 +6,24 @@ import pytest
 
 from leasesim.core import ConfigError
 from leasesim.environment import (
+    COLUMN_RULES,
     DEFAULT_SEED,
+    MARKET_FIELDS,
     MarketObservation,
     ScenarioConfig,
+    check_value,
     derive_seed,
     draw_realization,
     draw_slot,
     empirical_means,
     expected_price,
+    first_bad_row,
     scenario_fingerprint,
     scenario_from_dict,
     scenario_overridden,
+    with_seed,
 )
+from leasesim.simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS
 
 
 def test_defaults_match_contract():
@@ -195,6 +201,60 @@ def test_scenario_overridden():
     assert other.seed == 7 and other.initial_backlog == 3
     assert other.horizon_slots == config.horizon_slots
     assert config.seed == 42  # original untouched
+
+
+def test_with_seed_changes_only_the_seed():
+    config = ScenarioConfig(horizon_slots=30, initial_backlog=2)
+    other = with_seed(config, 2**64 - 1)
+    assert other == dataclasses.replace(config, seed=2**64 - 1)
+    assert config.seed == DEFAULT_SEED  # original untouched
+    for seed, message in [(-1, "seed must be >= 0"), (2**64, "seed must be <="), (True, "seed must be an integer")]:
+        with pytest.raises(ConfigError, match=message):
+            with_seed(config, seed)
+
+
+def test_column_rules_cover_the_trace_schema():
+    assert set(COLUMN_RULES) == set(TRACE_COLUMNS) >= set(MARKET_FIELDS)
+    assert {name for name, rule in COLUMN_RULES.items() if rule is not None} == INT_TRACE_COLUMNS
+
+
+@pytest.mark.parametrize(
+    "name,values,row",
+    [
+        ("t", np.array([1, 2, 0, -1]), 2),
+        ("arrival", np.array([0, 5, -1], dtype=np.int8), 2),
+        ("arrival", np.array([0, 2**63], dtype=np.uint64), 1),
+        ("avail_ris", np.array([1, 0, 2], dtype=np.uint8), 2),
+        ("avail_ris", np.array([0, 1, 1]), None),
+        ("price_ris", np.array([0.0, -0.0, 1e308, 3]), None),
+        ("price_ris", np.array([1, 2, -3]), 2),
+        ("cost", np.array([0.5, np.inf, np.nan]), 1),
+        ("q_after", np.array([0.5, np.nan], dtype=np.float16), 1),
+        ("r", np.empty(0, dtype=np.int64), None),
+        ("r", np.array([True, False]), 0),
+        ("arrival", np.array([0.0, 1.0]), 0),
+        ("price_ris", np.array([[1.0, 2.0]]), 0),
+        # wider than a float64 on most platforms, where tolist() keeps longdoubles
+        ("price_ris", np.array([1.0], dtype=np.longdouble), 0 if np.dtype(np.longdouble).itemsize > 8 else None),
+        ("price_ris", np.array([1.0], dtype=object), 0),
+    ],
+)
+def test_first_bad_row_agrees_with_check_value(name, values, row):
+    """Row 0 also stands for a column the numpy rule does not take; then
+    check_value decides value by value."""
+    assert first_bad_row(name, values) == row
+    verdicts = []
+    for value in values.tolist():
+        try:
+            check_value("row", name, value)
+        except ConfigError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    if row is None:
+        assert all(verdicts)
+    elif values.ndim == 1 and values.dtype.kind in "iuf" and values.dtype.itemsize <= 8:
+        assert verdicts.index(False) == row
 
 
 def test_derive_seed_is_stable_and_spread():

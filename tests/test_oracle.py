@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leasesim.cli import main
 from leasesim.core import ConfigError
 from leasesim.environment import (
     DEFAULT_SEED,
@@ -255,6 +256,40 @@ def test_rejects_bad_market_values_on_realization(fields, message):
     assert error == per_slot_error(realization, 3)
 
 
+# the cases whose bad value a CSV cell holds as it is: an integer in an
+# integer column, a number in a price column
+CSV_CELL_CASES = [
+    fields
+    for fields, _, _ in BAD_MARKET_VALUES
+    for name, value in fields.items()
+    if not isinstance(value, bool) and isinstance(value, (int, float) if name.startswith("price") else int)
+]
+
+
+@pytest.mark.parametrize("fields", CSV_CELL_CASES, ids=lambda fields: "-".join(map(str, *fields.items())))
+def test_csv_reader_and_oracle_apply_one_rule(tmp_path, capsys, fields):
+    """A bad value at row 2 of a realization CSV and at slot 2 of a
+    Realization is rejected with the same message."""
+    ((name, value),) = fields.items()
+    columns = {
+        field: np.array(
+            [getattr(o, field) for o in WORKED], dtype=np.float64 if field.startswith("price") else np.int64
+        )
+        for field in MARKET_FIELDS
+    }
+    columns[name][1] = value
+    path = tmp_path / "real.csv"
+    path.write_text(
+        ",".join(MARKET_FIELDS) + "\n"
+        + "".join(",".join(map(str, slot)) + "\n" for slot in zip(*(c.tolist() for c in columns.values())))
+    )
+    assert main(["oracle", "--realization", str(path), "--initial-backlog", "1", "--deadline", "3"]) == 1
+    csv_error = capsys.readouterr().err
+    oracle = oracle_error(Realization(**columns), 3)
+    assert csv_error.startswith(f"error: {path}: row 2: ") and oracle.startswith("slot 2: ")
+    assert csv_error.removeprefix(f"error: {path}: row 2: ").rstrip("\n") == oracle.removeprefix("slot 2: ")
+
+
 # per dtype, values a market column of that dtype can hold; the first two
 # of each are valid everywhere, the rest wrong for some or all columns
 COLUMN_VALUES = {
@@ -271,9 +306,9 @@ COLUMN_VALUES = {
 
 
 def test_column_pass_agrees_with_the_per_slot_check():
-    """Random columns of every dtype: the oracle accepts a Realization
-    exactly when the per-slot check does, with the same message, and an
-    accepted one gives the answer of the same slots as observations."""
+    """Random columns of every dtype: the oracle accepts a Realization, and
+    the same slots as observations, exactly when the per-slot check does,
+    with the same message; an accepted one gives the same answer both ways."""
     rng = np.random.default_rng(2)
     dtypes = list(COLUMN_VALUES)
     accepted = 0
@@ -287,15 +322,16 @@ def test_column_pass_agrees_with_the_per_slot_check():
             picks = [values[rng.integers(2 if rng.random() < 0.9 else len(values))] for _ in range(n)]
             columns[name] = np.array(picks, dtype=dtype)
         realization = Realization(**columns)
+        observations = [
+            MarketObservation(**dict(zip(MARKET_FIELDS, slot)))
+            for slot in zip(*(column.tolist() for column in columns.values()))
+        ]
         deadline = int(rng.integers(1, n + 1))
         error = per_slot_error(realization, deadline)
         assert oracle_error(realization, deadline) == error
+        assert oracle_error(observations, deadline) == error
         if error is None:
             accepted += 1
-            observations = [
-                MarketObservation(**dict(zip(MARKET_FIELDS, slot)))
-                for slot in zip(*(column.tolist() for column in columns.values()))
-            ]
             assert offline_min_cost(realization, 1, deadline) == offline_min_cost(
                 observations, 1, deadline
             )
