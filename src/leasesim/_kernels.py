@@ -37,13 +37,8 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in the dev env
+except ImportError:
     HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda func: func
 
 
 ENV_VAR = "LEASESIM_BACKEND"

@@ -358,10 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code in (None, 0) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

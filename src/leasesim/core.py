@@ -1,9 +1,9 @@
 """Scalar building blocks of the leasing control loop.
 
 Queue recurrences, the joint-lease departure rule, per-slot cost, and the
-quadratic potential used by the drift-plus-penalty controller. Everything
-here is a pure function of plain numbers so the same definitions serve the
-simulator, the policies, and the tests without any array machinery.
+quadratic potential used by the drift-plus-penalty controller, each a pure
+function of plain numbers. They are the paper's equations as written; the
+simulator does not call them. Tests check the slot loop against them.
 """
 from __future__ import annotations
 

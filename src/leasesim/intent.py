@@ -15,7 +15,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from .core import ConfigError, ControlParams, check_int, check_positive
-from .environment import ScenarioConfig, expected_price
+from .environment import ScenarioConfig
+from .simulator import default_params
 
 PRIORITIES = ("cost_saver", "balanced", "delay_critical")
 
@@ -126,15 +127,8 @@ def translate_intent(
     elif intent.priority == "delay_critical":
         eps_d *= PRIORITY_MULTIPLIER
 
-    mean_price = expected_price(scenario.price_low, scenario.price_high)
-    params = ControlParams(
-        v=v,
-        eps_d=eps_d,
-        expected_price_ris=mean_price,
-        expected_price_spectrum=mean_price,
-    )
     return TranslationResult(
-        params=params,
+        params=default_params(scenario, v=v, eps_d=eps_d),
         n_packets=n_packets,
         deadline_slots=deadline_slots,
         tightness=tightness,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HOLD, LEASE, ConfigError, ControlParams, LeaseDecision, QueueState, check_positive
+from .core import HOLD, LEASE, ConfigError, ControlParams, LeaseDecision, QueueState, check_int, check_positive
+from .environment import MARKET_FIELDS, check_value
 
 __all__ = [
     "POLICY_KINDS",
@@ -37,7 +38,13 @@ POLICY_KINDS: dict[str, str | None] = {
 
 @dataclass(frozen=True)
 class PolicyInput:
-    """Uniform observation bundle handed to every policy for one slot."""
+    """Uniform observation bundle handed to every policy for one slot.
+
+    The slot index is an integer >= 0; the realized prices and the flags
+    must hold what COLUMN_RULES allows in the market columns price_ris,
+    price_spectrum, avail_ris and avail_spectrum. A bad value raises a
+    ConfigError naming the field.
+    """
 
     state: QueueState
     slot_index: int
@@ -48,12 +55,10 @@ class PolicyInput:
     params: ControlParams
 
     def __post_init__(self) -> None:
-        if self.slot_index < 0:
-            raise ValueError("slot_index must be non-negative")
-        if self.realized_price_ris < 0 or self.realized_price_spectrum < 0:
-            raise ValueError("realized prices must be non-negative")
-        if self.avail_ris not in (0, 1) or self.avail_spectrum not in (0, 1):
-            raise ValueError("availability flags must be binary")
+        check_int("PolicyInput: slot_index", self.slot_index, 0)
+        market = (self.realized_price_ris, self.realized_price_spectrum, self.avail_ris, self.avail_spectrum)
+        for name, value in zip(MARKET_FIELDS[1:], market):  # every market field but arrival
+            check_value("PolicyInput", name, value)
 
 
 @dataclass(frozen=True)
@@ -71,32 +76,17 @@ class PolicySpec:
                 f"unknown policy kind {self.kind!r}; valid kinds: {', '.join(POLICY_KINDS)}"
             )
         required = POLICY_KINDS[self.kind]
-        given = {
-            name: value
-            for name, value in (
-                ("period_k", self.period_k),
-                ("price_cutoff", self.price_cutoff),
-                ("queue_cutoff", self.queue_cutoff),
-            )
-            if value is not None
-        }
-        if required is None:
-            if given:
-                raise ConfigError(
-                    f"policy {self.kind!r} takes no parameters, got {sorted(given)}"
-                )
-            return
-        if required not in given:
-            raise ConfigError(f"policy {self.kind!r} requires parameter {required!r}")
-        extra = sorted(set(given) - {required})
-        if extra:
-            raise ConfigError(f"policy {self.kind!r} got unexpected parameters {extra}")
-        value = given[required]
-        if required == "period_k":
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"period_k must be a positive integer, got {value!r}")
-        else:
-            check_positive(required, value)
+        for name in ("period_k", "price_cutoff", "queue_cutoff"):
+            value = getattr(self, name)
+            if name != required:
+                if value is not None:
+                    raise ConfigError(f"policy {self.kind!r} takes no parameter {name!r}, got {value!r}")
+            elif value is None:
+                raise ConfigError(f"policy {self.kind!r} requires parameter {name!r}")
+            elif name == "period_k":
+                check_int(name, value, 1)
+            else:
+                check_positive(name, value)
 
 
 def dsf_objective(
@@ -187,24 +177,20 @@ def parse_policy(text: str) -> PolicySpec:
     """Parse the policy-string grammar: `name` or `name:param`.
 
     The parameter is an integer cadence for periodic and a real cutoff for
-    price_only / queue_threshold; the other kinds take none.
+    price_only / queue_threshold; the other kinds take none. Only what the
+    text itself gets wrong is caught here: an empty string, a parameter on
+    a kind that takes none, a parameter that is not a number. PolicySpec
+    judges the rest (an unknown kind, a missing or out-of-range parameter)
+    with the same messages as when it is built directly.
     """
     text = text.strip()
     if not text:
         raise ConfigError("empty policy string")
     name, sep, raw = text.partition(":")
     name = name.strip()
-    if name not in POLICY_KINDS:
-        raise ConfigError(
-            f"unknown policy {name!r}; valid kinds: {', '.join(POLICY_KINDS)}"
-        )
+    if not sep or name not in POLICY_KINDS:
+        return PolicySpec(kind=name)  # raises for an unknown kind or a missing parameter
     required = POLICY_KINDS[name]
-    if not sep:
-        if required is not None:
-            raise ConfigError(
-                f"policy {name!r} requires parameter {required!r}, e.g. {name}:2"
-            )
-        return PolicySpec(kind=name)
     if required is None:
         raise ConfigError(f"policy {name!r} takes no parameter, got {raw!r}")
     raw = raw.strip()

@@ -114,19 +114,16 @@ def sweep(
     """
     if not v_grid or not eps_grid:
         raise ConfigError("sweep grids must be non-empty")
-    for value in list(v_grid) + list(eps_grid):
-        if value <= 0:
-            raise ConfigError(f"grid values must be positive, got {value!r}")
+    # every cell's params, built before the first run so that a bad grid
+    # value fails before any cell runs; reseeded cells keep the base
+    # scenario's prices, so its expected price serves them all
+    cell_params = [default_params(scenario, v=v, eps_d=eps_d) for v in v_grid for eps_d in eps_grid]
     rows = []
-    cell_index = 0
-    for v in v_grid:
-        for eps_d in eps_grid:
-            seed = scenario.seed if common_random_numbers else derive_seed(scenario.seed, cell_index)
-            cell_scenario = scenario if common_random_numbers else with_seed(scenario, seed)
-            params = default_params(cell_scenario, v=v, eps_d=eps_d)
-            trace = run(cell_scenario, policy, params)
-            rows.append(SweepCell(v=v, eps_d=eps_d, seed=seed, summary=summarize(trace)))
-            cell_index += 1
+    for cell_index, params in enumerate(cell_params):
+        seed = scenario.seed if common_random_numbers else derive_seed(scenario.seed, cell_index)
+        cell_scenario = scenario if common_random_numbers else with_seed(scenario, seed)
+        trace = run(cell_scenario, policy, params)
+        rows.append(SweepCell(v=params.v, eps_d=params.eps_d, seed=seed, summary=summarize(trace)))
     return SweepTable(
         policy=policy,
         v_grid=tuple(v_grid),

@@ -1,4 +1,6 @@
 """Unit and property tests for the policy layer."""
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -155,11 +157,35 @@ def test_parse_policy_errors():
         parse_policy("price_only:inf")
 
 
+@pytest.mark.parametrize("text", ["nosuch", "nosuch:3", "periodic", "price_only", "queue_threshold"])
+def test_parse_policy_reports_kind_and_missing_parameter_as_policy_spec_does(text):
+    with pytest.raises(ConfigError) as parsed:
+        parse_policy(text)
+    with pytest.raises(ConfigError) as built:
+        PolicySpec(text.partition(":")[0])
+    assert str(parsed.value) == str(built.value)
+
+
 def test_policy_input_validation():
     with pytest.raises(ValueError):
         make_input(p=-1.0)
     with pytest.raises(ValueError):
         make_input(a1=2)
+    for field, bad in [
+        ("price_ris", {"p": math.nan}),
+        ("price_ris", {"p": math.inf}),
+        ("price_spectrum", {"s": math.nan}),
+        ("price_spectrum", {"s": math.inf}),
+        ("avail_ris", {"a1": 1.0}),
+        ("avail_ris", {"a1": True}),
+        ("avail_spectrum", {"a2": True}),
+        ("avail_spectrum", {"a2": 2}),
+        ("slot_index", {"t": -1}),
+        ("slot_index", {"t": 1.5}),
+        ("slot_index", {"t": True}),
+    ]:
+        with pytest.raises(ConfigError, match=f"^PolicyInput: {field} must be"):
+            make_input(**bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Summaries, sweeps, comparisons, and serialization round-trips."""
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from leasesim.environment import (
     scenario_from_dict,
     scenario_overridden,
 )
+from leasesim import reporting
 from leasesim.policies import parse_policy, policy_label
 from leasesim.reporting import (
     compare,
@@ -157,6 +159,20 @@ def test_sweep_validation():
         sweep(scenario, DSF, [], [1.0])
     with pytest.raises(ConfigError):
         sweep(scenario, DSF, [1.0], [0.0])
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="^v must be a finite number > 0"):
+            sweep(scenario, DSF, [1.0, bad], [1.0])
+        with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0"):
+            sweep(scenario, DSF, [1.0], [1.0, bad])
+
+
+def test_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(reporting, "run", no_run)
+    with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
+        sweep(ScenarioConfig(horizon_slots=10), DSF, [1.0, 2.0], [1.0, math.nan])
 
 
 def test_compare_shares_the_market():
