@@ -31,7 +31,7 @@ from .environment import (
     with_seed,
 )
 from .policies import PolicySpec, policy_label
-from .simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS, Trace, default_params, run
+from .simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS, Trace, default_params, run, runs
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ def sweep(
     """Run one simulation per (v, eps_d) cell, in row-major grid order.
 
     With common random numbers (the default) every cell sees the same
-    market realization, so differences between rows are pure policy
-    effect. Otherwise each cell gets a seed derived from (base seed,
-    cell index), stable across runs and independent of execution order.
+    market realization, drawn and prepared once (simulator.runs), so
+    differences between rows are pure policy effect. Otherwise each cell
+    gets a seed derived from (base seed, cell index), stable across runs
+    and independent of execution order.
     """
     if not v_grid or not eps_grid:
         raise ConfigError("sweep grids must be non-empty")
@@ -118,12 +119,17 @@ def sweep(
     # value fails before any cell runs; reseeded cells keep the base
     # scenario's prices, so its expected price serves them all
     cell_params = [default_params(scenario, v=v, eps_d=eps_d) for v in v_grid for eps_d in eps_grid]
-    rows = []
-    for cell_index, params in enumerate(cell_params):
-        seed = scenario.seed if common_random_numbers else derive_seed(scenario.seed, cell_index)
-        cell_scenario = scenario if common_random_numbers else with_seed(scenario, seed)
-        trace = run(cell_scenario, policy, params)
-        rows.append(SweepCell(v=params.v, eps_d=params.eps_d, seed=seed, summary=summarize(trace)))
+    if common_random_numbers:
+        traces = runs(scenario, [(policy, params) for params in cell_params])
+    else:
+        traces = (
+            run(with_seed(scenario, derive_seed(scenario.seed, cell_index)), policy, params)
+            for cell_index, params in enumerate(cell_params)
+        )
+    rows = [
+        SweepCell(v=params.v, eps_d=params.eps_d, seed=trace.scenario.seed, summary=summarize(trace))
+        for params, trace in zip(cell_params, traces)
+    ]
     return SweepTable(
         policy=policy,
         v_grid=tuple(v_grid),
@@ -142,17 +148,16 @@ def compare(
 ) -> list[tuple[PolicySpec, RunSummary, list[float]]]:
     """Run every policy against the identical market realization.
 
-    Common random numbers are mandatory here: the scenario (seed included)
-    is shared verbatim, so the logged arrival, price, and availability
-    columns agree across all returned runs.
+    Common random numbers are mandatory here: one market is drawn for all
+    policies (simulator.runs), so the logged arrival, price, and
+    availability columns agree across all returned runs.
     """
     if not policies:
         raise ConfigError("compare needs at least one policy")
-    results = []
-    for policy in policies:
-        trace = run(scenario, policy, params)
-        results.append((policy, summarize(trace), cumulative_average_cost_series(trace)))
-    return results
+    return [
+        (trace.policy, summarize(trace), cumulative_average_cost_series(trace))
+        for trace in runs(scenario, [(policy, params) for policy in policies])
+    ]
 
 
 # ---------------------------------------------------------------------------

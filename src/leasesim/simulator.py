@@ -4,6 +4,8 @@ Each slot proceeds through the same stages regardless of policy:
 arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage so traces can be audited after the fact.
+runs() draws one market for many (policy, params) cells; run() is its
+one-cell case.
 The oracle checks the market slots it reads against
 environment.COLUMN_RULES, the rule the CSV readers apply too.
 """
@@ -11,8 +13,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -175,6 +178,30 @@ def _trace_columns(
     }
 
 
+def _packed(values: list, dtype) -> np.ndarray:
+    """np.asarray(values, dtype) for a list of Python numbers, bit for bit.
+
+    struct packs the whole list in one call, about twice as fast as
+    numpy's per-element conversion; the array stays writable.
+    """
+    out = np.empty(len(values), dtype)
+    struct.pack_into(f"{len(values)}{out.dtype.char}", out, 0, *values)
+    return out
+
+
+def _market_columns(realization: Realization, backend: str | None) -> tuple:
+    """The loop's three market columns: arrival, joint_price, joint_avail."""
+    market = (
+        realization.arrival,
+        realization.price_ris + realization.price_spectrum,
+        ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64),
+    )
+    if resolve_backend(backend) == "python":
+        # the interpreted loop indexes plain lists far faster than numpy scalars
+        market = tuple(column.tolist() for column in market)
+    return market
+
+
 def _run_loop(
     realization: Realization,
     q0: float,
@@ -184,23 +211,44 @@ def _run_loop(
     policy: PolicySpec,
     params: ControlParams,
     backend: str | None = None,
+    market: tuple | None = None,
 ) -> dict[str, np.ndarray]:
+    """All trace columns of one loop; `market` is the realization's
+    _market_columns, built here when not given."""
     n = len(realization)
-    market = (
-        realization.arrival,
-        realization.price_ris + realization.price_spectrum,
-        ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64),
-    )
-    if resolve_backend(backend) == "python":
-        # the interpreted loop indexes plain lists far faster than numpy scalars
-        market = tuple(column.tolist() for column in market)
+    python = resolve_backend(backend) == "python"
+    if market is None:
+        market = _market_columns(realization, backend)
+    if python:
         outputs = [[0] * n for _ in _LOOP_DTYPES]
     else:
         outputs = [np.empty(n, dtype=dtype) for dtype in _LOOP_DTYPES]
     q0, z0 = float(q0), float(z0)
     get_loop(backend)(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
-    outputs = [np.asarray(values, dtype=dtype) for dtype, values in zip(_LOOP_DTYPES, outputs)]
+    if python:
+        outputs = [_packed(values, dtype) for dtype, values in zip(_LOOP_DTYPES, outputs)]
     return _trace_columns(realization, t0, q0, z0, *outputs)
+
+
+def runs(
+    scenario: ScenarioConfig,
+    cells: Iterable[tuple[PolicySpec, ControlParams]],
+    backend: str | None = None,
+) -> Iterator[Trace]:
+    """One trace per (policy, params) cell, all on one market realization.
+
+    The market is drawn and turned into the loop's columns once, however
+    many cells follow; each trace is the one run() gives for its cell, and
+    holds its own copy of the market columns. Traces are yielded one at a
+    time, so only the caller keeps them alive.
+    """
+    realization = draw_realization(scenario)
+    market = _market_columns(realization, backend)
+    q0, freeze_z = scenario.initial_backlog, scenario.freeze_z_when_empty
+    for policy, params in cells:
+        columns = _run_loop(realization, q0, 0.0, 1, freeze_z, policy, params, backend, market)
+        columns.update({name: columns[name].copy() for name in MARKET_FIELDS})
+        yield Trace(columns, scenario=scenario, policy=policy, params=params)
 
 
 def run(
@@ -210,18 +258,8 @@ def run(
     backend: str | None = None,
 ) -> Trace:
     """Simulate the whole horizon and return the slot-by-slot trace."""
-    realization = draw_realization(scenario)
-    columns = _run_loop(
-        realization,
-        q0=float(scenario.initial_backlog),
-        z0=0.0,
-        t0=1,
-        freeze_z=scenario.freeze_z_when_empty,
-        policy=policy,
-        params=params,
-        backend=backend,
-    )
-    return Trace(columns, scenario=scenario, policy=policy, params=params)
+    [trace] = runs(scenario, [(policy, params)], backend)
+    return trace
 
 
 def step(
@@ -237,8 +275,9 @@ def step(
     Runs the same python loop as run() on one-slot columns, so a chain
     of step() calls reproduces a full run exactly.
     """
-    if t < 1:
-        raise ConfigError(f"slot index must be >= 1, got {t}")
+    if type(t) is not int or t < 1:
+        check_int("slot index", t, 1)
+        t = int(t)
     q, z = float(state.q), float(state.z)
     arrival = int(observation.arrival)
     avail_ris, avail_spectrum = int(observation.avail_ris), int(observation.avail_spectrum)
@@ -254,7 +293,8 @@ def step(
         t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
         xd, xd, r, r, r, r * price_ris + r * price_spectrum, q_after[0], z_after[0]
     ))
-    # the loop clamps both queues at zero, so QueueState's check cannot fail
+    # the loop clamps both queues at zero, so frozen skips QueueState's
+    # check, which every step would pay
     return frozen(QueueState, (q_after[0], z_after[0])), record
 
 

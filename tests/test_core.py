@@ -122,6 +122,14 @@ def test_queue_state_validation():
         QueueState(q=0.0, z=-0.1)
 
 
+@pytest.mark.parametrize("field", ["q", "z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False])
+def test_queue_state_rejects_non_finite_and_bool(field, bad):
+    values = {"q": 1.0, "z": 1.0, field: bad}
+    with pytest.raises(ConfigError, match=f"^{field} must be a finite number >= 0, got {bad!r}$"):
+        QueueState(**values)
+
+
 def test_lease_decision_validation():
     assert LEASE == LeaseDecision(1, 1)
     assert HOLD == LeaseDecision(0, 0)

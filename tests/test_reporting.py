@@ -13,7 +13,7 @@ from leasesim.environment import (
     scenario_from_dict,
     scenario_overridden,
 )
-from leasesim import reporting
+from leasesim import reporting, simulator
 from leasesim.policies import parse_policy, policy_label
 from leasesim.reporting import (
     compare,
@@ -173,6 +173,50 @@ def test_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatch):
     monkeypatch.setattr(reporting, "run", no_run)
     with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
         sweep(ScenarioConfig(horizon_slots=10), DSF, [1.0, 2.0], [1.0, math.nan])
+
+
+def test_crn_sweep_equals_cell_by_cell_runs():
+    scenario = ScenarioConfig(horizon_slots=300, initial_backlog=2, seed=23)
+    v_grid, eps_grid = [1.0, 10.0, 50.0], [0.5, 2.0]
+    table = sweep(scenario, DSF, v_grid, eps_grid)
+    want = []
+    for v in v_grid:
+        for eps_d in eps_grid:
+            trace = run(scenario, DSF, default_params(scenario, v=v, eps_d=eps_d))
+            want.append(reporting.SweepCell(v=v, eps_d=eps_d, seed=scenario.seed, summary=summarize(trace)))
+    assert table.rows == tuple(want)
+
+
+@pytest.fixture
+def draw_count(monkeypatch):
+    calls = []
+    draw = simulator.draw_realization
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "draw_realization", counted)
+    return calls
+
+
+def test_crn_sweep_draws_the_market_once(draw_count):
+    v_grid = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
+    eps_grid = [0.5, 1.0, 2.0]
+    with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
+        sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, [1.0, math.nan])
+    assert draw_count == []  # a bad grid value fails before the market is drawn
+    sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid)
+    assert len(draw_count) == 1
+    sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid, common_random_numbers=False)
+    assert len(draw_count) == 1 + len(v_grid) * len(eps_grid)
+
+
+def test_compare_draws_the_market_once(draw_count):
+    scenario = ScenarioConfig(horizon_slots=30)
+    labels = ("dsf", "greedy", "periodic:2", "myopic", "price_only:8", "queue_threshold:10")
+    compare(scenario, [parse_policy(p) for p in labels], default_params(scenario, v=10.0, eps_d=1.0))
+    assert len(draw_count) == 1
 
 
 def test_compare_shares_the_market():

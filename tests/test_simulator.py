@@ -1,4 +1,5 @@
 """Slot engine tests: full runs, single steps, and trace bookkeeping."""
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -21,6 +22,7 @@ from leasesim.simulator import (
     _run_loop,
     default_params,
     run,
+    runs,
     step,
 )
 
@@ -153,6 +155,24 @@ def test_step_rejects_bad_slot_index():
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     with pytest.raises(ConfigError):
         step(QueueState(0.0, 0.0), flat_market(), DSF, params, t=0)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(0, ">= 1, got 0"), (1.5, "an integer, got 1.5"), (True, "an integer, got True"), ("2", "an integer, got '2'")],
+)
+def test_step_checks_the_slot_index_as_an_integer(bad, message):
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    with pytest.raises(ConfigError, match=f"^slot index must be {re.escape(message)}$"):
+        step(QueueState(3.0, 0.0), flat_market(), DSF, params, t=bad)
+
+
+def test_step_accepts_a_numpy_slot_index():
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    want = step(QueueState(3.0, 0.0), flat_market(), GREEDY, params, t=3)
+    got = step(QueueState(3.0, 0.0), flat_market(), GREEDY, params, t=np.int64(3))
+    assert got == want
+    assert type(got[1].t) is int
 
 
 ALL_POLICIES = ["dsf", "dsf_exact_argmin", "periodic:3", "greedy", "price_only:8", "queue_threshold:5", "myopic"]
@@ -308,3 +328,35 @@ def test_trace_records_round_trip():
     assert len(rows) == 25
     assert rows[3] == trace.record(3)
     assert isinstance(rows[0].t, int) and isinstance(rows[0].cost, float)
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_runs_on_one_market_equal_standalone_runs(freeze):
+    """Each trace the shared-market generator yields is the trace run()
+    gives for its cell: same columns, dtypes and bytes, all writable."""
+    scenario = ScenarioConfig(horizon_slots=500, initial_backlog=3, seed=17, freeze_z_when_empty=freeze)
+    cells = [
+        (parse_policy(label), default_params(scenario, v=v, eps_d=eps_d))
+        for label in ALL_POLICIES
+        for v, eps_d in ((2.0, 0.5), (20.0, 2.0))
+    ]
+    for (policy, params), got in zip(cells, runs(scenario, cells, backend="python"), strict=True):
+        want = run(scenario, policy, params, backend="python")
+        assert (got.scenario, got.policy, got.params) == (scenario, policy, params)
+        for name in TRACE_COLUMNS:
+            assert got.column(name).dtype == want.column(name).dtype, name
+            assert got.column(name).tobytes() == want.column(name).tobytes(), name
+            assert got.column(name).flags.writeable, name
+
+
+def test_runs_traces_do_not_share_market_columns():
+    scenario = ScenarioConfig(horizon_slots=50, seed=4)
+    params = default_params(scenario, v=5.0, eps_d=1.0)
+    traces = runs(scenario, [(GREEDY, params), (GREEDY, params)])
+    first = next(traces)
+    for name in ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_spectrum"):
+        first.column(name)[:] = 0
+    second = next(traces)
+    want = run(scenario, GREEDY, params)
+    for name in TRACE_COLUMNS:
+        assert second.column(name).tobytes() == want.column(name).tobytes(), name
