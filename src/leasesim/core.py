@@ -86,11 +86,8 @@ class QueueState:
     z: float
 
     def __post_init__(self) -> None:
-        # one type test and one chained comparison in the common float case
-        if type(self.q) is not float or not 0.0 <= self.q < math.inf:
-            check_price("q", self.q)
-        if type(self.z) is not float or not 0.0 <= self.z < math.inf:
-            check_price("z", self.z)
+        check_price("q", self.q)
+        check_price("z", self.z)
 
 
 @dataclass(frozen=True)

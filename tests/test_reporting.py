@@ -166,13 +166,28 @@ def test_sweep_validation():
             sweep(scenario, DSF, [1.0], [1.0, bad])
 
 
-def test_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatch):
+def _no_cell_runs(monkeypatch):
     def no_run(*args):
         raise AssertionError("a cell ran")
 
+    # a CRN sweep runs its cells through runs, a reseeded one through run
     monkeypatch.setattr(reporting, "run", no_run)
+    monkeypatch.setattr(reporting, "runs", no_run)
+
+
+def test_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatch):
+    _no_cell_runs(monkeypatch)
     with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
         sweep(ScenarioConfig(horizon_slots=10), DSF, [1.0, 2.0], [1.0, math.nan])
+
+
+def test_reseeded_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatch):
+    _no_cell_runs(monkeypatch)
+    with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
+        sweep(
+            ScenarioConfig(horizon_slots=10), DSF, [1.0, 2.0], [1.0, math.nan],
+            common_random_numbers=False,
+        )
 
 
 def test_crn_sweep_equals_cell_by_cell_runs():
