@@ -8,9 +8,12 @@ columns, all computed by the caller before the loop:
     joint_price   price_ris + price_spectrum
     joint_avail   1 where both avail flags equal 1, else 0
 
-and writes four: x_desired (the policy's wish), r (1 where the joint
-lease went through), q_after and z_after. The caller derives the other
-trace columns from these with numpy. The threshold of both dsf rules,
+and writes three: x_desired (the policy's wish, stored as a bool),
+q_after and z_after. The caller derives the other trace columns from
+these with numpy, r (the joint lease) as x_desired & joint_avail. Both
+queues are clamped at zero only after a lease: without one, q only gains
+an arrival and z gains eps_d > 0 or nothing, so from q0, z0 >= 0 and
+arrivals >= 0 neither can go negative. The threshold of both dsf rules,
 v * (expected_price_ris + expected_price_spectrum), comes in precomputed.
 
 It takes any indexable sequences for its columns: the plain-Python
@@ -71,7 +74,6 @@ def _slot_loop(
     eps_d,
     threshold,
     x_desired,
-    r_out,
     q_after,
     z_after,
 ):
@@ -97,20 +99,17 @@ def _slot_loop(
 
         # core's z - r + eps * (1 - r), split on r: the same IEEE result
         # for any finite eps, which ControlParams guarantees
-        if want and joint_avail[i]:  # atomic mask: all or nothing
-            r = 1
+        if want and joint_avail[i]:  # atomic mask: all or nothing, r = 1
             q = q - 1
             z = z - 1
+            if q < 0.0:  # only a lease can take a queue below zero
+                q = 0.0
+            if z < 0.0:
+                z = 0.0
         else:  # urgency accrues, unless frozen on an empty queue
-            r = 0
             z = z + (0.0 if freeze_z and q == 0.0 else eps_d)
-        if q < 0.0:
-            q = 0.0
-        if z < 0.0:
-            z = 0.0
 
-        x_desired[i] = 1 if want else 0
-        r_out[i] = r
+        x_desired[i] = want
         q_after[i] = q
         z_after[i] = z
 

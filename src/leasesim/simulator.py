@@ -141,8 +141,8 @@ def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
     )
 
 
-# dtypes of the loop's output columns x_desired, r, q_after, z_after
-_LOOP_DTYPES = (np.int64, np.int64, np.float64, np.float64)
+# dtypes of the loop's output columns x_desired (the wish, as a flag), q_after, z_after
+_LOOP_DTYPES = (np.bool_, np.float64, np.float64)
 
 
 def _shifted(first: float, column: np.ndarray) -> np.ndarray:
@@ -154,14 +154,18 @@ def _shifted(first: float, column: np.ndarray) -> np.ndarray:
 
 
 def _trace_columns(
-    realization: Realization, t0: int, q0: float, z0: float,
-    x_desired: np.ndarray, r: np.ndarray, q_after: np.ndarray, z_after: np.ndarray,
+    realization: Realization, t0: int, q0: float, z0: float, joint_avail: np.ndarray,
+    wish: np.ndarray, q_after: np.ndarray, z_after: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """All trace columns, from the market and the loop's four outputs.
+    """All trace columns, from the market and the loop's three outputs.
 
-    Each derived column repeats the arithmetic the slot itself did, so it
-    comes out bit for bit as if the loop had written it.
+    The loop's bool wish becomes the int64 x_desired, and r is
+    x_desired & joint_avail, the lease the loop took. Each derived column
+    repeats the arithmetic the slot itself did, so it comes out bit for
+    bit as if the loop had written it.
     """
+    x_desired = wish.astype(np.int64)
+    r = x_desired & joint_avail
     return {
         "t": np.arange(t0, t0 + len(r), dtype=np.int64),
         "q_before": _shifted(q0, q_after) + realization.arrival,
@@ -190,16 +194,14 @@ def _packed(values: list, dtype) -> np.ndarray:
 
 
 def _market_columns(realization: Realization, backend: str | None) -> tuple:
-    """The loop's three market columns: arrival, joint_price, joint_avail."""
-    market = (
-        realization.arrival,
-        realization.price_ris + realization.price_spectrum,
-        ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64),
-    )
+    """The loop's three market columns (arrival, joint_price, joint_avail),
+    and joint_avail as an int64 array, from which r is derived."""
+    joint_avail = ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64)
+    market = (realization.arrival, realization.price_ris + realization.price_spectrum, joint_avail)
     if resolve_backend(backend) == "python":
         # the interpreted loop indexes plain lists far faster than numpy scalars
         market = tuple(column.tolist() for column in market)
-    return market
+    return market, joint_avail
 
 
 def _run_loop(
@@ -217,8 +219,7 @@ def _run_loop(
     _market_columns, built here when not given."""
     n = len(realization)
     python = resolve_backend(backend) == "python"
-    if market is None:
-        market = _market_columns(realization, backend)
+    market, joint_avail = market if market is not None else _market_columns(realization, backend)
     if python:
         outputs = [[0] * n for _ in _LOOP_DTYPES]
     else:
@@ -227,7 +228,7 @@ def _run_loop(
     get_loop(backend)(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
     if python:
         outputs = [_packed(values, dtype) for dtype, values in zip(_LOOP_DTYPES, outputs)]
-    return _trace_columns(realization, t0, q0, z0, *outputs)
+    return _trace_columns(realization, t0, q0, z0, joint_avail, *outputs)
 
 
 def runs(
@@ -280,21 +281,25 @@ def step(
         t = int(t)
     q, z = float(state.q), float(state.z)
     arrival = int(observation.arrival)
+    if arrival < 0:
+        check_int("observation: arrival", arrival, 0)
     avail_ris, avail_spectrum = int(observation.avail_ris), int(observation.avail_spectrum)
     price_ris, price_spectrum = float(observation.price_ris), float(observation.price_spectrum)
     joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
-    x_desired, r_out, q_after, z_after = [0], [0], [0], [0]
+    x_desired, q_after, z_after = [0], [0], [0]
     get_loop("python")(
         q, z, t, freeze_z_when_empty, [arrival], [price_ris + price_spectrum], [joint_avail],
-        *_kernel_args(policy, params), x_desired, r_out, q_after, z_after
+        *_kernel_args(policy, params), x_desired, q_after, z_after
     )
-    xd, r = x_desired[0], r_out[0]
+    xd = int(x_desired[0])  # the loop's wish is a bool; the record holds ints
+    r = xd & joint_avail
     record = frozen(SlotRecord, (
         t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
         xd, xd, r, r, r, r * price_ris + r * price_spectrum, q_after[0], z_after[0]
     ))
-    # the loop clamps both queues at zero, so frozen skips QueueState's
-    # check, which every step would pay
+    # the state came in checked and the arrival is >= 0, so the loop's
+    # queues stay >= 0 (it clamps them after a lease) and frozen skips
+    # QueueState's check, which every step would pay
     return frozen(QueueState, (q_after[0], z_after[0])), record
 
 

@@ -3,14 +3,19 @@
 The compiled loop and the plain-python loop must produce bit-identical
 traces for every policy kind; the simulator treats them as interchangeable.
 """
+import inspect
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leasesim import _kernels, simulator
-from leasesim.core import ConfigError, QueueState, advance_virtual_queue
-from leasesim.environment import ScenarioConfig, draw_realization
+from leasesim.core import ConfigError, ControlParams, QueueState, advance_virtual_queue
+from leasesim.environment import Realization, ScenarioConfig, draw_realization
 from leasesim.policies import PolicyInput, decide, parse_policy
-from leasesim.simulator import TRACE_COLUMNS, default_params, run
+from leasesim.simulator import TRACE_COLUMNS, Trace, _run_loop, default_params, run, step
 
 ALL_POLICIES = [
     "dsf",
@@ -94,28 +99,32 @@ def test_array_path_matches_list_path(monkeypatch, policy):
         assert got.column(name).tobytes() == want.column(name).tobytes(), name
 
 
-@pytest.mark.parametrize("freeze", [False, True])
-@pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_loop_follows_core_recurrence(policy, freeze):
-    """Slot by slot, the loop's queues are exactly core's recurrences.
+def assert_core_recurrence(trace, eps_d, freeze):
+    """Slot by slot, the trace's queues are exactly core's recurrences.
 
     q_after is max(q_before - r, 0) and z_after is
     advance_virtual_queue(z_before, r, eps), with eps zeroed on an empty
     queue when z is frozen; compared bit for bit.
     """
+    q_before, z_before, r = (trace.column(name).tolist() for name in ("q_before", "z_before", "r"))
+    want_q, want_z = [], []
+    for qb, zb, served in zip(q_before, z_before, r):
+        eps = 0.0 if freeze and qb == 0.0 else eps_d
+        want_q.append(max(qb - served, 0.0))
+        want_z.append(advance_virtual_queue(zb, served, eps))
+    assert np.array(want_q).tobytes() == trace.column("q_after").tobytes()
+    assert np.array(want_z).tobytes() == trace.column("z_after").tobytes()
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_loop_follows_core_recurrence(policy, freeze):
     scenario = ScenarioConfig(
         horizon_slots=600, initial_backlog=2, seed=29, freeze_z_when_empty=freeze
     )
     params = default_params(scenario, v=3.0, eps_d=0.7)
     trace = run(scenario, parse_policy(policy), params, backend="python")
-    q_before, z_before, r = (trace.column(name).tolist() for name in ("q_before", "z_before", "r"))
-    want_q, want_z = [], []
-    for qb, zb, served in zip(q_before, z_before, r):
-        eps = 0.0 if freeze and qb == 0.0 else params.eps_d
-        want_q.append(max(qb - served, 0.0))
-        want_z.append(advance_virtual_queue(zb, served, eps))
-    assert np.array(want_q).tobytes() == trace.column("q_after").tobytes()
-    assert np.array(want_z).tobytes() == trace.column("z_after").tobytes()
+    assert_core_recurrence(trace, params.eps_d, freeze)
 
 
 def test_kernel_matches_decide_slot_by_slot():
@@ -145,3 +154,82 @@ def test_kernel_matches_decide_slot_by_slot():
             want = decide(spec, inp)
             assert trace.column("x_desired")[i] == want.x, (label, i)
             assert trace.column("y_desired")[i] == want.y, (label, i)
+
+
+def test_loop_outputs_match_loop_dtypes():
+    """The numba branch allocates one array per _LOOP_DTYPES entry and passes
+    them as the loop's trailing arguments, after `threshold`. Without numba,
+    test_backends_bit_identical is skipped; this still pins the count and
+    order that branch relies on."""
+    names = list(inspect.signature(_kernels._slot_loop).parameters)
+    outputs = names[names.index("threshold") + 1:]
+    assert outputs == ["x_desired", "q_after", "z_after"]
+    assert len(outputs) == len(simulator._LOOP_DTYPES)
+    assert simulator._LOOP_DTYPES[0] is np.bool_
+
+
+# flags: 2 is neither 0 nor 1 and blocks the lease; 1 is drawn twice as
+# often, so leases, and the clamps after them, are common
+flags = st.sampled_from([1, 0, 1, 2])
+market_slots = st.tuples(
+    st.integers(0, 2),  # arrival
+    st.floats(0.0, 20.0),  # price_ris
+    st.floats(0.0, 20.0),  # price_spectrum
+    flags,  # avail_ris
+    flags,  # avail_spectrum
+)
+FREE_LEASE = [(0, 1.0, 1.0, 1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    label=st.sampled_from(ALL_POLICIES),
+    freeze=st.booleans(),
+    slots=st.lists(market_slots, min_size=1, max_size=12),
+    q0=st.floats(0.0, 4.0),
+    z0=st.floats(0.0, 40.0),
+    t0=st.integers(1, 10**6),
+    v=st.floats(0.1, 4.0),
+    eps_d=st.floats(0.1, 3.0),
+)
+# a lease that both clamps cut back, and a lease on an empty queue
+@example(label="greedy", freeze=False, slots=FREE_LEASE, q0=0.25, z0=0.5, t0=1, v=1.0, eps_d=1.0)
+@example(label="dsf", freeze=True, slots=FREE_LEASE, q0=0.0, z0=30.0, t0=1, v=0.1, eps_d=1.0)
+def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
+    """On any short market and start: r is the wish masked by both flags
+    and is the lease the loop took, both queues stay >= 0, the list and
+    array paths give the same bytes, and the trace is a chain of step
+    records."""
+    arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = zip(*slots)
+    realization = Realization(
+        arrival=np.array(arrival, dtype=np.int64),
+        price_ris=np.array(price_ris),
+        price_spectrum=np.array(price_spectrum),
+        avail_ris=np.array(avail_ris, dtype=np.int64),
+        avail_spectrum=np.array(avail_spectrum, dtype=np.int64),
+    )
+    spec = parse_policy(label)
+    params = ControlParams(v=v, eps_d=eps_d, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    columns = _run_loop(realization, q0, z0, t0, freeze, spec, params, backend="python")
+
+    joint = (realization.avail_ris == 1) & (realization.avail_spectrum == 1)
+    assert columns["r"].dtype == columns["x_desired"].dtype == np.int64
+    assert columns["r"].tolist() == (columns["x_desired"] & joint).tolist()
+    trace = Trace(columns)
+    assert_core_recurrence(trace, eps_d, freeze)
+    assert (columns["q_after"] >= 0.0).all() and (columns["z_after"] >= 0.0).all()
+
+    with mock.patch.object(simulator, "resolve_backend", lambda backend=None: "numba"), \
+            mock.patch.object(simulator, "get_loop", lambda backend=None: _kernels._slot_loop):
+        arrays = _run_loop(realization, q0, z0, t0, freeze, spec, params)
+    for name in TRACE_COLUMNS:
+        assert arrays[name].dtype == columns[name].dtype, name
+        assert arrays[name].tobytes() == columns[name].tobytes(), name
+
+    state = QueueState(q0, z0)
+    for i in range(len(realization)):
+        state, record = step(
+            state, realization.observation(i), spec, params, t=t0 + i, freeze_z_when_empty=freeze
+        )
+        assert record == trace.record(i), i
+        assert state == QueueState(record.q_after, record.z_after), i

@@ -143,6 +143,14 @@ def test_run_treats_only_flag_one_as_available():
         assert record == Trace(columns).record(i), i
 
 
+@pytest.mark.parametrize("arrival", [-1, -3, np.int64(-2)])
+def test_step_rejects_a_negative_arrival(arrival):
+    """A negative arrival would drive the queue below zero; step names the field."""
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    with pytest.raises(ConfigError, match=f"^observation: arrival must be >= 0, got {int(arrival)}$"):
+        step(QueueState(1.0, 0.0), flat_market(arrival=arrival), GREEDY, params)
+
+
 def test_step_lease_serves_one_packet():
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     state, record = step(QueueState(20.0, 5.0), flat_market(arrival=0), DSF, params)
@@ -229,6 +237,9 @@ def test_records_equal_generated_init(label):
         assert_same_as_init(state, QueueState)
         assert_same_as_init(record, SlotRecord)
         assert_same_as_init(trace.record(i), SlotRecord)
+        # the loop stores its wish as a bool; records hold ints, so JSON writes 1, not true
+        for built in (record, trace.record(i)):
+            assert type(built.x_desired) is int and type(built.r) is int
 
 
 def test_trace_schema_is_slot_record():
