@@ -9,8 +9,8 @@ columns, all computed by the caller before the loop:
     joint_avail   1 where both avail flags equal 1, else 0
 
 and writes three: x_desired (the policy's wish, stored as a bool),
-q_after and z_after. The caller derives the other trace columns from
-these with numpy, r (the joint lease) as x_desired & joint_avail. Both
+q_after and z_after. simulator._slot_values derives the other trace
+columns from these, r (the joint lease) as x_desired & joint_avail. Both
 queues are clamped at zero only after a lease: without one, q only gains
 an arrival and z gains eps_d > 0 or nothing, so from q0, z0 >= 0 and
 arrivals >= 0 neither can go negative. The threshold of both dsf rules,
@@ -19,8 +19,8 @@ v * (expected_price_ris + expected_price_spectrum), comes in precomputed.
 It takes any indexable sequences for its columns: the plain-Python
 backend is handed lists (indexing a list is far cheaper than reading a
 numpy scalar), numba's njit is handed arrays. All randomness is drawn
-before the loop, so both backends produce bit-identical traces.
-Selection:
+before the loop, so both backends produce bit-identical traces. Only
+this variable selects, once per market; step always runs the plain loop:
 
     LEASESIM_BACKEND=auto    njit when numba is importable (default)
     LEASESIM_BACKEND=numba   require njit
@@ -117,22 +117,22 @@ def _slot_loop(
 _slot_loop_njit = njit(cache=True)(_slot_loop) if HAVE_NUMBA else None
 
 
-def resolve_backend(name: str | None = None) -> str:
-    """Map the env flag (or an explicit name) to 'numba' or 'python'."""
-    choice = (name if name is not None else os.environ.get(ENV_VAR, "auto")).lower()
+def resolve_backend() -> str:
+    """Map LEASESIM_BACKEND to 'numba' or 'python'."""
+    choice = os.environ.get(ENV_VAR, "auto").lower()
     if choice in ("", "auto"):
         return "numba" if HAVE_NUMBA else "python"
     if choice == "numba":
         if not HAVE_NUMBA:
-            raise ConfigError("LEASESIM_BACKEND=numba but numba is not importable")
+            raise ConfigError(f"{ENV_VAR}=numba but numba is not importable")
         return "numba"
     if choice == "python":
         return "python"
-    raise ConfigError(f"unknown backend {choice!r}; expected auto, numba, or python")
+    raise ConfigError(f"{ENV_VAR} must be auto, numba or python, got {choice!r}")
 
 
-def get_loop(backend: str | None = None):
-    """Return the slot-loop callable for the selected backend."""
-    if resolve_backend(backend) == "numba":
+def get_loop(backend: str):
+    """The slot-loop callable of `backend`, as resolve_backend() names it."""
+    if backend == "numba":
         return _slot_loop_njit
     return _slot_loop

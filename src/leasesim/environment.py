@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -279,7 +279,3 @@ def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
     check_int("seed", seed, 0, 2**64 - 1)
     return frozen(ScenarioConfig, {**vars(config), "seed": seed}.values())
 
-
-def scenario_overridden(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Copy a scenario with some fields replaced (validation re-runs)."""
-    return replace(config, **overrides)

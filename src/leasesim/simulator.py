@@ -4,8 +4,8 @@ Each slot proceeds through the same stages regardless of policy:
 arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage so traces can be audited after the fact.
-runs() draws one market for many (policy, params) cells; run() is its
-one-cell case.
+runs() draws one market and resolves the backend once for many cells;
+run() is its one-cell case; runs() and step() share one record rule.
 The oracle checks the market slots it reads against
 environment.COLUMN_RULES, the rule the CSV readers apply too.
 """
@@ -153,33 +153,20 @@ def _shifted(first: float, column: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_columns(
-    realization: Realization, t0: int, q0: float, z0: float, joint_avail: np.ndarray,
-    wish: np.ndarray, q_after: np.ndarray, z_after: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """All trace columns, from the market and the loop's three outputs.
-
-    The loop's bool wish becomes the int64 x_desired, and r is
-    x_desired & joint_avail, the lease the loop took. Each derived column
-    repeats the arithmetic the slot itself did, so it comes out bit for
-    bit as if the loop had written it.
+def _slot_values(
+    t, q, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+    joint_avail, x_desired, q_after, z_after,
+) -> tuple:
+    """A slot's values in TRACE_COLUMNS order, the one record rule, from the
+    slot index, the state (q, z) before the arrival, the market and the
+    loop's outputs (the wish x_desired as an int). Python numbers give one
+    SlotRecord, numpy columns a trace, each value bit for bit the slot's own.
     """
-    x_desired = wish.astype(np.int64)
     r = x_desired & joint_avail
-    return {
-        "t": np.arange(t0, t0 + len(r), dtype=np.int64),
-        "q_before": _shifted(q0, q_after) + realization.arrival,
-        "z_before": _shifted(z0, z_after),
-        **{name: getattr(realization, name) for name in MARKET_FIELDS},
-        "x_desired": x_desired,
-        "y_desired": x_desired,
-        "x_effective": r,
-        "y_effective": r,
-        "r": r,
-        "cost": r * realization.price_ris + r * realization.price_spectrum,
-        "q_after": q_after,
-        "z_after": z_after,
-    }
+    return (
+        t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+        x_desired, x_desired, r, r, r, r * price_ris + r * price_spectrum, q_after, z_after,
+    )
 
 
 def _packed(values: list, dtype) -> np.ndarray:
@@ -193,18 +180,20 @@ def _packed(values: list, dtype) -> np.ndarray:
     return out
 
 
-def _market_columns(realization: Realization, backend: str | None) -> tuple:
+def _market_columns(realization: Realization, python: bool) -> tuple:
     """The loop's three market columns (arrival, joint_price, joint_avail),
     and joint_avail as an int64 array, from which r is derived."""
     joint_avail = ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64)
     market = (realization.arrival, realization.price_ris + realization.price_spectrum, joint_avail)
-    if resolve_backend(backend) == "python":
+    if python:
         # the interpreted loop indexes plain lists far faster than numpy scalars
         market = tuple(column.tolist() for column in market)
     return market, joint_avail
 
 
 def _run_loop(
+    loop,
+    market: tuple,
     realization: Realization,
     q0: float,
     z0: float,
@@ -212,42 +201,46 @@ def _run_loop(
     freeze_z: bool,
     policy: PolicySpec,
     params: ControlParams,
-    backend: str | None = None,
-    market: tuple | None = None,
 ) -> dict[str, np.ndarray]:
-    """All trace columns of one loop; `market` is the realization's
-    _market_columns, built here when not given."""
+    """All trace columns of `loop` run on `market`, the realization's
+    _market_columns; it writes lists where it reads them (python)."""
     n = len(realization)
-    python = resolve_backend(backend) == "python"
-    market, joint_avail = market if market is not None else _market_columns(realization, backend)
+    market, joint_avail = market
+    python = isinstance(market[0], list)
     if python:
         outputs = [[0] * n for _ in _LOOP_DTYPES]
     else:
         outputs = [np.empty(n, dtype=dtype) for dtype in _LOOP_DTYPES]
-    q0, z0 = float(q0), float(z0)
-    get_loop(backend)(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
+    loop(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
     if python:
         outputs = [_packed(values, dtype) for dtype, values in zip(_LOOP_DTYPES, outputs)]
-    return _trace_columns(realization, t0, q0, z0, joint_avail, *outputs)
+    wish, q_after, z_after = outputs
+    return dict(zip(TRACE_COLUMNS, _slot_values(
+        np.arange(t0, t0 + n, dtype=np.int64), _shifted(q0, q_after), _shifted(z0, z_after),
+        realization.arrival, realization.avail_ris, realization.avail_spectrum,
+        realization.price_ris, realization.price_spectrum,
+        joint_avail, wish.astype(np.int64), q_after, z_after,
+    )))
 
 
 def runs(
     scenario: ScenarioConfig,
     cells: Iterable[tuple[PolicySpec, ControlParams]],
-    backend: str | None = None,
 ) -> Iterator[Trace]:
     """One trace per (policy, params) cell, all on one market realization.
 
-    The market is drawn and turned into the loop's columns once, however
-    many cells follow; each trace is the one run() gives for its cell, and
-    holds its own copy of the market columns. Traces are yielded one at a
-    time, so only the caller keeps them alive.
+    The market is drawn and prepared, and the backend resolved, once
+    however many cells follow; each trace is the one run() gives for its
+    cell, and holds its own copy of the market columns. Traces are yielded
+    one at a time, so only the caller keeps them alive.
     """
     realization = draw_realization(scenario)
-    market = _market_columns(realization, backend)
-    q0, freeze_z = scenario.initial_backlog, scenario.freeze_z_when_empty
+    backend = resolve_backend()
+    loop = get_loop(backend)
+    market = _market_columns(realization, backend == "python")
+    q0, freeze_z = float(scenario.initial_backlog), scenario.freeze_z_when_empty
     for policy, params in cells:
-        columns = _run_loop(realization, q0, 0.0, 1, freeze_z, policy, params, backend, market)
+        columns = _run_loop(loop, market, realization, q0, 0.0, 1, freeze_z, policy, params)
         columns.update({name: columns[name].copy() for name in MARKET_FIELDS})
         yield Trace(columns, scenario=scenario, policy=policy, params=params)
 
@@ -256,10 +249,9 @@ def run(
     scenario: ScenarioConfig,
     policy: PolicySpec,
     params: ControlParams,
-    backend: str | None = None,
 ) -> Trace:
     """Simulate the whole horizon and return the slot-by-slot trace."""
-    [trace] = runs(scenario, [(policy, params)], backend)
+    [trace] = runs(scenario, [(policy, params)])
     return trace
 
 
@@ -273,16 +265,17 @@ def step(
 ) -> tuple[QueueState, SlotRecord]:
     """Advance one slot; returns the new state and the slot's record.
 
-    Runs the same python loop as run() on one-slot columns, so a chain
-    of step() calls reproduces a full run exactly.
+    Runs the python loop on one-slot columns and builds the record by
+    run()'s rule, so a chain of step() calls reproduces a full run exactly.
     """
     if type(t) is not int or t < 1:
         check_int("slot index", t, 1)
         t = int(t)
     q, z = float(state.q), float(state.z)
-    arrival = int(observation.arrival)
-    if arrival < 0:
+    arrival = observation.arrival
+    if type(arrival) is not int or arrival < 0:
         check_int("observation: arrival", arrival, 0)
+        arrival = int(arrival)
     avail_ris, avail_spectrum = int(observation.avail_ris), int(observation.avail_spectrum)
     price_ris, price_spectrum = float(observation.price_ris), float(observation.price_spectrum)
     joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
@@ -291,11 +284,9 @@ def step(
         q, z, t, freeze_z_when_empty, [arrival], [price_ris + price_spectrum], [joint_avail],
         *_kernel_args(policy, params), x_desired, q_after, z_after
     )
-    xd = int(x_desired[0])  # the loop's wish is a bool; the record holds ints
-    r = xd & joint_avail
-    record = frozen(SlotRecord, (
-        t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
-        xd, xd, r, r, r, r * price_ris + r * price_spectrum, q_after[0], z_after[0]
+    record = frozen(SlotRecord, _slot_values(
+        t, q, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+        joint_avail, int(x_desired[0]), q_after[0], z_after[0]  # the wish is a bool; records hold ints
     ))
     # the state came in checked and the arrival is >= 0, so the loop's
     # queues stay >= 0 (it clamps them after a lease) and frozen skips

@@ -50,7 +50,7 @@ def test_trace_csv_digest(tmp_path, scenario_name, label):
     scenario = SCENARIOS[scenario_name]
     params = default_params(scenario, v=10.0, eps_d=0.5)
     path = tmp_path / "trace.csv"
-    write_trace_csv(run(scenario, parse_policy(label), params, backend="python"), path)
+    write_trace_csv(run(scenario, parse_policy(label), params), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(scenario_name, label)]
 
 

@@ -152,6 +152,16 @@ def test_run_rejects_mistyped_scenario_field(tmp_path, capsys, document, message
     assert not out.exists()
 
 
+def test_run_rejects_an_unknown_backend(tmp_path, scenario_path, capsys, monkeypatch):
+    monkeypatch.setenv("LEASESIM_BACKEND", "cuda")
+    out = tmp_path / "t.csv"
+    assert main(["run", "--scenario", scenario_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "LEASESIM_BACKEND must be auto, numba or python, got 'cuda'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_missing_scenario_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "t.csv")]) == 1
     assert "error" in capsys.readouterr().err

@@ -20,7 +20,6 @@ from leasesim.environment import (
     first_bad_row,
     scenario_fingerprint,
     scenario_from_dict,
-    scenario_overridden,
     with_seed,
 )
 from leasesim.simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS
@@ -193,14 +192,6 @@ def test_scenario_dict_round_trip():
 def test_scenario_from_dict_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
         scenario_from_dict({"horizon_slots": 10, "bogus": 1})
-
-
-def test_scenario_overridden():
-    config = ScenarioConfig()
-    other = scenario_overridden(config, seed=7, initial_backlog=3)
-    assert other.seed == 7 and other.initial_backlog == 3
-    assert other.horizon_slots == config.horizon_slots
-    assert config.seed == 42  # original untouched
 
 
 def test_with_seed_changes_only_the_seed():

@@ -1,13 +1,13 @@
 """Intent translation and assurance tests."""
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from leasesim.core import ConfigError
-from leasesim.environment import ScenarioConfig, scenario_overridden
+from leasesim.environment import ScenarioConfig
 from leasesim.intent import (
     IntentSpec,
     assure,
@@ -192,7 +192,7 @@ def test_assure_full_delivery_passes_without_warnings():
 
 def test_assure_truncated_trace_fails():
     intent, translation, derived = full_delivery_setup()
-    trace = run(scenario_overridden(derived, horizon_slots=2, initial_backlog=5), GREEDY, translation.params)
+    trace = run(replace(derived, horizon_slots=2, initial_backlog=5), GREEDY, translation.params)
     report = assure(trace, intent, translation)
     assert report.delivered_packets == 2
     assert not report.deadline_met  # horizon shorter than the deadline
@@ -268,7 +268,7 @@ def test_assure_checkpoint_warnings_on_slow_start():
 
 def test_assure_backlog_mismatch_rejected():
     intent, translation, derived = full_delivery_setup()
-    wrong = run(scenario_overridden(derived, initial_backlog=3), GREEDY, translation.params)
+    wrong = run(replace(derived, initial_backlog=3), GREEDY, translation.params)
     with pytest.raises(ConfigError, match="backlog"):
         assure(wrong, intent, translation)
 

@@ -4,7 +4,6 @@ The compiled loop and the plain-python loop must produce bit-identical
 traces for every policy kind; the simulator treats them as interchangeable.
 """
 import inspect
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from leasesim import _kernels, simulator
 from leasesim.core import ConfigError, ControlParams, QueueState, advance_virtual_queue
 from leasesim.environment import Realization, ScenarioConfig, draw_realization
 from leasesim.policies import PolicyInput, decide, parse_policy
-from leasesim.simulator import TRACE_COLUMNS, Trace, _run_loop, default_params, run, step
+from leasesim.simulator import TRACE_COLUMNS, Trace, _market_columns, _run_loop, default_params, run, step
 
 ALL_POLICIES = [
     "dsf",
@@ -28,11 +27,17 @@ ALL_POLICIES = [
 ]
 
 
-def test_resolve_backend_explicit():
-    assert _kernels.resolve_backend("python") == "python"
+def test_resolve_backend_explicit(monkeypatch):
+    monkeypatch.setenv(_kernels.ENV_VAR, "Python")
+    assert _kernels.resolve_backend() == "python"
+    monkeypatch.setenv(_kernels.ENV_VAR, "auto")
+    assert _kernels.resolve_backend() == ("numba" if _kernels.HAVE_NUMBA else "python")
+    monkeypatch.setenv(_kernels.ENV_VAR, "numba")
     if _kernels.HAVE_NUMBA:
-        assert _kernels.resolve_backend("numba") == "numba"
-        assert _kernels.resolve_backend("auto") == "numba"
+        assert _kernels.resolve_backend() == "numba"
+    else:
+        with pytest.raises(ConfigError, match="^LEASESIM_BACKEND=numba but numba is not importable$"):
+            _kernels.resolve_backend()
 
 
 def test_resolve_backend_env(monkeypatch):
@@ -42,9 +47,10 @@ def test_resolve_backend_env(monkeypatch):
     assert _kernels.resolve_backend() in ("numba", "python")
 
 
-def test_resolve_backend_rejects_junk():
-    with pytest.raises(ConfigError, match="backend"):
-        _kernels.resolve_backend("cuda")
+def test_resolve_backend_rejects_junk(monkeypatch):
+    monkeypatch.setenv(_kernels.ENV_VAR, "cuda")
+    with pytest.raises(ConfigError, match="^LEASESIM_BACKEND must be auto, numba or python, got 'cuda'$"):
+        _kernels.resolve_backend()
 
 
 def test_get_loop_python_is_uncompiled():
@@ -70,12 +76,14 @@ def test_policy_codes_cover_all_kinds():
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 @pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_backends_bit_identical(policy):
+def test_backends_bit_identical(monkeypatch, policy):
     scenario = ScenarioConfig(horizon_slots=800, initial_backlog=2, seed=11)
     spec = parse_policy(policy)
     params = default_params(scenario, v=5.0, eps_d=1.0)
-    a = run(scenario, spec, params, backend="python")
-    b = run(scenario, spec, params, backend="numba")
+    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    a = run(scenario, spec, params)
+    monkeypatch.setenv(_kernels.ENV_VAR, "numba")
+    b = run(scenario, spec, params)
     for name in TRACE_COLUMNS:
         assert np.array_equal(a.column(name), b.column(name)), name
 
@@ -90,9 +98,10 @@ def test_array_path_matches_list_path(monkeypatch, policy):
     scenario = ScenarioConfig(horizon_slots=800, initial_backlog=2, seed=11)
     spec = parse_policy(policy)
     params = default_params(scenario, v=5.0, eps_d=0.5)
-    want = run(scenario, spec, params, backend="python")
-    monkeypatch.setattr(simulator, "resolve_backend", lambda backend=None: "numba")
-    monkeypatch.setattr(simulator, "get_loop", lambda backend=None: _kernels._slot_loop)
+    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    want = run(scenario, spec, params)
+    monkeypatch.setattr(simulator, "resolve_backend", lambda: "numba")
+    monkeypatch.setattr(simulator, "get_loop", lambda backend: _kernels._slot_loop)
     got = run(scenario, spec, params)
     for name in TRACE_COLUMNS:
         assert got.column(name).dtype == want.column(name).dtype, name
@@ -123,7 +132,7 @@ def test_loop_follows_core_recurrence(policy, freeze):
         horizon_slots=600, initial_backlog=2, seed=29, freeze_z_when_empty=freeze
     )
     params = default_params(scenario, v=3.0, eps_d=0.7)
-    trace = run(scenario, parse_policy(policy), params, backend="python")
+    trace = run(scenario, parse_policy(policy), params)
     assert_core_recurrence(trace, params.eps_d, freeze)
 
 
@@ -138,7 +147,7 @@ def test_kernel_matches_decide_slot_by_slot():
     params = default_params(scenario, v=5.0, eps_d=1.0)
     for label in ALL_POLICIES:
         spec = parse_policy(label)
-        trace = run(scenario, spec, params, backend="python")
+        trace = run(scenario, spec, params)
         slot = trace.column("t")
         for i in range(len(trace)):
             obs = realization.observation(i)
@@ -210,7 +219,8 @@ def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     )
     spec = parse_policy(label)
     params = ControlParams(v=v, eps_d=eps_d, expected_price_ris=5.5, expected_price_spectrum=5.5)
-    columns = _run_loop(realization, q0, z0, t0, freeze, spec, params, backend="python")
+    loop_args = (realization, q0, z0, t0, freeze, spec, params)
+    columns = _run_loop(_kernels._slot_loop, _market_columns(realization, python=True), *loop_args)
 
     joint = (realization.avail_ris == 1) & (realization.avail_spectrum == 1)
     assert columns["r"].dtype == columns["x_desired"].dtype == np.int64
@@ -219,9 +229,7 @@ def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     assert_core_recurrence(trace, eps_d, freeze)
     assert (columns["q_after"] >= 0.0).all() and (columns["z_after"] >= 0.0).all()
 
-    with mock.patch.object(simulator, "resolve_backend", lambda backend=None: "numba"), \
-            mock.patch.object(simulator, "get_loop", lambda backend=None: _kernels._slot_loop):
-        arrays = _run_loop(realization, q0, z0, t0, freeze, spec, params)
+    arrays = _run_loop(_kernels._slot_loop, _market_columns(realization, python=False), *loop_args)
     for name in TRACE_COLUMNS:
         assert arrays[name].dtype == columns[name].dtype, name
         assert arrays[name].tobytes() == columns[name].tobytes(), name

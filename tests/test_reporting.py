@@ -11,7 +11,6 @@ from leasesim.environment import (
     ScenarioConfig,
     derive_seed,
     scenario_from_dict,
-    scenario_overridden,
 )
 from leasesim import reporting, simulator
 from leasesim.policies import parse_policy, policy_label
@@ -203,35 +202,39 @@ def test_crn_sweep_equals_cell_by_cell_runs():
 
 
 @pytest.fixture
-def draw_count(monkeypatch):
-    calls = []
-    draw = simulator.draw_realization
+def call_counts(monkeypatch):
+    """Calls so far to simulator's draw_realization and the backend
+    lookup, resolve_backend and get_loop, which runs() makes per market."""
+    counts = dict.fromkeys(("draw_realization", "resolve_backend", "get_loop"), 0)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return draw(*args, **kwargs)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(simulator, "draw_realization", counted)
-    return calls
+    for name in counts:
+        monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
+    return counts
 
 
-def test_crn_sweep_draws_the_market_once(draw_count):
+def test_crn_sweep_draws_the_market_once(call_counts):
     v_grid = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
     eps_grid = [0.5, 1.0, 2.0]
     with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
         sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, [1.0, math.nan])
-    assert draw_count == []  # a bad grid value fails before the market is drawn
+    assert call_counts == dict.fromkeys(call_counts, 0)  # a bad grid value fails before the market is drawn
     sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid)
-    assert len(draw_count) == 1
+    assert call_counts == dict.fromkeys(call_counts, 1)
     sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid, common_random_numbers=False)
-    assert len(draw_count) == 1 + len(v_grid) * len(eps_grid)
+    assert call_counts == dict.fromkeys(call_counts, 1 + len(v_grid) * len(eps_grid))
 
 
-def test_compare_draws_the_market_once(draw_count):
+def test_compare_draws_the_market_once(call_counts):
     scenario = ScenarioConfig(horizon_slots=30)
     labels = ("dsf", "greedy", "periodic:2", "myopic", "price_only:8", "queue_threshold:10")
     compare(scenario, [parse_policy(p) for p in labels], default_params(scenario, v=10.0, eps_d=1.0))
-    assert len(draw_count) == 1
+    assert call_counts == dict.fromkeys(call_counts, 1)
 
 
 def test_compare_shares_the_market():

@@ -1,10 +1,12 @@
 """Slot engine tests: full runs, single steps, and trace bookkeeping."""
+import math
 import re
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
+from leasesim import _kernels
 from leasesim.core import (
     ConfigError,
     ControlParams,
@@ -19,6 +21,7 @@ from leasesim.simulator import (
     TRACE_COLUMNS,
     SlotRecord,
     Trace,
+    _market_columns,
     _run_loop,
     default_params,
     run,
@@ -135,7 +138,8 @@ def test_run_treats_only_flag_one_as_available():
         avail_spectrum=np.array(avail_spectrum),
     )
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
-    columns = _run_loop(realization, 4.0, 1.5, 3, False, GREEDY, params, backend="python")
+    market = _market_columns(realization, python=True)
+    columns = _run_loop(_kernels._slot_loop, market, realization, 4.0, 1.5, 3, False, GREEDY, params)
     assert columns["r"].tolist() == [0, 0, 0, 1, 0, 1]
     state = QueueState(4.0, 1.5)
     for i in range(len(realization)):
@@ -143,11 +147,24 @@ def test_run_treats_only_flag_one_as_available():
         assert record == Trace(columns).record(i), i
 
 
-@pytest.mark.parametrize("arrival", [-1, -3, np.int64(-2)])
-def test_step_rejects_a_negative_arrival(arrival):
-    """A negative arrival would drive the queue below zero; step names the field."""
+@pytest.mark.parametrize(
+    "arrival, message",
+    [
+        (-1, ">= 0, got -1"),
+        (-3, ">= 0, got -3"),
+        (np.int64(-2), ">= 0, got -2"),
+        (1.7, "an integer, got 1.7"),
+        (-0.5, "an integer, got -0.5"),
+        (True, "an integer, got True"),
+        (math.nan, "an integer, got nan"),
+    ],
+    ids=["-1", "-3", "arrival2", "1.7", "-0.5", "True", "nan"],
+)
+def test_step_rejects_a_negative_arrival(arrival, message):
+    """A negative arrival would drive the queue below zero, and one that is
+    not an integer would run as another number; step names the field."""
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
-    with pytest.raises(ConfigError, match=f"^observation: arrival must be >= 0, got {int(arrival)}$"):
+    with pytest.raises(ConfigError, match=f"^observation: arrival must be {re.escape(message)}$"):
         step(QueueState(1.0, 0.0), flat_market(arrival=arrival), GREEDY, params)
 
 
@@ -197,7 +214,7 @@ def test_step_chain_reproduces_run(label, freeze):
     )
     spec = parse_policy(label)
     params = default_params(scenario, v=10.0, eps_d=0.5)
-    trace = run(scenario, spec, params, backend="python")
+    trace = run(scenario, spec, params)
     realization = draw_realization(scenario)
 
     state = QueueState(float(scenario.initial_backlog), 0.0)
@@ -227,7 +244,7 @@ def test_records_equal_generated_init(label):
     scenario = ScenarioConfig(horizon_slots=40, initial_backlog=2, seed=8)
     spec = parse_policy(label)
     params = default_params(scenario, v=10.0, eps_d=1.0)
-    trace = run(scenario, spec, params, backend="python")
+    trace = run(scenario, spec, params)
     realization = draw_realization(scenario)
     state = QueueState(2.0, 0.0)
     for i in range(len(realization)):
@@ -351,8 +368,8 @@ def test_runs_on_one_market_equal_standalone_runs(freeze):
         for label in ALL_POLICIES
         for v, eps_d in ((2.0, 0.5), (20.0, 2.0))
     ]
-    for (policy, params), got in zip(cells, runs(scenario, cells, backend="python"), strict=True):
-        want = run(scenario, policy, params, backend="python")
+    for (policy, params), got in zip(cells, runs(scenario, cells), strict=True):
+        want = run(scenario, policy, params)
         assert (got.scenario, got.policy, got.params) == (scenario, policy, params)
         for name in TRACE_COLUMNS:
             assert got.column(name).dtype == want.column(name).dtype, name
