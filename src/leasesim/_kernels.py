@@ -4,21 +4,25 @@ The recurrence over (q, z) cannot be vectorized, so the loop is the hot
 kernel of every run, and it does nothing else. It reads three market
 columns, all computed by the caller before the loop:
 
-    arrival       packets arriving in the slot
+    arrival       packets arriving in the slot, as floats
     joint_price   price_ris + price_spectrum
     joint_avail   1 where both avail flags equal 1, else 0
 
 and writes three: x_desired (the policy's wish, stored as a bool),
-q_after and z_after. simulator._slot_values derives the other trace
-columns from these, r (the joint lease) as x_desired & joint_avail. Both
-queues are clamped at zero only after a lease: without one, q only gains
-an arrival and z gains eps_d > 0 or nothing, so from q0, z0 >= 0 and
-arrivals >= 0 neither can go negative. The threshold of both dsf rules,
+q_after and z_after. With float arrivals every queue update is float
+with float, which CPython specializes; q + float(a) equals q + a bit for
+bit for any int64 a, so step's int arrival gives the same queues.
+simulator._slot_values derives the other trace columns from these, r
+(the joint lease) as x_desired & joint_avail. Both queues are clamped at
+zero only after a lease: without one, q only gains an arrival and z
+gains eps_d > 0 or nothing, so from q0, z0 >= 0 and arrivals >= 0
+neither can go negative. The threshold of both dsf rules,
 v * (expected_price_ris + expected_price_spectrum), comes in precomputed.
 
 It takes any indexable sequences for its columns: the plain-Python
-backend is handed lists (indexing a list is far cheaper than reading a
-numpy scalar), numba's njit is handed arrays. All randomness is drawn
+backend is handed lists to read (indexing a list is far cheaper than
+reading a numpy scalar) and stores its float outputs through memoryviews
+of their arrays; numba's njit is handed arrays. All randomness is drawn
 before the loop, so both backends produce bit-identical traces. Only
 this variable selects, once per market; step always runs the plain loop:
 
@@ -100,8 +104,8 @@ def _slot_loop(
         # core's z - r + eps * (1 - r), split on r: the same IEEE result
         # for any finite eps, which ControlParams guarantees
         if want and joint_avail[i]:  # atomic mask: all or nothing, r = 1
-            q = q - 1
-            z = z - 1
+            q = q - 1.0
+            z = z - 1.0
             if q < 0.0:  # only a lease can take a queue below zero
                 q = 0.0
             if z < 0.0:

@@ -62,7 +62,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_int("horizon_slots", self.horizon_slots, 1)
-        check_int("initial_backlog", self.initial_backlog, 0)
+        # the loop's float queue is exact up to 2**53 packets, and a drawn
+        # market adds at most one per slot (a longer horizon fails its draw)
+        check_int("initial_backlog", self.initial_backlog, 0, max(2**53 - self.horizon_slots, 0))
         check_int("seed", self.seed, 0, 2**64 - 1)
         for name in ("arrival_prob", "avail_prob_ris", "avail_prob_spectrum"):
             p = getattr(self, name)

@@ -100,8 +100,19 @@ def translate_intent(
     check_positive("slot_duration_s", slot_duration_s)
     check_positive("packet_size_mb", packet_size_mb)
 
-    n_packets = math.ceil(intent.payload_mb / packet_size_mb)
-    deadline_slots = math.floor(intent.deadline_s / slot_duration_s)
+    packets, slots = intent.payload_mb / packet_size_mb, intent.deadline_s / slot_duration_s
+    if math.isinf(packets):
+        raise ConfigError(
+            f"packet_size_mb={packet_size_mb} is too small for payload_mb={intent.payload_mb}: "
+            f"the packet count overflows"
+        )
+    if math.isinf(slots):
+        raise ConfigError(
+            f"slot_duration_s={slot_duration_s} is too small for deadline_s={intent.deadline_s}: "
+            f"the slot count overflows"
+        )
+    n_packets = math.ceil(packets)
+    deadline_slots = math.floor(slots)
     if deadline_slots < 1:
         raise ConfigError(
             f"deadline_s={intent.deadline_s} is shorter than one slot "

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import POLICY_CODES, get_loop, resolve_backend
-from .core import ConfigError, ControlParams, QueueState, check_int, frozen
+from .core import ConfigError, ControlParams, QueueState, check_int, check_price, frozen
 from .environment import (
     MARKET_FIELDS,
     MarketObservation,
@@ -141,7 +141,8 @@ def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
     )
 
 
-# dtypes of the loop's output columns x_desired (the wish, as a flag), q_after, z_after
+# dtypes of the loop's output columns x_desired (the wish, as a flag), q_after,
+# z_after; the python loop stores the two floats through memoryviews of them
 _LOOP_DTYPES = (np.bool_, np.float64, np.float64)
 
 
@@ -181,10 +182,14 @@ def _packed(values: list, dtype) -> np.ndarray:
 
 
 def _market_columns(realization: Realization, python: bool) -> tuple:
-    """The loop's three market columns (arrival, joint_price, joint_avail),
-    and joint_avail as an int64 array, from which r is derived."""
+    """The loop's three market columns (arrival as float64, joint_price,
+    joint_avail), and joint_avail as an int64 array, from which r is derived.
+
+    Float arrivals keep the loop's queue updates float with float; the
+    python backend's lists of arrival and joint_price hold only floats."""
     joint_avail = ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64)
-    market = (realization.arrival, realization.price_ris + realization.price_spectrum, joint_avail)
+    joint_price = realization.price_ris + realization.price_spectrum
+    market = (realization.arrival.astype(np.float64), joint_price, joint_avail)
     if python:
         # the interpreted loop indexes plain lists far faster than numpy scalars
         market = tuple(column.tolist() for column in market)
@@ -203,17 +208,23 @@ def _run_loop(
     params: ControlParams,
 ) -> dict[str, np.ndarray]:
     """All trace columns of `loop` run on `market`, the realization's
-    _market_columns; it writes lists where it reads them (python)."""
+    _market_columns.
+
+    The output arrays are allocated first. Where the loop reads lists
+    (python), it stores q_after and z_after through memoryviews of them,
+    so no float output is kept alive as an object, and the wish goes to
+    a list of bools (singletons, free to hold) packed after the loop.
+    """
     n = len(realization)
     market, joint_avail = market
-    python = isinstance(market[0], list)
-    if python:
-        outputs = [[0] * n for _ in _LOOP_DTYPES]
+    outputs = [np.empty(n, dtype=dtype) for dtype in _LOOP_DTYPES]
+    if isinstance(market[0], list):
+        wishes = [False] * n
+        views = [memoryview(column) for column in outputs[1:]]
+        loop(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), wishes, *views)
+        outputs[0] = _packed(wishes, _LOOP_DTYPES[0])
     else:
-        outputs = [np.empty(n, dtype=dtype) for dtype in _LOOP_DTYPES]
-    loop(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
-    if python:
-        outputs = [_packed(values, dtype) for dtype, values in zip(_LOOP_DTYPES, outputs)]
+        loop(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
     wish, q_after, z_after = outputs
     return dict(zip(TRACE_COLUMNS, _slot_values(
         np.arange(t0, t0 + n, dtype=np.int64), _shifted(q0, q_after), _shifted(z0, z_after),
@@ -277,7 +288,12 @@ def step(
         check_int("observation: arrival", arrival, 0)
         arrival = int(arrival)
     avail_ris, avail_spectrum = int(observation.avail_ris), int(observation.avail_spectrum)
-    price_ris, price_spectrum = float(observation.price_ris), float(observation.price_spectrum)
+    price_ris, price_spectrum = observation.price_ris, observation.price_spectrum
+    if not (type(price_ris) is float and type(price_spectrum) is float
+            and 0.0 <= price_ris < math.inf and 0.0 <= price_spectrum < math.inf):
+        check_price("observation: price_ris", price_ris)
+        check_price("observation: price_spectrum", price_spectrum)
+        price_ris, price_spectrum = float(price_ris), float(price_spectrum)
     joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
     x_desired, q_after, z_after = [0], [0], [0]
     get_loop("python")(

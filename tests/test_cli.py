@@ -307,6 +307,21 @@ def test_intent_rejects_non_finite_packet_size(tmp_path, capsys):
     assert "packet_size_mb must be a finite number > 0, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--packet-size", "packet_size_mb=1e-320 is too small for payload_mb=1000: the packet count overflows"),
+        ("--slot-duration", "slot_duration_s=1e-320 is too small for deadline_s=900: the slot count overflows"),
+    ],
+)
+def test_intent_rejects_a_knob_whose_count_overflows(tmp_path, capsys, flag, message):
+    intent_path = write_json(tmp_path, "intent.json", FLAGSHIP_DOC)
+    assert main(["intent", "--file", intent_path, flag, "1e-320"]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_intent_stdout_mode(tmp_path, capsys):
     intent_path = write_json(tmp_path, "intent.json", FLAGSHIP_DOC)
     assert main(["intent", "--file", intent_path]) == 0

@@ -138,6 +138,9 @@ def test_validation():
         ({"seed": 4.0}, "seed must be an integer, got 4.0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"seed": 2**64}, "seed must be <= 18446744073709551615"),
+        # the float queue is exact up to 2**53 packets
+        ({"horizon_slots": 200, "initial_backlog": 2**53 - 199}, f"initial_backlog must be <= {2**53 - 200}, got"),
+        ({"initial_backlog": 2**53 + 2}, f"initial_backlog must be <= {2**53 - 5000}, got {2**53 + 2}"),
     ],
 )
 def test_validation_rejects_non_integer_counts(fields, message):

@@ -90,7 +90,9 @@ def test_backends_bit_identical(monkeypatch, policy):
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 def test_array_path_matches_list_path(monkeypatch, policy):
-    """The numba path hands the loop numpy arrays, the python path lists.
+    """The numba path hands the loop numpy arrays. The python path hands it
+    lists to read, a list for the wish, and memoryviews of the q_after and
+    z_after arrays to store into.
 
     Drive the plain loop down the array path too: every column must come
     back with the same dtype and the same bytes.
@@ -106,6 +108,70 @@ def test_array_path_matches_list_path(monkeypatch, policy):
     for name in TRACE_COLUMNS:
         assert got.column(name).dtype == want.column(name).dtype, name
         assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+def test_python_market_columns_hold_only_floats():
+    """The python loop adds arrivals to the float q and compares joint
+    prices with floats, so both lists hold floats, never ints."""
+    realization = draw_realization(ScenarioConfig(horizon_slots=300, arrival_prob=0.5, seed=4))
+    (arrival, joint_price, _), _ = _market_columns(realization, python=True)
+    assert type(arrival) is list and type(joint_price) is list
+    assert {type(value) for value in arrival} == {float}
+    assert {type(value) for value in joint_price} == {float}
+    assert arrival == realization.arrival.tolist()
+
+
+def test_python_loop_stores_floats_through_memoryviews(monkeypatch):
+    """On the python backend the loop's last two arguments are memoryviews
+    of the q_after and z_after arrays the trace returns, so the floats go
+    straight into them; only the wish goes to a list."""
+    calls = []
+
+    def loop(*args):
+        calls.append(args)
+        return _kernels._slot_loop(*args)
+
+    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
+    scenario = ScenarioConfig(horizon_slots=200, initial_backlog=3, seed=8)
+    trace = run(scenario, parse_policy("dsf"), default_params(scenario, v=2.0, eps_d=1.0))
+    [args] = calls
+    wish, q_view, z_view = args[-3:]
+    assert type(wish) is list
+    assert type(q_view) is memoryview and q_view.obj is trace.column("q_after")
+    assert type(z_view) is memoryview and z_view.obj is trace.column("z_after")
+
+
+@pytest.mark.parametrize("arrival", [2**53 + 1, 2**62], ids=["2**53+1", "2**62"])
+def test_huge_arrivals_give_the_same_bytes_on_every_path(arrival):
+    """q + float(a) is q + a bit for bit for any int64 a: with arrivals that
+    a float cannot hold exactly, the list path, the array path and a chain
+    of step calls agree, and q_before is Python's q + arrival."""
+    n = 5
+    realization = Realization(
+        arrival=np.array([arrival, 0, 1, arrival, 0], dtype=np.int64),
+        price_ris=np.full(n, 2.0),
+        price_spectrum=np.full(n, 3.0),
+        avail_ris=np.array([1, 1, 0, 1, 1], dtype=np.int64),
+        avail_spectrum=np.ones(n, dtype=np.int64),
+    )
+    spec = parse_policy("greedy")
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    loop_args = (realization, 0.5, 0.0, 1, False, spec, params)
+    lists = _run_loop(_kernels._slot_loop, _market_columns(realization, python=True), *loop_args)
+    arrays = _run_loop(_kernels._slot_loop, _market_columns(realization, python=False), *loop_args)
+    for name in TRACE_COLUMNS:
+        assert arrays[name].dtype == lists[name].dtype, name
+        assert arrays[name].tobytes() == lists[name].tobytes(), name
+
+    trace = Trace(lists)
+    state = QueueState(0.5, 0.0)
+    for i in range(n):
+        want_q_before = state.q + int(realization.arrival[i])
+        state, record = step(state, realization.observation(i), spec, params, t=1 + i)
+        assert record == trace.record(i), i
+        assert np.float64(record.q_before).tobytes() == np.float64(want_q_before).tobytes(), i
+        assert lists["q_before"][i].tobytes() == np.float64(want_q_before).tobytes(), i
 
 
 def assert_core_recurrence(trace, eps_d, freeze):

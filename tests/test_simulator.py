@@ -1,4 +1,5 @@
 """Slot engine tests: full runs, single steps, and trace bookkeeping."""
+import dataclasses
 import math
 import re
 from dataclasses import FrozenInstanceError, fields
@@ -168,6 +169,27 @@ def test_step_rejects_a_negative_arrival(arrival, message):
         step(QueueState(1.0, 0.0), flat_market(arrival=arrival), GREEDY, params)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True], ids=["nan", "inf", "-1.0", "True"])
+@pytest.mark.parametrize("field", ["price_ris", "price_spectrum"])
+def test_step_rejects_a_bad_price(field, value):
+    """A NaN price would give a NaN cost, a negative one a negative cost;
+    step names the field."""
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    observation = dataclasses.replace(flat_market(), **{field: value})
+    message = f"observation: {field} must be a finite number >= 0, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        step(QueueState(1.0, 0.0), observation, GREEDY, params)
+
+
+def test_step_accepts_int_and_numpy_prices():
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    want = step(QueueState(2.0, 0.0), flat_market(price=5.0), GREEDY, params)
+    for price in (5, np.float64(5.0)):
+        got = step(QueueState(2.0, 0.0), flat_market(price=price), GREEDY, params)
+        assert got == want
+        assert type(got[1].price_ris) is float and type(got[1].price_spectrum) is float
+
+
 def test_step_lease_serves_one_packet():
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     state, record = step(QueueState(20.0, 5.0), flat_market(arrival=0), DSF, params)
@@ -273,6 +295,19 @@ def test_conservation_of_packets():
     served = trace.column("q_before") - trace.column("q_after")
     total_in = scenario.initial_backlog + trace.column("arrival").sum()
     assert total_in == served.sum() + trace.column("q_after")[-1]
+
+
+def test_largest_initial_backlog_conserves_packets():
+    """At the cap, 2**53 - horizon_slots, the float queue stays exact: every
+    lease serves one packet, and the backlog plus the arrivals equals the
+    packets served plus those left."""
+    horizon = 200
+    scenario = ScenarioConfig(horizon_slots=horizon, seed=1, initial_backlog=2**53 - horizon)
+    trace = run(scenario, GREEDY, default_params(scenario, v=1.0, eps_d=1.0))
+    served = int(trace.column("r").sum())
+    assert served > 0
+    packets_in = scenario.initial_backlog + int(trace.column("arrival").sum())
+    assert packets_in == served + int(trace.column("q_after")[-1])
 
 
 def test_cost_accounting_elementwise():
