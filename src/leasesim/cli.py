@@ -109,9 +109,10 @@ def cmd_run(args) -> int:
     policy = parse_policy(args.policy)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
     trace = run(scenario, policy, params)
-    write_trace_csv(trace, args.out)
+    # the summary first: a value JSON cannot hold then leaves no file behind
     summary_path = _summary_json_path(args.out)
     write_summary_json(trace, summary_path)
+    write_trace_csv(trace, args.out)
     summary = summarize(trace)
     print(
         f"wrote {args.out} and {summary_path}: "
@@ -147,11 +148,12 @@ def cmd_compare(args) -> int:
     series_path = out_dir / "series.csv"
     ranking_path = out_dir / "ranking.json"
     ranking = comparison_ranking(results)
-    write_comparison_series_csv(results, series_path)
+    # the ranking first: a value JSON cannot hold then leaves no file behind
     write_json(
         {"header": report_header(scenario, params=params), "ranking": ranking},
         ranking_path,
     )
+    write_comparison_series_csv(results, series_path)
     print(f"wrote {series_path} and {ranking_path}")
     for entry in ranking:
         print(

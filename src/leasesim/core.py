@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ConfigError",
@@ -65,6 +65,10 @@ def check_positive(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+# per dataclass, the builder frozen() generated for it on first use
+_BUILDERS: dict = {}
+
+
 def frozen(cls, values):
     """An instance of the frozen dataclass `cls` holding `values` in field order.
 
@@ -72,10 +76,31 @@ def frozen(cls, values):
     without the generated __init__, which pays one guarded setattr per
     field. __post_init__ does not run either, so its checks are skipped:
     for per-slot records whose values are known to pass them.
+
+    On first use for a class, a builder is generated with exec, as
+    dataclasses generates __init__: `[d['t'], d['q_before'], ...] = values`
+    into the new instance's __dict__, one constant-key store per field,
+    which CPython specializes. Values of the wrong length raise ValueError.
     """
-    instance = object.__new__(cls)
-    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return instance
+    build = _BUILDERS.get(cls)
+    if build is None:
+        build = _BUILDERS[cls] = _builder(cls)
+    return build(values)
+
+
+def _builder(cls):
+    """The function frozen() calls to build `cls` from a sequence of values."""
+    targets = ", ".join(f"d[{f.name!r}]" for f in fields(cls))
+    source = (
+        "def build(values):\n"
+        "    instance = new(cls)\n"
+        "    d = instance.__dict__\n"
+        f"    [{targets}] = values\n"
+        "    return instance\n"
+    )
+    namespace = {"new": object.__new__, "cls": cls}
+    exec(source, namespace)
+    return namespace["build"]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -73,6 +74,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
         check_positive("price_low", self.price_low)
         check_positive("price_high", self.price_high)
+        if not math.isfinite(self.price_high + self.price_high):
+            raise ConfigError(
+                f"price_high must keep the joint price price_high + price_high finite, got {self.price_high}"
+            )
         if self.price_high < self.price_low:
             raise ConfigError(
                 f"prices must satisfy 0 < price_low <= price_high, "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -67,12 +68,14 @@ class SweepTable:
     rows: tuple[SweepCell, ...]
 
 
+@np.errstate(over="ignore")
 def summarize(trace: Trace) -> RunSummary:
     """Scalar metrics of a trace; errors on an empty one.
 
     The accumulated cost is taken from the running sum so that the last
     element of cumulative_average_cost_series matches the final average
-    exactly, not merely to rounding.
+    exactly, not merely to rounding. A sum that overflows is inf, without
+    numpy's warning: write_json names it instead of writing it.
     """
     n = len(trace)
     if n == 0:
@@ -329,9 +332,35 @@ def report_header(
 
 
 def write_json(document: dict, path: str | Path) -> None:
+    """Write `document` as strict JSON (RFC 8259). A NaN or infinite value
+    raises a ConfigError naming the path and its key, and writes nothing."""
+    try:
+        text = json.dumps(document, indent=2, allow_nan=False)
+    except ValueError:
+        found = _first_non_finite(document)
+        if found is None:
+            raise
+        raise ConfigError(f"{path}: {found[0]} is {found[1]}, which JSON cannot hold") from None
     with open(path, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _first_non_finite(node, key: str = "") -> tuple[str, float] | None:
+    """The key of the first NaN or infinite float in a JSON document, as
+    `summary.cost` or `rows[3].cost`, with its value; None if there is none."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else (key, node)
+    if isinstance(node, dict):
+        children = ((f"{key}.{name}" if key else str(name), child) for name, child in node.items())
+    elif isinstance(node, (list, tuple)):
+        children = ((f"{key}[{i}]", child) for i, child in enumerate(node))
+    else:
+        return None
+    for child_key, child in children:
+        found = _first_non_finite(child, child_key)
+        if found is not None:
+            return found
+    return None
 
 
 def write_summary_json(trace: Trace, path: str | Path) -> None:

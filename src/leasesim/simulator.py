@@ -287,7 +287,11 @@ def step(
     if type(arrival) is not int or arrival < 0:
         check_int("observation: arrival", arrival, 0)
         arrival = int(arrival)
-    avail_ris, avail_spectrum = int(observation.avail_ris), int(observation.avail_spectrum)
+    avail_ris, avail_spectrum = observation.avail_ris, observation.avail_spectrum
+    if not (type(avail_ris) is int and avail_ris >= 0 and type(avail_spectrum) is int and avail_spectrum >= 0):
+        check_int("observation: avail_ris", avail_ris, 0)
+        check_int("observation: avail_spectrum", avail_spectrum, 0)
+        avail_ris, avail_spectrum = int(avail_ris), int(avail_spectrum)
     price_ris, price_spectrum = observation.price_ris, observation.price_spectrum
     if not (type(price_ris) is float and type(price_spectrum) is float
             and 0.0 <= price_ris < math.inf and 0.0 <= price_spectrum < math.inf):

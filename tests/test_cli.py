@@ -152,6 +152,36 @@ def test_run_rejects_mistyped_scenario_field(tmp_path, capsys, document, message
     assert not out.exists()
 
 
+def test_run_rejects_a_summary_json_cannot_hold(tmp_path, scenario_path, capsys):
+    """At eps 1e308 the virtual queue overflows to inf, which RFC 8259 JSON
+    has no token for; the run writes neither file."""
+    out = tmp_path / "t.csv"
+    assert main(["run", "--scenario", scenario_path, "--eps", "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "t.summary.json: summary.average_virtual_queue is inf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.summary.json").exists() and not out.exists()
+
+
+def test_compare_rejects_a_ranking_json_cannot_hold(tmp_path, scenario_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario_path, "--eps", "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ranking.json: ranking[0].summary.average_virtual_queue is inf" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_run_rejects_a_price_high_whose_joint_price_overflows(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    scenario = write_json(tmp_path, "scenario.json", {"price_high": 1e308})
+    assert main(["run", "--scenario", scenario, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "price_high must keep the joint price price_high + price_high finite, got 1e+308" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_rejects_an_unknown_backend(tmp_path, scenario_path, capsys, monkeypatch):
     monkeypatch.setenv("LEASESIM_BACKEND", "cuda")
     out = tmp_path / "t.csv"

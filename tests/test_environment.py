@@ -168,6 +168,13 @@ def test_validation_rejects_non_finite_prices(bounds, field):
         ScenarioConfig(**bounds)
 
 
+def test_validation_rejects_a_price_high_whose_joint_price_overflows():
+    """price_ris + price_spectrum would be inf, and no policy would lease."""
+    with pytest.raises(ConfigError, match="^price_high must keep the joint price price_high [+] price_high finite"):
+        ScenarioConfig(price_high=1e308)
+    assert ScenarioConfig(price_high=8e307).price_high == 8e307
+
+
 def test_draw_without_memory_names_horizon(monkeypatch):
     class NoMemory:
         def random(self, shape):

@@ -1,6 +1,7 @@
 """Summaries, sweeps, comparisons, and serialization round-trips."""
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -25,6 +26,7 @@ from leasesim.reporting import (
     sweep,
     sweep_to_dict,
     write_comparison_series_csv,
+    write_json,
     write_summary_json,
     write_sweep_csv,
     write_trace_csv,
@@ -362,6 +364,28 @@ def test_summary_json_header_suffices_to_rerun(tmp_path):
     rebuilt = scenario_from_dict(document["header"]["scenario"])
     rerun = run(rebuilt, DSF, trace.params)
     assert asdict(summarize(rerun)) == document["summary"]
+
+
+def test_write_json_keeps_the_bytes_of_json_dump(tmp_path):
+    document = {"header": {"tool": "leasesim"}, "rows": [{"cost": 0.1 + 0.2, "seed": 3}], "empty": []}
+    path = tmp_path / "doc.json"
+    write_json(document, path)
+    assert path.read_text() == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "document, key, value",
+    [
+        ({"summary": {"cost": 1.0, "average_virtual_queue": math.inf}}, "summary.average_virtual_queue", "inf"),
+        ({"rows": [{"cost": 1.0}, {"cost": -math.inf}]}, "rows[1].cost", "-inf"),
+        ({"v_grid": [1.0, math.nan], "eps": math.inf}, "v_grid[1]", "nan"),
+    ],
+)
+def test_write_json_names_the_first_non_finite_key_and_writes_nothing(tmp_path, document, key, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {re.escape(key)} is {value}, "):
+        write_json(document, path)
+    assert not path.exists()
 
 
 def test_summary_json_requires_provenance(tmp_path):

@@ -6,16 +6,19 @@ from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from leasesim import _kernels
+from leasesim import _kernels, core
 from leasesim.core import (
     ConfigError,
     ControlParams,
     QueueState,
     advance_data_queue,
     advance_virtual_queue,
+    frozen,
 )
-from leasesim.environment import MarketObservation, Realization, ScenarioConfig, draw_realization
+from leasesim.environment import MarketObservation, Realization, ScenarioConfig, draw_realization, with_seed
 from leasesim.policies import parse_policy
 from leasesim.simulator import (
     INT_TRACE_COLUMNS,
@@ -190,6 +193,78 @@ def test_step_accepts_int_and_numpy_prices():
         assert type(got[1].price_ris) is float and type(got[1].price_spectrum) is float
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1.7, "an integer, got 1.7"),
+        (1.0, "an integer, got 1.0"),
+        (True, "an integer, got True"),
+        (math.nan, "an integer, got nan"),
+        (-1, ">= 0, got -1"),
+        (np.int64(-1), ">= 0, got -1"),
+    ],
+    ids=["1.7", "1.0", "True", "nan", "-1", "int64(-1)"],
+)
+@pytest.mark.parametrize("field", ["avail_ris", "avail_spectrum"])
+def test_step_rejects_a_bad_avail_flag(field, value, message):
+    """A flag of 1.7 would run as 1 and lease; step names the field."""
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    observation = dataclasses.replace(flat_market(), **{field: value})
+    with pytest.raises(ConfigError, match=f"^observation: {field} must be {re.escape(message)}$"):
+        step(QueueState(1.0, 0.0), observation, GREEDY, params)
+
+
+def _fields_checked_by_step():
+    integers = st.integers(-2, 3)
+    floats = st.floats()  # NaN, inf and negatives included
+    numbers = st.one_of(
+        integers, integers.map(np.int64), floats, floats.map(np.float64), st.booleans(),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    return {name: numbers for name in ("price_ris", "price_spectrum", "avail_ris", "avail_spectrum", "arrival")}
+
+
+def _is_valid(name, value):
+    if isinstance(value, bool):
+        return False
+    if name.startswith("price"):
+        return isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(value) and value >= 0
+    return isinstance(value, (int, np.integer)) and value >= 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.sampled_from(["dsf", "greedy", "myopic", "price_only:8"]), **_fields_checked_by_step())
+@example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=1.7, avail_spectrum=1, arrival=0)
+@example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=True, avail_spectrum=1, arrival=0)
+@example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=math.nan, avail_spectrum=1, arrival=0)
+@example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=1, avail_spectrum=-1, arrival=0)
+@example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=2, avail_spectrum=1, arrival=1)
+def test_step_checks_each_observation_field(label, **values):
+    """step either names a bad field or gives the record that a one-slot
+    run gives on the market converted to ints and floats."""
+    spec = parse_policy(label)
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    observation = MarketObservation(**values)
+    state = QueueState(3.0, 2.0)
+    bad = [name for name, value in values.items() if not _is_valid(name, value)]
+    if bad:
+        with pytest.raises(ConfigError) as error:
+            step(state, observation, spec, params, t=4)
+        assert any(str(error.value).startswith(f"observation: {name} must be ") for name in bad)
+        return
+    realization = Realization(**{
+        name: np.array([float(value) if name.startswith("price") else int(value)]) for name, value in values.items()
+    })
+    with np.errstate(over="ignore"):  # two huge prices sum to inf, as in step
+        market = _market_columns(realization, python=True)
+    columns = _run_loop(_kernels._slot_loop, market, realization, 3.0, 2.0, 4, False, spec, params)
+    want = Trace(columns).record(0)
+    got_state, got = step(state, observation, spec, params, t=4)
+    assert got == want
+    assert list(map(type, vars(got).values())) == list(map(type, vars(want).values()))
+    assert got_state == QueueState(want.q_after, want.z_after)
+
+
 def test_step_lease_serves_one_packet():
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     state, record = step(QueueState(20.0, 5.0), flat_market(arrival=0), DSF, params)
@@ -279,6 +354,44 @@ def test_records_equal_generated_init(label):
         # the loop stores its wish as a bool; records hold ints, so JSON writes 1, not true
         for built in (record, trace.record(i)):
             assert type(built.x_desired) is int and type(built.r) is int
+
+
+def test_with_seed_builds_as_init_does():
+    config = with_seed(ScenarioConfig(horizon_slots=40, initial_backlog=2, price_high=7.5), 9)
+    assert_same_as_init(config, ScenarioConfig)
+    assert config == ScenarioConfig(horizon_slots=40, initial_backlog=2, price_high=7.5, seed=9)
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (SlotRecord, (3, 4.0, 2.0, 1, 1, 1, 2.5, 3.5, 1, 1, 1, 1, 1, 6.0, 3.0, 1.0)),
+        (QueueState, (1.0, 2.0)),
+        (MarketObservation, (2.0, 3.0, 1, 1, 0)),
+    ],
+    ids=["SlotRecord", "QueueState", "MarketObservation"],
+)
+def test_frozen_rejects_values_of_the_wrong_length(cls, values):
+    """A short tuple would leave an instance with fields missing, a long
+    one would drop values."""
+    assert_same_as_init(frozen(cls, values), cls)
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        frozen(cls, values[:-1])
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        frozen(cls, (*values, 0))
+
+
+def test_frozen_generates_one_builder_per_class(monkeypatch):
+    monkeypatch.setattr(core, "_BUILDERS", {})
+    made = []
+    builder = core._builder
+    monkeypatch.setattr(core, "_builder", lambda cls: made.append(cls) or builder(cls))
+    states = [frozen(QueueState, (1.0, 2.0)), frozen(QueueState, (3.0, 4.0))]
+    observation = frozen(MarketObservation, (2.0, 3.0, 1, 1, 0))
+    assert made == [QueueState, MarketObservation]
+    assert core._BUILDERS[QueueState] is not core._BUILDERS[MarketObservation]
+    assert states == [QueueState(1.0, 2.0), QueueState(3.0, 4.0)]
+    assert observation == MarketObservation(2.0, 3.0, 1, 1, 0)
 
 
 def test_trace_schema_is_slot_record():
