@@ -22,9 +22,12 @@ v * (expected_price_ris + expected_price_spectrum), comes in precomputed.
 It takes any indexable sequences for its columns: the plain-Python
 backend is handed lists to read (indexing a list is far cheaper than
 reading a numpy scalar) and stores its float outputs through memoryviews
-of their arrays; numba's njit is handed arrays. All randomness is drawn
-before the loop, so both backends produce bit-identical traces. Only
-this variable selects, once per market; step always runs the plain loop:
+of their arrays; numba's njit is handed arrays. Only the
+PRICE_READING_KINDS read joint_price, so where no cell of a market has
+one of them, the python backend is handed that array, unread, instead
+of a list. All randomness is drawn before the loop, so both backends
+produce bit-identical traces. Only this variable selects, once per
+market; step always runs the plain loop:
 
     LEASESIM_BACKEND=auto    njit when numba is importable (default)
     LEASESIM_BACKEND=numba   require njit
@@ -60,6 +63,9 @@ POLICY_CODES = {
     "queue_threshold": 5,
     "myopic": 6,
 }
+
+# the kinds whose rule reads joint_price; the others never index it
+PRICE_READING_KINDS = frozenset({"price_only", "myopic"})
 
 
 def _slot_loop(

@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from ._version import VERSION
-from .core import ConfigError
+from .core import ConfigError, record_dict
 from .environment import ScenarioConfig, scenario_from_dict, with_seed
 from .intent import (
     PACKET_SIZE_MB,
@@ -32,6 +31,7 @@ from .policies import parse_policy, policy_label
 from .reporting import (
     comparison_ranking,
     compare,
+    json_text,
     read_realization_csv,
     read_trace_csv,
     report_header,
@@ -186,8 +186,8 @@ def cmd_intent(args) -> int:
     )
     document = {
         "header": _translator_header(scenario, args.slot_duration, args.packet_size),
-        "intent": asdict(intent),
-        "translation": asdict(translation),
+        "intent": record_dict(intent),
+        "translation": record_dict(translation),
     }
     if args.out:
         write_json(document, args.out)
@@ -199,11 +199,11 @@ def cmd_intent(args) -> int:
             f"feasible={translation.feasible}"
         )
     else:
-        json.dump(document, sys.stdout, indent=2)
-        print()
+        # the file's strict rule: a value JSON cannot hold prints nothing
+        sys.stdout.write(json_text(document, "stdout"))
     if args.scenario_out:
         derived = derive_scenario(translation, scenario, streaming=args.streaming)
-        write_json(asdict(derived), args.scenario_out)
+        write_json(record_dict(derived), args.scenario_out)
         # stdout must stay parseable JSON when the translation went there
         print(f"wrote {args.scenario_out}", file=sys.stdout if args.out else sys.stderr)
     return 0
@@ -228,8 +228,8 @@ def cmd_assure(args) -> int:
         write_json(
             {
                 "header": {"tool": "leasesim", "version": VERSION},
-                "intent": asdict(intent),
-                "translation": asdict(translation),
+                "intent": record_dict(intent),
+                "translation": record_dict(translation),
                 "report": report_to_dict(report),
             },
             args.out,

@@ -17,6 +17,7 @@ __all__ = [
     "check_price",
     "check_positive",
     "frozen",
+    "record_dict",
     "QueueState",
     "LeaseDecision",
     "ControlParams",
@@ -103,6 +104,22 @@ def _builder(cls):
     return namespace["build"]
 
 
+def record_dict(record) -> dict:
+    """The fields of the dataclass instance `record` as a dict, the one
+    serialization rule for records.
+
+    Equal to `dataclasses.asdict(record)`, key order included, for records
+    whose fields hold plain values or other records: a nested record
+    becomes a nested dict, and every other value is the object itself,
+    not asdict's deep copy. `vars()` holds the fields in field order, as
+    both the generated __init__ and frozen() store them.
+    """
+    return {
+        name: record_dict(value) if hasattr(type(value), "__dataclass_fields__") else value
+        for name, value in vars(record).items()
+    }
+
+
 @dataclass(frozen=True)
 class QueueState:
     """Backlog pair a policy observes: data packets q, delay urgency z."""
@@ -150,6 +167,13 @@ class ControlParams:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             check_positive(name, getattr(self, name))
+        # the threshold of both dsf rules; an infinite one never leases
+        threshold = self.v * (self.expected_price_ris + self.expected_price_spectrum)
+        if not math.isfinite(threshold):
+            raise ConfigError(
+                f"v={self.v!r} is too large: the lease threshold "
+                f"v * (expected_price_ris + expected_price_spectrum) is {threshold}"
+            )
 
 
 def advance_data_queue(q: float, r: int, a: int) -> float:

@@ -13,11 +13,11 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, check_int, check_positive, check_price, frozen
+from .core import ConfigError, check_int, check_positive, check_price, frozen, record_dict
 
 __all__ = [
     "DEFAULT_SEED",
@@ -261,7 +261,7 @@ def derive_seed(base_seed: int, index: int) -> int:
 def scenario_fingerprint(config: ScenarioConfig) -> str:
     """Short stable digest of every scenario field, seed included; two runs
     share a fingerprint exactly when they see the same market and workload."""
-    payload = json.dumps(asdict(config), sort_keys=True)
+    payload = json.dumps(record_dict(config), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .core import ConfigError, ControlParams, check_int, check_positive
+from .core import ConfigError, ControlParams, check_int, check_positive, record_dict
 from .environment import ScenarioConfig
 from .simulator import default_params
 
@@ -257,7 +257,7 @@ def intent_from_dict(data: dict) -> IntentSpec:
 
 
 def translation_from_dict(data: dict) -> TranslationResult:
-    """Inverse of asdict(TranslationResult), for reloading emitted JSON."""
+    """Inverse of record_dict(TranslationResult), for reloading emitted JSON."""
     if not isinstance(data, dict):
         raise ConfigError(f"translation document must be a JSON object, got {type(data).__name__}")
     try:
@@ -274,7 +274,7 @@ def translation_from_dict(data: dict) -> TranslationResult:
 
 def report_to_dict(report: AssuranceReport) -> dict:
     return {
-        **asdict(report),
+        **record_dict(report),
         "drift_warnings": [
             {"slot": slot, "message": message} for slot, message in report.drift_warnings
         ],

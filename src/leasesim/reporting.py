@@ -14,13 +14,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._version import VERSION
-from .core import ConfigError, ControlParams
+from .core import ConfigError, ControlParams, record_dict
 from .environment import (
     MARKET_FIELDS,
     Realization,
@@ -75,7 +75,9 @@ def summarize(trace: Trace) -> RunSummary:
     The accumulated cost is taken from the running sum so that the last
     element of cumulative_average_cost_series matches the final average
     exactly, not merely to rounding. A sum that overflows is inf, without
-    numpy's warning: write_json names it instead of writing it.
+    numpy's warning: write_json names it instead of writing it. The two
+    means are `float(column.sum()) / n`, ndarray.mean's own rule for
+    float64, so the same bits in one pass instead of two.
     """
     n = len(trace)
     if n == 0:
@@ -84,8 +86,8 @@ def summarize(trace: Trace) -> RunSummary:
     accumulated = float(running_cost[-1])
     return RunSummary(
         accumulated_cost=accumulated,
-        average_queue=float(trace.column("q_after").mean()),
-        average_virtual_queue=float(trace.column("z_after").mean()),
+        average_queue=float(trace.column("q_after").sum()) / n,
+        average_virtual_queue=float(trace.column("z_after").sum()) / n,
         lease_count=int(trace.column("r").sum()),
         final_backlog=float(trace.column("q_after")[-1]),
         cumulative_average_cost_final=accumulated / n,
@@ -320,29 +322,36 @@ def report_header(
     header = {
         "tool": "leasesim",
         "version": VERSION,
-        "scenario": asdict(scenario),
+        "scenario": record_dict(scenario),
         "scenario_fingerprint": scenario_fingerprint(scenario),
         "seed": scenario.seed,
     }
     if policy is not None:
         header["policy"] = policy_label(policy)
     if params is not None:
-        header["params"] = asdict(params)
+        header["params"] = record_dict(params)
     return header
 
 
-def write_json(document: dict, path: str | Path) -> None:
-    """Write `document` as strict JSON (RFC 8259). A NaN or infinite value
-    raises a ConfigError naming the path and its key, and writes nothing."""
+def json_text(document: dict, where: str | Path) -> str:
+    """`document` as strict JSON (RFC 8259), indented by 2, with a final
+    newline: the one JSON output rule. A NaN or infinite value raises a
+    ConfigError naming `where` (a path, or stdout) and its key."""
     try:
-        text = json.dumps(document, indent=2, allow_nan=False)
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
     except ValueError:
         found = _first_non_finite(document)
         if found is None:
             raise
-        raise ConfigError(f"{path}: {found[0]} is {found[1]}, which JSON cannot hold") from None
+        raise ConfigError(f"{where}: {found[0]} is {found[1]}, which JSON cannot hold") from None
+
+
+def write_json(document: dict, path: str | Path) -> None:
+    """Write `document` by json_text's rule; a value JSON cannot hold
+    raises before the file is opened, so nothing is written."""
+    text = json_text(document, path)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _first_non_finite(node, key: str = "") -> tuple[str, float] | None:
@@ -368,7 +377,7 @@ def write_summary_json(trace: Trace, path: str | Path) -> None:
         raise ConfigError("trace lacks scenario/policy/params; cannot build a summary header")
     document = {
         "header": report_header(trace.scenario, trace.policy, trace.params),
-        "summary": asdict(summarize(trace)),
+        "summary": record_dict(summarize(trace)),
     }
     write_json(document, path)
 
@@ -381,7 +390,7 @@ def sweep_to_dict(table: SweepTable, scenario: ScenarioConfig) -> dict:
         "common_random_numbers": table.common_random_numbers,
         "base_seed": table.base_seed,
         "scenario_fingerprint": table.scenario_fingerprint,
-        "rows": [asdict(cell) for cell in table.rows],
+        "rows": [record_dict(cell) for cell in table.rows],
     }
 
 
@@ -405,7 +414,7 @@ def comparison_ranking(
     """Policies ordered by accumulated cost, cheapest first; label breaks ties."""
     ordered = sorted(results, key=lambda item: (item[1].accumulated_cost, policy_label(item[0])))
     return [
-        {"rank": rank, "policy": policy_label(policy), "summary": asdict(summary)}
+        {"rank": rank, "policy": policy_label(policy), "summary": record_dict(summary)}
         for rank, (policy, summary, _series) in enumerate(ordered, start=1)
     ]
 

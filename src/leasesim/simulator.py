@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import POLICY_CODES, get_loop, resolve_backend
+from ._kernels import POLICY_CODES, PRICE_READING_KINDS, get_loop, resolve_backend
 from .core import ConfigError, ControlParams, QueueState, check_int, check_price, frozen
 from .environment import (
     MARKET_FIELDS,
@@ -181,19 +181,23 @@ def _packed(values: list, dtype) -> np.ndarray:
     return out
 
 
-def _market_columns(realization: Realization, python: bool) -> tuple:
+def _market_columns(realization: Realization, python: bool, read_prices: bool = True) -> tuple:
     """The loop's three market columns (arrival as float64, joint_price,
     joint_avail), and joint_avail as an int64 array, from which r is derived.
 
     Float arrivals keep the loop's queue updates float with float; the
-    python backend's lists of arrival and joint_price hold only floats."""
+    python backend's lists of arrival and joint_price hold only floats.
+    Without `read_prices` (no cell's kind is in PRICE_READING_KINDS), the
+    python backend gets joint_price as the array, which the loop never
+    indexes, and the list is not built."""
     joint_avail = ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64)
     joint_price = realization.price_ris + realization.price_spectrum
-    market = (realization.arrival.astype(np.float64), joint_price, joint_avail)
+    arrival = realization.arrival.astype(np.float64)
     if python:
         # the interpreted loop indexes plain lists far faster than numpy scalars
-        market = tuple(column.tolist() for column in market)
-    return market, joint_avail
+        prices = joint_price.tolist() if read_prices else joint_price
+        return (arrival.tolist(), prices, joint_avail.tolist()), joint_avail
+    return (arrival, joint_price, joint_avail), joint_avail
 
 
 def _run_loop(
@@ -242,13 +246,16 @@ def runs(
 
     The market is drawn and prepared, and the backend resolved, once
     however many cells follow; each trace is the one run() gives for its
-    cell, and holds its own copy of the market columns. Traces are yielded
-    one at a time, so only the caller keeps them alive.
+    cell, and holds its own copy of the market columns. The joint-price
+    list is built only when a cell's kind reads it (PRICE_READING_KINDS).
+    Traces are yielded one at a time, so only the caller keeps them alive.
     """
+    cells = list(cells)
     realization = draw_realization(scenario)
     backend = resolve_backend()
     loop = get_loop(backend)
-    market = _market_columns(realization, backend == "python")
+    read_prices = any(policy.kind in PRICE_READING_KINDS for policy, _ in cells)
+    market = _market_columns(realization, backend == "python", read_prices)
     q0, freeze_z = float(scenario.initial_backlog), scenario.freeze_z_when_empty
     for policy, params in cells:
         columns = _run_loop(loop, market, realization, q0, 0.0, 1, freeze_z, policy, params)

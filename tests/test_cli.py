@@ -172,6 +172,26 @@ def test_compare_rejects_a_ranking_json_cannot_hold(tmp_path, scenario_path, cap
     assert list(out.iterdir()) == []
 
 
+def test_run_rejects_a_v_whose_threshold_overflows(tmp_path, scenario_path, capsys):
+    """At v 1e308 the dsf threshold v * (expected prices) is inf, so dsf
+    would never lease; the run exits 1 naming v and writes no file."""
+    out = tmp_path / "t.csv"
+    assert main(["run", "--scenario", scenario_path, "--v", "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "v=1e+308 is too large: the lease threshold" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [Path(scenario_path)]
+
+
+def test_sweep_rejects_a_v_whose_threshold_overflows(tmp_path, scenario_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--scenario", scenario_path, "--v", "1,1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "v=1e+308 is too large: the lease threshold" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [Path(scenario_path)]
+
+
 def test_run_rejects_a_price_high_whose_joint_price_overflows(tmp_path, capsys):
     out = tmp_path / "t.csv"
     scenario = write_json(tmp_path, "scenario.json", {"price_high": 1e308})
@@ -357,6 +377,28 @@ def test_intent_stdout_mode(tmp_path, capsys):
     assert main(["intent", "--file", intent_path]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["translation"]["n_packets"] == 100
+
+
+def test_intent_stdout_mode_is_strict_json(tmp_path, capsys):
+    """Without --out the translation goes to stdout by the rule --out
+    files follow: a tightness of inf exits 1 naming the key, and nothing
+    reaches stdout."""
+    intent_path = write_json(tmp_path, "intent.json", FLAGSHIP_DOC)
+    scenario = write_json(tmp_path, "scenario.json", {"avail_prob_ris": 0.0})
+    derived = tmp_path / "derived.json"
+    argv = ["intent", "--file", intent_path, "--scenario", scenario, "--scenario-out", str(derived)]
+    with pytest.warns(UserWarning, match="stability headroom"):
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stdout: translation.tightness is inf, which JSON cannot hold" in captured.err
+    assert "Traceback" not in captured.err
+    assert not derived.exists()
+    out = tmp_path / "translation.json"
+    with pytest.warns(UserWarning, match="stability headroom"):
+        assert main(argv[:-2] + ["--out", str(out)]) == 1
+    assert f"{out}: translation.tightness is inf, which JSON cannot hold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_intent_derived_scenario_bulk_and_streaming(tmp_path):

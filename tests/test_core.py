@@ -1,5 +1,8 @@
 """Unit tests for the scalar building blocks."""
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,6 +19,7 @@ from leasesim.core import (
     advance_virtual_queue,
     departure,
     lyapunov,
+    record_dict,
     slot_cost,
 )
 
@@ -161,3 +165,103 @@ def test_control_params_validation():
         ControlParams(v=1.0, eps_d=1.0, expected_price_ris=0.0, expected_price_spectrum=5.5)
     with pytest.raises(ConfigError):
         ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=-2.0)
+
+
+def test_control_params_rejects_a_v_whose_threshold_overflows():
+    """v * (expected_price_ris + expected_price_spectrum) is the threshold of
+    both dsf rules; an infinite one would never lease, so v is named."""
+    prices = dict(eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    ControlParams(v=1e307, **prices)  # threshold 1.1e308, still finite
+    with pytest.raises(ConfigError, match=r"^v=1e\+308 is too large: the lease threshold .* is inf"):
+        ControlParams(v=1e308, **prices)
+    with pytest.raises(ConfigError, match=r"^v=1\.0 is too large"):
+        ControlParams(v=1.0, eps_d=1.0, expected_price_ris=1e308, expected_price_spectrum=1e308)
+
+
+# --- record_dict ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def serialized_records() -> dict:
+    """One instance of every record the package serializes, built as the
+    package builds it, by name."""
+    from leasesim.environment import ScenarioConfig, with_seed
+    from leasesim.intent import AssuranceReport, IntentSpec, assure, derive_scenario, translate_intent
+    from leasesim.policies import parse_policy
+    from leasesim.reporting import sweep
+    from leasesim.simulator import run
+
+    scenario = ScenarioConfig(horizon_slots=120, initial_backlog=2, seed=3)
+    intent = IntentSpec(payload_mb=300, deadline_s=60, reliability_pct=99, priority="delay_critical")
+    translation = translate_intent(intent, scenario)
+    derived = derive_scenario(translation, scenario)
+    table = sweep(scenario, parse_policy("myopic"), [1.0, 5.0], [0.5])
+    return {
+        "ScenarioConfig": scenario,
+        "ScenarioConfig from with_seed": with_seed(scenario, 2**64 - 1),  # built by frozen()
+        "derived ScenarioConfig": derived,
+        "ControlParams": translation.params,
+        "IntentSpec": intent,
+        "TranslationResult": translation,
+        "AssuranceReport": assure(run(derived, parse_policy("dsf"), translation.params), intent, translation),
+        "AssuranceReport with warnings": AssuranceReport(
+            3, 4, False, False, "fail", ((1, "slot 1: short"), (2, "slot 2: short"))
+        ),
+        "RunSummary": table.rows[0].summary,
+        "SweepCell": table.rows[1],
+    }
+
+
+def _items(document: dict) -> list:
+    """The (key, value) pairs of a dict in order, nested dicts included."""
+    return [(key, _items(value) if isinstance(value, dict) else value) for key, value in document.items()]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ScenarioConfig",
+        "ScenarioConfig from with_seed",
+        "derived ScenarioConfig",
+        "ControlParams",
+        "IntentSpec",
+        "TranslationResult",
+        "AssuranceReport",
+        "AssuranceReport with warnings",
+        "RunSummary",
+        "SweepCell",
+    ],
+)
+def test_record_dict_equals_asdict_in_key_order(serialized_records, name):
+    record = serialized_records[name]
+    assert _items(record_dict(record)) == _items(dataclasses.asdict(record))
+
+
+def test_record_dict_is_shallow():
+    """Only nested records become new dicts; other values are the record's own."""
+    from leasesim.intent import AssuranceReport
+
+    warnings = ((1, "slot 1: short"),)
+    report = AssuranceReport(3, 4, False, False, "fail", warnings)
+    assert record_dict(report)["drift_warnings"] is warnings
+
+
+def test_no_module_uses_dataclasses_asdict():
+    """record_dict is the one serialization rule for records: no module of
+    the package imports, names or calls dataclasses.asdict."""
+    import leasesim
+
+    found = []
+    for path in sorted(Path(leasesim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if "asdict" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -191,6 +191,13 @@ def test_reseeded_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatc
         )
 
 
+@pytest.mark.parametrize("crn", [True, False])
+def test_sweep_rejects_a_v_whose_threshold_overflows_before_any_cell_runs(monkeypatch, crn):
+    _no_cell_runs(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^v=1e\+308 is too large: the lease threshold"):
+        sweep(ScenarioConfig(horizon_slots=10), DSF, [1.0, 1e308], [1.0], common_random_numbers=crn)
+
+
 def test_crn_sweep_equals_cell_by_cell_runs():
     scenario = ScenarioConfig(horizon_slots=300, initial_backlog=2, seed=23)
     v_grid, eps_grid = [1.0, 10.0, 50.0], [0.5, 2.0]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leasesim import _kernels, core
+from leasesim import _kernels, core, simulator
 from leasesim.core import (
     ConfigError,
     ControlParams,
@@ -536,3 +536,73 @@ def test_runs_traces_do_not_share_market_columns():
     want = run(scenario, GREEDY, params)
     for name in TRACE_COLUMNS:
         assert second.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+def test_default_params_rejects_a_v_whose_threshold_overflows():
+    scenario = ScenarioConfig(horizon_slots=10)
+    with pytest.raises(ConfigError, match=r"^v=1e\+308 is too large: the lease threshold"):
+        default_params(scenario, v=1e308, eps_d=1.0)
+
+
+@pytest.mark.parametrize("label", ALL_POLICIES)
+def test_price_reading_kinds_are_the_kinds_whose_wishes_follow_prices(monkeypatch, label):
+    """Permuting a market's realized prices leaves every wish of a
+    price-blind kind as it was and changes some wish of a price-reading
+    one: PRICE_READING_KINDS names exactly the kinds that read joint_price."""
+    scenario = ScenarioConfig(horizon_slots=400, initial_backlog=3, seed=21)
+    policy = parse_policy(label)
+    params = default_params(scenario, v=2.0, eps_d=1.0)
+    market = draw_realization(scenario)
+    order = np.random.default_rng(5).permutation(len(market))
+    permuted = dataclasses.replace(
+        market, price_ris=market.price_ris[order], price_spectrum=market.price_spectrum[order]
+    )
+    monkeypatch.setattr(simulator, "draw_realization", lambda scenario: market)
+    wishes = run(scenario, policy, params).column("x_desired")
+    monkeypatch.setattr(simulator, "draw_realization", lambda scenario: permuted)
+    permuted_wishes = run(scenario, policy, params).column("x_desired")
+    reads_prices = policy.kind in _kernels.PRICE_READING_KINDS
+    assert np.array_equal(wishes, permuted_wishes) is not reads_prices
+
+
+def test_mixed_runs_equal_separate_runs():
+    """compare's cells (dsf, myopic, price_only:8) on one market: the
+    joint-price list is built for all of them, and each trace is
+    byte-equal to run() of its cell alone."""
+    scenario = ScenarioConfig(horizon_slots=500, initial_backlog=3, seed=29)
+    params = default_params(scenario, v=10.0, eps_d=1.0)
+    policies = [parse_policy(label) for label in ("dsf", "myopic", "price_only:8")]
+    for policy, got in zip(policies, runs(scenario, [(policy, params) for policy in policies]), strict=True):
+        want = run(scenario, policy, params)
+        for name in TRACE_COLUMNS:
+            assert got.column(name).dtype == want.column(name).dtype, name
+            assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "labels, list_built",
+    [
+        (["dsf", "dsf_exact_argmin", "periodic:3", "greedy", "queue_threshold:5"], False),
+        (["dsf", "myopic"], True),
+        (["price_only:8"], True),
+    ],
+)
+def test_python_loop_gets_a_price_list_only_for_price_reading_kinds(monkeypatch, labels, list_built):
+    """On the python backend the joint-price list is built only when a cell
+    reads it; otherwise the loop is handed the unread array."""
+    calls = []
+
+    def loop(*args):
+        calls.append(args)
+        return _kernels._slot_loop(*args)
+
+    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
+    scenario = ScenarioConfig(horizon_slots=50, seed=4)
+    params = default_params(scenario, v=5.0, eps_d=1.0)
+    traces = list(runs(scenario, [(parse_policy(label), params) for label in labels]))
+    assert len(traces) == len(calls) == len(labels)
+    for args in calls:
+        arrival, joint_price = args[4], args[5]
+        assert type(arrival) is list
+        assert type(joint_price) is (list if list_built else np.ndarray)
