@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .reporting import (
     read_realization_csv,
     read_trace_csv,
     report_header,
-    summarize,
+    summarize,  # unused here; perfbench's tracer wraps cli.summarize
     sweep,
     sweep_to_dict,
     write_comparison_series_csv,
@@ -96,6 +97,15 @@ def _load_scenario(path: str | None) -> ScenarioConfig:
     return scenario_from_dict(_load_json(path))
 
 
+def _check_outputs(*paths: str | Path | None) -> None:
+    """Fail before the first write when an output path is an existing
+    directory, so a command that writes two files leaves neither; None
+    stands for an output not asked for."""
+    for path in paths:
+        if path and os.path.isdir(path):
+            raise ConfigError(f"{path}: is a directory, expected a file path")
+
+
 def _summary_json_path(out: str) -> str:
     if out.endswith(".csv"):
         return out[: -len(".csv")] + ".summary.json"
@@ -108,12 +118,12 @@ def cmd_run(args) -> int:
         scenario = with_seed(scenario, args.seed)
     policy = parse_policy(args.policy)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
+    summary_path = _summary_json_path(args.out)
+    _check_outputs(summary_path, args.out)
     trace = run(scenario, policy, params)
     # the summary first: a value JSON cannot hold then leaves no file behind
-    summary_path = _summary_json_path(args.out)
-    write_summary_json(trace, summary_path)
+    summary = write_summary_json(trace, summary_path)
     write_trace_csv(trace, args.out)
-    summary = summarize(trace)
     print(
         f"wrote {args.out} and {summary_path}: "
         f"cost={summary.accumulated_cost:.2f} "
@@ -128,9 +138,10 @@ def cmd_sweep(args) -> int:
     policy = parse_policy(args.policy)
     v_grid = _parse_float_list(args.v, "--v")
     eps_grid = _parse_float_list(args.eps, "--eps")
+    csv_path = args.out[: -len(".json")] + ".csv" if args.out.endswith(".json") else args.out + ".csv"
+    _check_outputs(args.out, csv_path)
     table = sweep(scenario, policy, v_grid, eps_grid, common_random_numbers=args.crn)
     write_json(sweep_to_dict(table, scenario), args.out)
-    csv_path = args.out[: -len(".json")] + ".csv" if args.out.endswith(".json") else args.out + ".csv"
     write_sweep_csv(table, csv_path)
     print(f"wrote {args.out} and {csv_path}: {len(table.rows)} cells")
     return 0
@@ -142,11 +153,12 @@ def cmd_compare(args) -> int:
     if not policies:
         raise ConfigError("--policies: no policies given")
     params = default_params(scenario, v=args.v, eps_d=args.eps)
-    results = compare(scenario, policies, params)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series_path = out_dir / "series.csv"
     ranking_path = out_dir / "ranking.json"
+    _check_outputs(ranking_path, series_path)
+    results = compare(scenario, policies, params)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ranking = comparison_ranking(results)
     # the ranking first: a value JSON cannot hold then leaves no file behind
     write_json(
@@ -189,8 +201,15 @@ def cmd_intent(args) -> int:
         "intent": record_dict(intent),
         "translation": record_dict(translation),
     }
+    # both texts before the first write: a derivation or a value JSON
+    # cannot hold then leaves no file behind and prints nothing
+    text = json_text(document, args.out or "stdout")
+    if args.scenario_out:
+        derived = derive_scenario(translation, scenario, streaming=args.streaming)
+        derived_text = json_text(record_dict(derived), args.scenario_out)
+    _check_outputs(args.out, args.scenario_out)
     if args.out:
-        write_json(document, args.out)
+        Path(args.out).write_text(text)
         print(
             f"wrote {args.out}: v={translation.params.v:.2f} "
             f"eps_d={translation.params.eps_d:g} "
@@ -199,11 +218,9 @@ def cmd_intent(args) -> int:
             f"feasible={translation.feasible}"
         )
     else:
-        # the file's strict rule: a value JSON cannot hold prints nothing
-        sys.stdout.write(json_text(document, "stdout"))
+        sys.stdout.write(text)
     if args.scenario_out:
-        derived = derive_scenario(translation, scenario, streaming=args.streaming)
-        write_json(record_dict(derived), args.scenario_out)
+        Path(args.scenario_out).write_text(derived_text)
         # stdout must stay parseable JSON when the translation went there
         print(f"wrote {args.scenario_out}", file=sys.stdout if args.out else sys.stderr)
     return 0
@@ -267,92 +284,119 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
+    p.add_argument("--policy", default="dsf", help="policy string: name or name:param")
+    p.add_argument("--v", type=float, default=10.0, help="cost weight (default 10)")
+    p.add_argument("--eps", type=float, default=1.0, help="deferral weight (default 1)")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--out", default="trace.csv", help="trace CSV path (default trace.csv)")
+
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
+    p.add_argument("--policy", default="dsf", help="policy string")
+    p.add_argument("--v", default=DEFAULT_V_GRID, help=f"comma list (default {DEFAULT_V_GRID})")
+    p.add_argument(
+        "--eps", default=DEFAULT_EPS_GRID, help=f"comma list (default {DEFAULT_EPS_GRID})"
+    )
+    p.add_argument(
+        "--crn",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="share one realization across cells (default on)",
+    )
+    p.add_argument("--out", default="sweep.json", help="table JSON path (default sweep.json)")
+
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
+    p.add_argument(
+        "--policies",
+        default=DEFAULT_COMPARE_POLICIES,
+        help=f"comma list of policy strings (default {DEFAULT_COMPARE_POLICIES})",
+    )
+    p.add_argument("--v", type=float, default=10.0, help="cost weight (default 10)")
+    p.add_argument("--eps", type=float, default=1.0, help="deferral weight (default 1)")
+    p.add_argument("--out", default="compare", help="output directory (default compare/)")
+
+
+def _intent_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--file", required=True, help="intent JSON path")
+    p.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
+    p.add_argument(
+        "--slot-duration", type=float, default=SLOT_DURATION_S, help="seconds per slot (default 1)"
+    )
+    p.add_argument(
+        "--packet-size", type=float, default=PACKET_SIZE_MB, help="MB per packet (default 10)"
+    )
+    p.add_argument("--out", help="translation JSON path (stdout when omitted)")
+    p.add_argument("--scenario-out", help="also write the derived scenario JSON here")
+    p.add_argument(
+        "--streaming",
+        action="store_true",
+        help="derive a streaming scenario (spread arrivals) instead of bulk backlog",
+    )
+
+
+def _assure_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trace", required=True, help="trace CSV path")
+    p.add_argument("--intent", required=True, help="intent JSON path")
+    p.add_argument(
+        "--translation", required=True, help="translation JSON (as written by the intent command)"
+    )
+    p.add_argument("--out", help="assurance report JSON path")
+
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--realization", required=True, help="CSV with arrival/price/availability columns"
+    )
+    p.add_argument("--initial-backlog", type=int, required=True, help="packets at slot 1")
+    p.add_argument("--deadline", type=int, required=True, help="slots to clear by")
+    p.add_argument("--out", help="result JSON path")
+
+
+# name: (help line, arguments, handler), in the order --help lists them
+SUBCOMMANDS = {
+    "run": ("simulate one policy, write trace CSV + summary JSON", _run_arguments, cmd_run),
+    "sweep": ("grid of (v, eps) cells, JSON + long CSV", _sweep_arguments, cmd_sweep),
+    "compare": ("policies on a common realization", _compare_arguments, cmd_compare),
+    "intent": ("translate an intent JSON into control params", _intent_arguments, cmd_intent),
+    "assure": ("verify a trace against an intent", _assure_arguments, cmd_assure),
+    "oracle": ("offline minimum-cost schedule", _oracle_arguments, cmd_oracle),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with `command` naming a subcommand, one that
+    holds only that subcommand's parser.
+
+    Building all six subparsers costs about three times what one does, and
+    a call runs one. A subcommand's own help, usage and errors come from
+    its subparser and the top-level usage never lists the choices, so the
+    one-subcommand parser prints the same bytes for them. Any other
+    `command` (None, a flag, an unknown name) builds the full parser, whose
+    help lists every subcommand and whose errors name every choice.
+    """
     parser = _Parser(
         prog="leasesim",
         description="Cost- and delay-aware leasing simulator for RIS and spectrum resources.",
     )
     parser.add_argument("--version", action="version", version=f"leasesim {VERSION}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p_run = subparsers.add_parser("run", help="simulate one policy, write trace CSV + summary JSON")
-    p_run.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
-    p_run.add_argument("--policy", default="dsf", help="policy string: name or name:param")
-    p_run.add_argument("--v", type=float, default=10.0, help="cost weight (default 10)")
-    p_run.add_argument("--eps", type=float, default=1.0, help="deferral weight (default 1)")
-    p_run.add_argument("--seed", type=int, help="override the scenario seed")
-    p_run.add_argument("--out", default="trace.csv", help="trace CSV path (default trace.csv)")
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = subparsers.add_parser("sweep", help="grid of (v, eps) cells, JSON + long CSV")
-    p_sweep.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
-    p_sweep.add_argument("--policy", default="dsf", help="policy string")
-    p_sweep.add_argument("--v", default=DEFAULT_V_GRID, help=f"comma list (default {DEFAULT_V_GRID})")
-    p_sweep.add_argument(
-        "--eps", default=DEFAULT_EPS_GRID, help=f"comma list (default {DEFAULT_EPS_GRID})"
-    )
-    p_sweep.add_argument(
-        "--crn",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share one realization across cells (default on)",
-    )
-    p_sweep.add_argument("--out", default="sweep.json", help="table JSON path (default sweep.json)")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_compare = subparsers.add_parser("compare", help="policies on a common realization")
-    p_compare.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
-    p_compare.add_argument(
-        "--policies",
-        default=DEFAULT_COMPARE_POLICIES,
-        help=f"comma list of policy strings (default {DEFAULT_COMPARE_POLICIES})",
-    )
-    p_compare.add_argument("--v", type=float, default=10.0, help="cost weight (default 10)")
-    p_compare.add_argument("--eps", type=float, default=1.0, help="deferral weight (default 1)")
-    p_compare.add_argument("--out", default="compare", help="output directory (default compare/)")
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_intent = subparsers.add_parser("intent", help="translate an intent JSON into control params")
-    p_intent.add_argument("--file", required=True, help="intent JSON path")
-    p_intent.add_argument("--scenario", help="scenario JSON (defaults used when omitted)")
-    p_intent.add_argument(
-        "--slot-duration", type=float, default=SLOT_DURATION_S, help="seconds per slot (default 1)"
-    )
-    p_intent.add_argument(
-        "--packet-size", type=float, default=PACKET_SIZE_MB, help="MB per packet (default 10)"
-    )
-    p_intent.add_argument("--out", help="translation JSON path (stdout when omitted)")
-    p_intent.add_argument("--scenario-out", help="also write the derived scenario JSON here")
-    p_intent.add_argument(
-        "--streaming",
-        action="store_true",
-        help="derive a streaming scenario (spread arrivals) instead of bulk backlog",
-    )
-    p_intent.set_defaults(func=cmd_intent)
-
-    p_assure = subparsers.add_parser("assure", help="verify a trace against an intent")
-    p_assure.add_argument("--trace", required=True, help="trace CSV path")
-    p_assure.add_argument("--intent", required=True, help="intent JSON path")
-    p_assure.add_argument(
-        "--translation", required=True, help="translation JSON (as written by the intent command)"
-    )
-    p_assure.add_argument("--out", help="assurance report JSON path")
-    p_assure.set_defaults(func=cmd_assure)
-
-    p_oracle = subparsers.add_parser("oracle", help="offline minimum-cost schedule")
-    p_oracle.add_argument(
-        "--realization", required=True, help="CSV with arrival/price/availability columns"
-    )
-    p_oracle.add_argument("--initial-backlog", type=int, required=True, help="packets at slot 1")
-    p_oracle.add_argument("--deadline", type=int, required=True, help="slots to clear by")
-    p_oracle.add_argument("--out", help="result JSON path")
-    p_oracle.set_defaults(func=cmd_oracle)
-
+    for name in [command] if command in SUBCOMMANDS else SUBCOMMANDS:
+        help_line, add_arguments, handler = SUBCOMMANDS[name]
+        subparser = subparsers.add_parser(name, help=help_line)
+        add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits for --help/--version/usage errors

@@ -169,27 +169,42 @@ def compare(
 # serialization
 
 
+def _column_texts(values: np.ndarray, end: str) -> tuple[list[str], np.ndarray]:
+    """Each distinct value of a column formatted once, with `end`
+    appended, and every row's index into those texts.
+
+    A float prints as repr(float) and is told apart by its bit pattern, so
+    -0.0 keeps its sign; anything else prints as str(value). An integer
+    column whose range is shorter than the column (max - min < len, as
+    the trace's slot index, flags and counts are) indexes the texts of
+    min..max by `values - min`, with no sort; a wider range, such as the
+    int64 extremes, and an object column, such as 64-bit sweep seeds
+    held as Python ints, take np.unique.
+    """
+    if values.dtype.kind == "f":
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+        bits, inverse = np.unique(bits, return_inverse=True)
+        return [repr(value) + end for value in bits.view(np.float64).tolist()], inverse
+    if values.dtype.kind in "iu" and len(values):
+        low, high = int(values.min()), int(values.max())
+        if high - low < len(values):
+            return [str(value) + end for value in range(low, high + 1)], values - low
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return [str(value) + end for value in distinct.tolist()], inverse
+
+
 def _write_csv(path: str | Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
     """Write equal-length columns under `header`: the one CSV formatting rule.
 
-    A float column prints as repr(float), an integer or text column as
-    str(value), in csv.writer's excel dialect: cells joined by ",", rows
-    ending in CRLF, and no quoting, since no cell written here holds a
-    comma, a quote or a line break. Each distinct value of a column is
-    formatted once, separator included; floats are told apart by their
-    bit pattern, so -0.0 keeps its sign. The texts are scattered into an
-    (n, columns) grid and written with one join.
+    Cells are joined by "," and rows end in CRLF, as csv.writer's excel
+    dialect writes them, with no quoting, since no cell written here holds
+    a comma, a quote or a line break. `_column_texts` formats each
+    distinct value of a column once, separator included; the texts are
+    scattered into an (n, columns) grid and written with one join.
     """
     grid = np.empty((len(columns[0]), len(columns)), dtype=object)
     for j, values in enumerate(columns):
-        end = "\r\n" if j == len(columns) - 1 else ","
-        if values.dtype.kind == "f":
-            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-            bits, inverse = np.unique(bits, return_inverse=True)
-            texts = [repr(value) + end for value in bits.view(np.float64).tolist()]
-        else:
-            distinct, inverse = np.unique(values, return_inverse=True)
-            texts = [str(value) + end for value in distinct.tolist()]
+        texts, inverse = _column_texts(values, "\r\n" if j == len(columns) - 1 else ",")
         grid[:, j] = np.array(texts, dtype=object)[inverse]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -372,14 +387,17 @@ def _first_non_finite(node, key: str = "") -> tuple[str, float] | None:
     return None
 
 
-def write_summary_json(trace: Trace, path: str | Path) -> None:
+def write_summary_json(trace: Trace, path: str | Path) -> RunSummary:
+    """Write the trace's header and summary as JSON; returns the summary."""
     if trace.scenario is None or trace.policy is None or trace.params is None:
         raise ConfigError("trace lacks scenario/policy/params; cannot build a summary header")
+    summary = summarize(trace)
     document = {
         "header": report_header(trace.scenario, trace.policy, trace.params),
-        "summary": record_dict(summarize(trace)),
+        "summary": record_dict(summary),
     }
     write_json(document, path)
+    return summary
 
 
 def sweep_to_dict(table: SweepTable, scenario: ScenarioConfig) -> dict:

@@ -1,12 +1,18 @@
 """End-to-end CLI tests driven through main(argv)."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from leasesim.cli import main
+import leasesim
+from leasesim import cli, reporting
+from leasesim.cli import SUBCOMMANDS, build_parser, main
 from leasesim.environment import scenario_from_dict
+from leasesim.reporting import read_trace_csv
 
 
 @pytest.fixture
@@ -224,6 +230,55 @@ def test_run_rejects_malformed_scenario_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_run_summarizes_the_trace_once(tmp_path, scenario_path, monkeypatch, capsys):
+    calls = []
+    summarize = reporting.summarize
+
+    def counted(trace):
+        calls.append(trace)
+        return summarize(trace)
+
+    monkeypatch.setattr(reporting, "summarize", counted)
+    monkeypatch.setattr(cli, "summarize", counted, raising=False)  # a direct call from cli counts too
+    assert main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "t.csv")]) == 0
+    expected = summarize(read_trace_csv(tmp_path / "t.csv"))
+    assert len(calls) == 1
+    assert f"cost={expected.accumulated_cost:.2f} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, directory",
+    [
+        (["run", "--out", "adir"], "adir"),
+        (["run", "--out", "t.csv"], "t.summary.json"),
+        (["sweep", "--v", "1", "--eps", "1", "--out", "s.json"], "s.csv"),
+        (["sweep", "--v", "1", "--eps", "1", "--out", "s.json"], "s.json"),
+        (["compare", "--policies", "greedy", "--out", "cmp"], "cmp/series.csv"),
+        (["intent", "--file", "intent.json", "--out", "tr.json", "--scenario-out", "der.json"], "der.json"),
+        (["intent", "--file", "intent.json", "--scenario-out", "der.json"], "der.json"),
+    ],
+    ids=["run_out", "run_summary", "sweep_csv", "sweep_json", "compare_series", "intent_scenario_out",
+         "intent_stdout"],
+)
+def test_an_output_path_that_is_a_directory_leaves_no_file(
+    tmp_path, scenario_path, monkeypatch, capsys, argv, directory
+):
+    """A command that writes more than one file checks every output path
+    before the first write, so it exits 1 naming the directory and leaves
+    no half of its result behind."""
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "intent.json", {"payload_mb": 1000, "deadline_s": 900, "reliability_pct": 99})
+    (tmp_path / directory).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    scenario = [] if argv[0] == "intent" else ["--scenario", scenario_path]
+    assert main(argv + scenario) == 1
+    captured = capsys.readouterr()
+    assert f"error: {directory}: is a directory, expected a file path" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # --- sweep -------------------------------------------------------------
 
 
@@ -431,6 +486,23 @@ def test_intent_bad_document(tmp_path, capsys):
     intent_path = write_json(tmp_path, "intent.json", {"payload_mb": 10})
     assert main(["intent", "--file", intent_path]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+def test_intent_derivation_failure_leaves_no_file(tmp_path, capsys, out):
+    """The derived backlog of a 1e20 MB payload breaks initial_backlog's
+    bound; the scenario is derived before the first write, so no
+    translation is written or printed."""
+    intent_path = write_json(tmp_path, "big.json", {"payload_mb": 1e20, "deadline_s": 900, "reliability_pct": 99})
+    argv = ["intent", "--file", intent_path, "--scenario-out", str(tmp_path / "der.json")]
+    if out:
+        argv += ["--out", str(tmp_path / "tr.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: initial_backlog must be <= " in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["big.json"]
 
 
 # --- assure ------------------------------------------------------------
@@ -685,3 +757,74 @@ def test_help_and_version_exit_zero(capsys):
     assert "leasesim" in capsys.readouterr().out
     assert main(["--version"]) == 0
     assert "leasesim" in capsys.readouterr().out
+
+
+# --- one subcommand's parser -------------------------------------------
+
+
+def full_parser_output(argv, capsys):
+    """(exit code, stdout, stderr) of the parser holding all six subcommands."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return (0 if exc.value.code in (None, 0) else 1), captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+@pytest.mark.parametrize(
+    "tail", [["--help"], ["-h"], ["--out"], ["--wat"]], ids=["help", "h", "missing_value", "unknown_flag"]
+)
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, command, tail):
+    """main builds only the subcommand it runs; its help and usage errors,
+    the subparser's own and the top-level "unrecognized arguments", are
+    byte-identical to the full parser's."""
+    expected = full_parser_output([command] + tail, capsys)
+    code = main([command] + tail)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    if tail[0] in ("--help", "-h"):
+        assert expected[1].startswith(f"usage: leasesim {command}")
+    else:
+        assert expected[0] == 1 and expected[2].startswith("usage: leasesim")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "run"], ["bogus"], []], ids=["help", "h_run", "bogus", "empty"])
+def test_other_argv_builds_the_full_parser(capsys, argv):
+    expected = full_parser_output(argv, capsys)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    listing = captured.out if argv and argv[0] in ("--help", "-h") else captured.err
+    if argv:  # --help lists every subcommand; an unknown one names every choice
+        assert all(name in listing for name in SUBCOMMANDS)
+
+
+def subcommand_names(parser):
+    (action,) = [action for action in parser._actions if action.dest == "command"]
+    return list(action.choices)
+
+
+def test_build_parser_holds_only_the_named_subcommand():
+    assert subcommand_names(build_parser("run")) == ["run"]
+    for command in SUBCOMMANDS:
+        assert subcommand_names(build_parser(command)) == [command]
+    for other in (None, "bogus", "--help", "-h"):
+        assert subcommand_names(build_parser(other)) == list(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["help", "run_help"])
+def test_module_entry_point_reads_sys_argv(capsys, argv):
+    """`python -m leasesim` calls main() with no argv, so the subcommand
+    comes from sys.argv; its output equals main(argv) in process."""
+    src = str(Path(leasesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "leasesim", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(argv) == 0
+    assert result.stdout == capsys.readouterr().out
+    if argv == ["--help"]:
+        assert all(name in result.stdout for name in SUBCOMMANDS)
+    else:
+        assert result.stdout.startswith("usage: leasesim run")

@@ -1,12 +1,14 @@
 """The bulk trace CSV writer and reader against their per-cell references.
 
 `write_trace_csv` formats each distinct value of a column once and joins
-one grid; `_read_csv_columns` parses the body with numpy's loadtxt and
+one grid, indexing the texts of a small integer range by value instead of
+sorting; `_read_csv_columns` parses the body with numpy's loadtxt and
 falls back to the csv module. The references below are the per-cell
 trace writer, the csv.writer sweep writer and the csv-module reader they
-replaced, kept verbatim: for every trace or table the bytes must match,
-and for every CSV text both readers must return the same arrays with the
-same dtypes or raise the same error.
+replaced, kept verbatim, and a csv.writer comparison-series writer: for
+every trace or table the bytes must match, and for every CSV text both
+readers must return the same arrays with the same dtypes or raise the
+same error.
 """
 import csv
 import math
@@ -22,11 +24,12 @@ from hypothesis import strategies as st
 from leasesim import reporting
 from leasesim.core import ConfigError, check_int, check_price
 from leasesim.environment import MARKET_FIELDS, ScenarioConfig
-from leasesim.policies import parse_policy
+from leasesim.policies import parse_policy, policy_label
 from leasesim.reporting import (
     read_realization_csv,
     read_trace_csv,
     sweep,
+    write_comparison_series_csv,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -192,6 +195,77 @@ def reference_write_sweep_csv(table, path):
 def test_sweep_writer_matches_the_csv_writer_reference_on_64_bit_seeds(tmp_path):
     table = sweep(ScenarioConfig(horizon_slots=30), parse_policy("dsf"), [1, 2.5], [1.0, 3], False)
     seeds = [0, 2**63 - 1, 2**63, 2**64 - 1]
+    table = replace(table, rows=tuple(replace(cell, seed=seed) for cell, seed in zip(table.rows, seeds)))
+    reference_write_sweep_csv(table, tmp_path / "reference.csv")
+    write_sweep_csv(table, tmp_path / "bulk.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "ints, sorted_",
+    [
+        ([7, 7, 7, 7, 7], False),
+        ([-3, -1, -2, -3, 0], False),
+        ([0, 4, 2, 2, 1], False),  # max - min == n - 1
+        ([0, 5, 2, 2, 1], True),  # max - min == n
+        ([2**63 - 1, 2**63 - 3, 2**63 - 2], False),
+        ([-(2**63), -(2**63) + 1], False),
+        ([-(2**63), 2**63 - 1, 0], True),
+        ([9], False),
+    ],
+    ids=["repeated", "negative_small_range", "range_n_minus_1", "range_n", "near_int64_max",
+         "near_int64_min", "int64_extremes", "one_row"],
+)
+def test_writer_indexes_small_integer_ranges_without_a_sort(tmp_path, monkeypatch, ints, sorted_):
+    """An integer column with max - min < n takes the sort-free path and a
+    wider one takes np.unique; both write the reference's bytes."""
+    n = len(ints)
+    trace = Trace({
+        name: np.array(ints, dtype=np.int64) if name in INT_TRACE_COLUMNS else np.linspace(-1.5, 2.5, n)
+        for name in TRACE_COLUMNS
+    })
+    reference_write_trace_csv(trace, tmp_path / "reference.csv")
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda values, **kw: calls.append(values) or unique(values, **kw))
+    write_trace_csv(trace, tmp_path / "bulk.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    float_columns = len(TRACE_COLUMNS) - len(INT_TRACE_COLUMNS)
+    assert len(calls) == float_columns + (len(INT_TRACE_COLUMNS) if sorted_ else 0)
+
+
+def reference_write_comparison_series_csv(results, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["policy", "t", "cumulative_average_cost"])
+        for policy, _summary, series in results:
+            for t, value in enumerate(series, start=1):
+                writer.writerow([policy_label(policy), str(t), repr(float(value))])
+
+
+@pytest.mark.parametrize(
+    "lengths", [[], [0], [0, 3], [3, 3], [1, 5, 2]], ids=["no_policy", "empty", "empty_and_3", "3_3", "1_5_2"]
+)
+def test_comparison_series_writer_matches_the_csv_writer_reference(tmp_path, lengths):
+    labels = ["dsf", "greedy", "periodic:2"]
+    results = [
+        (parse_policy(label), None, [0.5 * t - 0.25 for t in range(length)])
+        for label, length in zip(labels, lengths)
+    ]
+    reference_write_comparison_series_csv(results, tmp_path / "reference.csv")
+    write_comparison_series_csv(results, tmp_path / "bulk.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [[5, 5, 5, 5], [3, 0, 2, 1], [2**64 - 1, 2**64 - 4, 2**64 - 2, 2**64 - 3]],
+    ids=["repeated", "small_range", "small_range_below_2_64"],
+)
+def test_sweep_writer_matches_the_csv_writer_reference_on_narrow_seed_ranges(tmp_path, seeds):
+    """Seeds are Python ints in an object column, which takes np.unique
+    however narrow their range; the spread 64-bit case is the test above."""
+    table = sweep(ScenarioConfig(horizon_slots=30), parse_policy("dsf"), [1, 2.5], [1.0, 3], False)
     table = replace(table, rows=tuple(replace(cell, seed=seed) for cell, seed in zip(table.rows, seeds)))
     reference_write_sweep_csv(table, tmp_path / "reference.csv")
     write_sweep_csv(table, tmp_path / "bulk.csv")
