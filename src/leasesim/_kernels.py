@@ -1,4 +1,4 @@
-"""The slot loop, written once and compiled two ways.
+"""The slot loop: one rule table, one template, a loop per policy kind.
 
 The recurrence over (q, z) cannot be vectorized, so the loop is the hot
 kernel of every run, and it does nothing else. It reads three market
@@ -19,23 +19,33 @@ gains eps_d > 0 or nothing, so from q0, z0 >= 0 and arrivals >= 0
 neither can go negative. The threshold of both dsf rules,
 v * (expected_price_ris + expected_price_spectrum), comes in precomputed.
 
-It takes any indexable sequences for its columns: the plain-Python
+RULES holds each policy kind's decision as one expression; _TEMPLATE
+is the loop around it. The first time a (kind, freeze_z) pair is run,
+kind_loop fills the template with the kind's rule and the pair's
+accrual of z and generates that loop with exec, as core.frozen
+generates record builders, and keeps it. A generated loop tests neither
+the kind nor freeze_z on any slot. It stores a wish only when it is
+True, so the caller hands it a zeroed wish buffer: a list of False, or
+an array of zeros. _slot_loop, the loop get_loop returns, takes the
+policy code and freeze_z among its 17 arguments and selects the
+generated loop once per call. The rules must stay in sync with
+policies.decide, which is written out on its own; tests enforce
+agreement on randomized inputs.
+
+The loop takes any indexable sequences for its columns: the plain-Python
 backend is handed lists to read (indexing a list is far cheaper than
 reading a numpy scalar) and stores its float outputs through memoryviews
-of their arrays; numba's njit is handed arrays. Only the
-PRICE_READING_KINDS read joint_price, so where no cell of a market has
-one of them, the python backend is handed that array, unread, instead
-of a list. All randomness is drawn before the loop, so both backends
-produce bit-identical traces. Only this variable selects, once per
-market; step always runs the plain loop:
+of their arrays; numba's njit is handed arrays and compiles the same
+generated source. Only the PRICE_READING_KINDS, whose rule names
+joint_price, read it, so where no cell of a market has one of them, the
+python backend is handed that array, unread, instead of a list. All
+randomness is drawn before the loop, so both backends produce
+bit-identical traces. Only this variable selects, once per market; step
+always runs the plain loop:
 
     LEASESIM_BACKEND=auto    njit when numba is importable (default)
     LEASESIM_BACKEND=numba   require njit
     LEASESIM_BACKEND=python  force the plain loop
-
-The seven decision rules below are kept inline, so numba compiles the
-same source, and must stay in sync with policies.decide; tests enforce
-agreement on randomized inputs.
 """
 from __future__ import annotations
 
@@ -53,78 +63,101 @@ except ImportError:
 
 ENV_VAR = "LEASESIM_BACKEND"
 
-# integer codes keep the kernel free of string dispatch
-POLICY_CODES = {
-    "dsf": 0,
-    "dsf_exact_argmin": 1,
-    "periodic": 2,
-    "greedy": 3,
-    "price_only": 4,
-    "queue_threshold": 5,
-    "myopic": 6,
+# one decision rule per policy kind: the wish, as an expression in the
+# template's names (q is the backlog after the slot's arrival, i the
+# slot's offset from t0); each must agree with policies.decide
+RULES = {
+    "dsf": "q + z > threshold",  # threshold rule on expected prices
+    "dsf_exact_argmin": "q + eps_d * z > threshold",  # exact argmin, expected prices
+    "periodic": "(t0 + i) % period_k == 0 and q > 0.0",  # periodic cadence
+    "greedy": "q > 0.0",
+    "price_only": "joint_price[i] <= price_cutoff and q > 0.0",
+    "queue_threshold": "q >= queue_cutoff",
+    "myopic": "q + eps_d * z > v * joint_price[i]",  # exact argmin, realized prices
 }
 
+# integer codes keep the kernel free of string dispatch
+POLICY_CODES = {kind: code for code, kind in enumerate(RULES)}
+
 # the kinds whose rule reads joint_price; the others never index it
-PRICE_READING_KINDS = frozenset({"price_only", "myopic"})
+PRICE_READING_KINDS = frozenset(kind for kind, want in RULES.items() if "joint_price" in want)
 
-
-def _slot_loop(
-    q0,
-    z0,
-    t0,
-    freeze_z,
-    arrival,
-    joint_price,
-    joint_avail,
-    policy_code,
-    period_k,
-    price_cutoff,
-    queue_cutoff,
-    v,
-    eps_d,
-    threshold,
-    x_desired,
-    q_after,
-    z_after,
-):
+# the loop of one (kind, freeze_z) pair; {want} is the kind's rule and
+# {accrual} what z gains in a slot without a lease. Split on r, core's
+# z - r + eps * (1 - r) is z - 1.0 with a lease and z + eps without one,
+# the same IEEE results for any finite eps, which ControlParams guarantees
+_TEMPLATE = """\
+def {name}(q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
+        queue_cutoff, v, eps_d, threshold, x_desired, q_after, z_after):
     q = q0
     z = z0
     for i in range(len(arrival)):
         q = q + arrival[i]  # arrival joins before the policy looks
-
-        if policy_code == 0:  # threshold rule on expected prices
-            want = q + z > threshold
-        elif policy_code == 1:  # exact argmin, expected prices
-            want = q + eps_d * z > threshold
-        elif policy_code == 2:  # periodic cadence
-            want = (t0 + i) % period_k == 0 and q > 0.0
-        elif policy_code == 3:  # greedy
-            want = q > 0.0
-        elif policy_code == 4:  # price_only
-            want = joint_price[i] <= price_cutoff and q > 0.0
-        elif policy_code == 5:  # queue_threshold
-            want = q >= queue_cutoff
-        else:  # myopic: exact argmin, realized prices
-            want = q + eps_d * z > v * joint_price[i]
-
-        # core's z - r + eps * (1 - r), split on r: the same IEEE result
-        # for any finite eps, which ControlParams guarantees
-        if want and joint_avail[i]:  # atomic mask: all or nothing, r = 1
-            q = q - 1.0
-            z = z - 1.0
-            if q < 0.0:  # only a lease can take a queue below zero
-                q = 0.0
-            if z < 0.0:
-                z = 0.0
-        else:  # urgency accrues, unless frozen on an empty queue
-            z = z + (0.0 if freeze_z and q == 0.0 else eps_d)
-
-        x_desired[i] = want
+        if {want}:
+            x_desired[i] = True  # the caller's zeroed buffer holds every other wish
+            if joint_avail[i]:  # atomic mask: all or nothing, r = 1
+                q = q - 1.0
+                z = z - 1.0
+                if q < 0.0:  # only a lease can take a queue below zero
+                    q = 0.0
+                if z < 0.0:
+                    z = 0.0
+            else:
+                z = z + {accrual}
+        else:
+            z = z + {accrual}
         q_after[i] = q
         z_after[i] = z
+"""
+
+# per freeze_z, z's accrual without a lease; frozen, z + 0.0 on an empty queue
+_ACCRUAL = {False: "eps_d", True: "(0.0 if q == 0.0 else eps_d)"}
+
+# per (backend, policy code, freeze_z), the loop kind_loop generated
+_LOOPS: dict = {}
 
 
-_slot_loop_njit = njit(cache=True)(_slot_loop) if HAVE_NUMBA else None
+def kind_loop(backend: str, policy_code: int, freeze_z):
+    """The loop of one policy kind, with z frozen on an empty queue when
+    `freeze_z` is truthy, for `backend`.
+
+    Generated from _TEMPLATE with exec on first use and kept, so each
+    (backend, kind, freeze_z) loop is made once. The source is compiled
+    under this file's name: numba caches only a function it can tie to a
+    source file, and the numba loop keeps cache=True.
+    """
+    key = (backend, policy_code, bool(freeze_z))
+    loop = _LOOPS.get(key)
+    if loop is None:
+        kind = tuple(RULES)[policy_code]
+        name = f"{kind}_loop_frozen" if key[2] else f"{kind}_loop"
+        source = _TEMPLATE.format(name=name, want=RULES[kind], accrual=_ACCRUAL[key[2]])
+        namespace = {"__name__": __name__}
+        exec(compile(source, __file__, "exec"), namespace)
+        loop = namespace[name]
+        if backend == "numba":
+            loop = njit(cache=True)(loop)
+        _LOOPS[key] = loop
+    return loop
+
+
+def _dispatcher(backend: str):
+    """The slot loop of `backend`: it selects the loop of the call's kind
+    and freeze_z once, then runs it on the columns."""
+
+    def _slot_loop(q0, z0, t0, freeze_z, arrival, joint_price, joint_avail, policy_code, period_k,
+                   price_cutoff, queue_cutoff, v, eps_d, threshold, x_desired, q_after, z_after):
+        loop = _LOOPS.get((backend, policy_code, freeze_z)) or kind_loop(backend, policy_code, freeze_z)
+        loop(
+            q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
+            queue_cutoff, v, eps_d, threshold, x_desired, q_after, z_after,
+        )
+
+    return _slot_loop
+
+
+_slot_loop = _dispatcher("python")
+_slot_loop_njit = _dispatcher("numba") if HAVE_NUMBA else None
 
 
 def resolve_backend() -> str:

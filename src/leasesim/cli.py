@@ -70,17 +70,35 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    values = []
+def _parse_list(text: str, flag: str, parse, key=lambda value: value) -> list:
+    """The entries of the comma list `text`, each parsed by `parse`.
+
+    An empty entry, or one whose key equals an earlier entry's, is a
+    ConfigError naming the flag and the entry: a repeat would run twice
+    under one name.
+    """
+    values, seen = [], {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             raise ConfigError(f"{flag}: empty entry in list {text!r}")
+        value = parse(part)
+        name = key(value)
+        if name in seen:
+            raise ConfigError(f"{flag}: {part!r} repeats the earlier entry {seen[name]!r} in list {text!r}")
+        seen[name] = part
+        values.append(value)
+    return values
+
+
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    def parse(part: str) -> float:
         try:
-            values.append(float(part))
+            return float(part)
         except ValueError:
             raise ConfigError(f"{flag}: {part!r} is not a number") from None
-    return values
+
+    return _parse_list(text, flag, parse)
 
 
 def _load_json(path: str) -> dict:
@@ -149,9 +167,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _load_scenario(args.scenario)
-    policies = [parse_policy(part.strip()) for part in args.policies.split(",") if part.strip()]
-    if not policies:
-        raise ConfigError("--policies: no policies given")
+    policies = _parse_list(args.policies, "--policies", parse_policy, policy_label)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
     out_dir = Path(args.out)
     series_path = out_dir / "series.csv"

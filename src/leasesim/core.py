@@ -17,6 +17,7 @@ __all__ = [
     "check_price",
     "check_positive",
     "frozen",
+    "builder",
     "record_dict",
     "QueueState",
     "LeaseDecision",
@@ -83,10 +84,17 @@ def frozen(cls, values):
     into the new instance's __dict__, one constant-key store per field,
     which CPython specializes. Values of the wrong length raise ValueError.
     """
+    return (_BUILDERS.get(cls) or builder(cls))(values)
+
+
+def builder(cls):
+    """The function frozen(cls, values) calls, `build(values)`, generated
+    on first use for `cls` and kept. A caller that builds one class on a
+    hot path looks it up once and skips frozen's lookup on every call."""
     build = _BUILDERS.get(cls)
     if build is None:
         build = _BUILDERS[cls] = _builder(cls)
-    return build(values)
+    return build
 
 
 def _builder(cls):

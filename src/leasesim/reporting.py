@@ -193,22 +193,30 @@ def _column_texts(values: np.ndarray, end: str) -> tuple[list[str], np.ndarray]:
     return [str(value) + end for value in distinct.tolist()], inverse
 
 
+# rows formatted and written per block, which bounds the writer's memory
+_BLOCK_ROWS = 8192
+
+
 def _write_csv(path: str | Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
     """Write equal-length columns under `header`: the one CSV formatting rule.
 
     Cells are joined by "," and rows end in CRLF, as csv.writer's excel
     dialect writes them, with no quoting, since no cell written here holds
-    a comma, a quote or a line break. `_column_texts` formats each
-    distinct value of a column once, separator included; the texts are
-    scattered into an (n, columns) grid and written with one join.
+    a comma, a quote or a line break. Rows go out in blocks of _BLOCK_ROWS:
+    per block, `_column_texts` formats each distinct value of a column's
+    slice once, separator included, and the texts are scattered into a
+    (rows, columns) grid and written with one join. A cell's text depends
+    only on its value, so the blocks change no byte.
     """
-    grid = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for j, values in enumerate(columns):
-        texts, inverse = _column_texts(values, "\r\n" if j == len(columns) - 1 else ",")
-        grid[:, j] = np.array(texts, dtype=object)[inverse]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(grid.ravel().tolist()))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [values[start:start + _BLOCK_ROWS] for values in columns]
+            grid = np.empty((len(block[0]), len(block)), dtype=object)
+            for j, values in enumerate(block):
+                texts, inverse = _column_texts(values, "\r\n" if j == len(block) - 1 else ",")
+                grid[:, j] = np.array(texts, dtype=object)[inverse]
+            fh.write("".join(grid.ravel().tolist()))
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
@@ -221,7 +229,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
         path,
         TRACE_COLUMNS,
         [
-            trace.column(name).astype(np.int64 if name in INT_TRACE_COLUMNS else np.float64)
+            trace.column(name).astype(np.int64 if name in INT_TRACE_COLUMNS else np.float64, copy=False)
             for name in TRACE_COLUMNS
         ],
     )

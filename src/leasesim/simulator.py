@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import POLICY_CODES, PRICE_READING_KINDS, get_loop, resolve_backend
-from .core import ConfigError, ControlParams, QueueState, check_int, check_price, frozen
+from .core import ConfigError, ControlParams, QueueState, builder, check_int, check_price, frozen
 from .environment import (
     MARKET_FIELDS,
     MarketObservation,
@@ -214,14 +214,15 @@ def _run_loop(
     """All trace columns of `loop` run on `market`, the realization's
     _market_columns.
 
-    The output arrays are allocated first. Where the loop reads lists
+    The output arrays are allocated first, the wish zeroed, since the
+    loop stores only the wishes that are True. Where the loop reads lists
     (python), it stores q_after and z_after through memoryviews of them,
     so no float output is kept alive as an object, and the wish goes to
-    a list of bools (singletons, free to hold) packed after the loop.
+    a list of False (singletons, free to hold) packed after the loop.
     """
     n = len(realization)
     market, joint_avail = market
-    outputs = [np.empty(n, dtype=dtype) for dtype in _LOOP_DTYPES]
+    outputs = [np.zeros(n, _LOOP_DTYPES[0]), *(np.empty(n, dtype) for dtype in _LOOP_DTYPES[1:])]
     if isinstance(market[0], list):
         wishes = [False] * n
         views = [memoryview(column) for column in outputs[1:]]
@@ -273,6 +274,10 @@ def run(
     return trace
 
 
+# step's two constructors, looked up once: frozen(cls, values) without its lookup
+_build_record, _build_state = builder(SlotRecord), builder(QueueState)
+
+
 def step(
     state: QueueState,
     observation: MarketObservation,
@@ -306,19 +311,19 @@ def step(
         check_price("observation: price_spectrum", price_spectrum)
         price_ris, price_spectrum = float(price_ris), float(price_spectrum)
     joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
-    x_desired, q_after, z_after = [0], [0], [0]
+    x_desired, q_after, z_after = [False], [0], [0]
     get_loop("python")(
         q, z, t, freeze_z_when_empty, [arrival], [price_ris + price_spectrum], [joint_avail],
         *_kernel_args(policy, params), x_desired, q_after, z_after
     )
-    record = frozen(SlotRecord, _slot_values(
+    record = _build_record(_slot_values(
         t, q, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
         joint_avail, int(x_desired[0]), q_after[0], z_after[0]  # the wish is a bool; records hold ints
     ))
     # the state came in checked and the arrival is >= 0, so the loop's
-    # queues stay >= 0 (it clamps them after a lease) and frozen skips
+    # queues stay >= 0 (it clamps them after a lease) and the builder skips
     # QueueState's check, which every step would pay
-    return frozen(QueueState, (q_after[0], z_after[0])), record
+    return _build_state((q_after[0], z_after[0])), record
 
 
 def _market_slots(

@@ -368,6 +368,43 @@ def test_compare_single_policy(tmp_path, scenario_path):
     assert len(ranking) == 1 and ranking[0]["policy"] == "dsf"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--policies", "dsf,dsf"], "--policies: 'dsf' repeats the earlier entry 'dsf' in list 'dsf,dsf'"),
+        (["compare", "--policies", "dsf, greedy,greedy "],
+         "--policies: 'greedy' repeats the earlier entry 'greedy' in list 'dsf, greedy,greedy '"),
+        # distinct cutoffs whose labels are equal: series.csv could not tell them apart
+        (["compare", "--policies", "price_only:8,price_only:8.0000001"],
+         "--policies: 'price_only:8.0000001' repeats the earlier entry 'price_only:8' in list "
+         "'price_only:8,price_only:8.0000001'"),
+        (["compare", "--policies", "dsf,,greedy"], "--policies: empty entry in list 'dsf,,greedy'"),
+        (["compare", "--policies", "dsf,"], "--policies: empty entry in list 'dsf,'"),
+        (["compare", "--policies", ""], "--policies: empty entry in list ''"),
+        (["sweep", "--v", "1,1"], "--v: '1' repeats the earlier entry '1' in list '1,1'"),
+        (["sweep", "--v", "1,2,1.0"], "--v: '1.0' repeats the earlier entry '1' in list '1,2,1.0'"),
+        (["sweep", "--eps", "0.5,-0.0,0"], "--eps: '0' repeats the earlier entry '-0.0' in list '0.5,-0.0,0'"),
+        (["sweep", "--v", "1,,2"], "--v: empty entry in list '1,,2'"),
+    ],
+    ids=["policy", "policy_spaced", "policy_label", "policy_empty", "policy_trailing", "policy_none",
+         "v", "v_float", "eps_signed_zero", "v_empty"],
+)
+def test_repeated_or_empty_list_entries_exit_one_before_any_run(
+    tmp_path, scenario_path, capsys, monkeypatch, argv, message
+):
+    """A repeated entry would run twice under one name: compare would rank
+    one policy twice, sweep write two identical rows. It exits 1 naming the
+    flag and the entry, as an empty entry does, before anything runs or is
+    written."""
+    ran = []
+    monkeypatch.setattr(cli, "compare", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: ran.append(args))
+    assert main([*argv, "--scenario", scenario_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert ran == []
+    assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
+
+
 # --- intent ------------------------------------------------------------
 
 FLAGSHIP_DOC = {"payload_mb": 1000, "deadline_s": 900, "reliability_pct": 99}

@@ -272,6 +272,36 @@ def test_sweep_writer_matches_the_csv_writer_reference_on_narrow_seed_ranges(tmp
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 7, 9])
+def test_writers_in_blocks_of_three_rows_keep_every_byte(tmp_path, monkeypatch, n):
+    """With blocks of 3 rows, each block formats its own slice: the trace,
+    sweep and comparison-series writers still write the references'
+    bytes, for a length that is a multiple of the block and one that is not,
+    with values repeated across blocks and -0.0 beside 0.0."""
+    monkeypatch.setattr(reporting, "_BLOCK_ROWS", 3)
+    floats = np.resize(np.array([0.0, -0.0, 0.1 + 0.2, 2.5, 0.0, 1e22, math.inf]), n)
+    trace = Trace({
+        name: np.arange(n) % 4 if name in INT_TRACE_COLUMNS else floats for name in TRACE_COLUMNS
+    })
+    reference_write_trace_csv(trace, tmp_path / "reference.csv")
+    write_trace_csv(trace, tmp_path / "bulk.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    results = [(parse_policy("dsf"), None, floats.tolist()), (parse_policy("greedy"), None, floats[1:].tolist())]
+    reference_write_comparison_series_csv(results, tmp_path / "series_reference.csv")
+    write_comparison_series_csv(results, tmp_path / "series.csv")
+    assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "series_reference.csv").read_bytes()
+
+    if n:
+        v_grid = [1.0, 2.5, 4.0][: min(n, 3)]
+        table = sweep(ScenarioConfig(horizon_slots=10), parse_policy("dsf"), v_grid, [1.0, 3], False)
+        seeds = [2**64 - 1 - i % 2 for i in range(len(table.rows))]
+        table = replace(table, rows=tuple(replace(cell, seed=seed) for cell, seed in zip(table.rows, seeds)))
+        reference_write_sweep_csv(table, tmp_path / "sweep_reference.csv")
+        write_sweep_csv(table, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "sweep_reference.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # reader
 

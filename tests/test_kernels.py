@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from leasesim import _kernels, simulator
 from leasesim.core import ConfigError, ControlParams, QueueState, advance_virtual_queue
 from leasesim.environment import Realization, ScenarioConfig, draw_realization
-from leasesim.policies import PolicyInput, decide, parse_policy
+from leasesim.policies import POLICY_KINDS, PolicyInput, decide, parse_policy
 from leasesim.simulator import TRACE_COLUMNS, Trace, _market_columns, _run_loop, default_params, run, step
 
 ALL_POLICIES = [
@@ -53,8 +53,22 @@ def test_resolve_backend_rejects_junk(monkeypatch):
         _kernels.resolve_backend()
 
 
-def test_get_loop_python_is_uncompiled():
-    assert _kernels.get_loop("python") is _kernels._slot_loop
+def test_get_loop_python_is_uncompiled(monkeypatch):
+    """The python loop is not numba's: it runs the plain loop generated
+    for the call's kind."""
+    loop = _kernels.get_loop("python")
+    assert loop is _kernels._slot_loop and loop is not _kernels._slot_loop_njit
+    code = _kernels.POLICY_CODES["greedy"]
+    generated = _kernels.kind_loop("python", code, False)
+    assert not hasattr(generated, "py_func")  # a numba dispatcher has one
+    calls = []
+    monkeypatch.setitem(
+        _kernels._LOOPS, ("python", code, False), lambda *args: calls.append(args) or generated(*args)
+    )
+    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    scenario = ScenarioConfig(horizon_slots=50, initial_backlog=2, seed=3)
+    run(scenario, parse_policy("greedy"), default_params(scenario, v=1.0, eps_d=1.0))
+    assert len(calls) == 1
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
@@ -72,6 +86,76 @@ def test_policy_codes_cover_all_kinds():
         "queue_threshold",
         "myopic",
     }
+
+
+def test_rules_cover_exactly_the_policy_kinds():
+    """One rule per kind: the table, the kernel codes and the policy
+    grammar name the same kinds."""
+    assert set(_kernels.RULES) == set(_kernels.POLICY_CODES) == set(POLICY_KINDS)
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("kind", sorted(_kernels.RULES))
+def test_each_kind_loop_is_generated_once(monkeypatch, kind, freeze):
+    """The first lookup of a (kind, freeze_z) pair generates its loop; a
+    second lookup, a truthy freeze_z of another type and a run through the
+    dispatcher all get the same function object."""
+    monkeypatch.setattr(_kernels, "_LOOPS", {})
+    code = _kernels.POLICY_CODES[kind]
+    loop = _kernels.kind_loop("python", code, freeze)
+    assert _kernels.kind_loop("python", code, freeze) is loop
+    assert _kernels.kind_loop("python", code, 1 if freeze else 0) is loop
+    assert _kernels.kind_loop("python", code, "yes" if freeze else "") is loop
+    assert loop is not _kernels.kind_loop("python", code, not freeze)
+    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    scenario = ScenarioConfig(horizon_slots=20, seed=1, freeze_z_when_empty=freeze)
+    label = next(label for label in ALL_POLICIES if label.partition(":")[0] == kind)
+    run(scenario, parse_policy(label), default_params(scenario, v=1.0, eps_d=1.0))
+    assert _kernels._LOOPS == {
+        ("python", code, freeze): loop,
+        ("python", code, not freeze): _kernels.kind_loop("python", code, not freeze),
+    }
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("kind", sorted(_kernels.RULES))
+def test_generated_loops_do_not_dispatch(kind, freeze):
+    """A generated loop, dsf's among them, never reads the policy code or
+    freeze_z, so it cannot compare either on any slot: both are settled
+    when the loop is chosen."""
+    code = _kernels.kind_loop("python", _kernels.POLICY_CODES[kind], freeze).__code__
+    assert {"policy_code", "freeze_z"}.isdisjoint(code.co_varnames + code.co_names)
+
+
+@pytest.mark.parametrize("path", ["list", "array", "step"])
+def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
+    """The loop stores only the wishes that are True, so every caller hands
+    it a wish buffer that holds False in every slot."""
+    wishes = []
+
+    def loop(*args):
+        wish = args[14]
+        assert type(wish) is (np.ndarray if path == "array" else list)
+        wishes.append(list(wish))
+        return _kernels._slot_loop(*args)
+
+    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
+    if path == "array":
+        monkeypatch.setattr(simulator, "resolve_backend", lambda: "numba")
+    scenario = ScenarioConfig(horizon_slots=100, initial_backlog=3, seed=6)
+    dsf, params = parse_policy("dsf"), default_params(scenario, v=1.0, eps_d=1.0)
+    if path == "step":
+        state = QueueState(3.0, 0.0)
+        for i in range(3):
+            state, _ = step(state, draw_realization(scenario).observation(i), dsf, params, t=1 + i)
+        assert len(wishes) == 3
+    else:
+        trace = run(scenario, dsf, params)
+        assert trace.column("x_desired").any()
+        [wish] = wishes
+        assert len(wish) == len(trace)
+    assert not any(any(wish) for wish in wishes)
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
