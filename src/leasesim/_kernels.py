@@ -8,40 +8,40 @@ columns, all computed by the caller before the loop:
     joint_price   price_ris + price_spectrum
     joint_avail   1 where both avail flags equal 1, else 0
 
-and writes three: x_desired (the policy's wish, stored as a bool),
-q_after and z_after. With float arrivals every queue update is float
-with float, which CPython specializes; q + float(a) equals q + a bit for
-bit for any int64 a, so step's int arrival gives the same queues.
-simulator._slot_values derives the other trace columns from these, r
-(the joint lease) as x_desired & joint_avail. Both queues are clamped at
-zero only after a lease: without one, q only gains an arrival and z
-gains eps_d > 0 or nothing, so from q0, z0 >= 0 and arrivals >= 0
-neither can go negative. The threshold of both dsf rules,
-v * (expected_price_ris + expected_price_spectrum), comes in precomputed.
+and returns the final (q, z). It stores nothing on an ordinary slot: a
+wish to lease sets x_desired[i] (a bool), and a lease that takes a queue
+x below zero stores -x, the operand that clamps it, into q_ops or z_ops.
+From these simulator._run_loop replays q_after and z_after with
+np.cumsum. With float arrivals every queue update is float with float,
+which CPython specializes; q + float(a) equals q + a bit for bit for any
+int64 a, so step's int arrival gives the same queues. Both queues are
+clamped at zero only after a lease: without one, q only gains an arrival
+and z gains eps_d > 0 or nothing, so from q0, z0 >= 0 and arrivals >= 0
+neither can go negative. The threshold of both dsf rules, v *
+(expected_price_ris + expected_price_spectrum), comes in precomputed.
 
-RULES holds each policy kind's decision as one expression; _TEMPLATE
-is the loop around it. The first time a (kind, freeze_z) pair is run,
-kind_loop fills the template with the kind's rule and the pair's
-accrual of z and generates that loop with exec, as core.frozen
-generates record builders, and keeps it. A generated loop tests neither
-the kind nor freeze_z on any slot. It stores a wish only when it is
-True, so the caller hands it a zeroed wish buffer: a list of False, or
-an array of zeros. _slot_loop, the loop get_loop returns, takes the
-policy code and freeze_z among its 17 arguments and selects the
-generated loop once per call. The rules must stay in sync with
-policies.decide, which is written out on its own; tests enforce
+RULES holds each policy kind's decision as one expression; _TEMPLATE is
+the loop around it. The first time a (kind, freeze_z) pair is run,
+kind_loop fills the template with the kind's rule and the pair's accrual
+of z and generates that loop with exec, as core.frozen generates record
+builders, and keeps it. A generated loop tests neither the kind nor
+freeze_z on any slot. The caller hands it a zeroed wish buffer and clamp
+buffers it reads back after the loop. _slot_loop, the loop get_loop
+returns, takes the policy code and freeze_z among its 17 arguments and
+selects the generated loop once per call. The rules must stay in sync
+with policies.decide, which is written out on its own; tests enforce
 agreement on randomized inputs.
 
 The loop takes any indexable sequences for its columns: the plain-Python
 backend is handed lists to read (indexing a list is far cheaper than
-reading a numpy scalar) and stores its float outputs through memoryviews
-of their arrays; numba's njit is handed arrays and compiles the same
-generated source. Only the PRICE_READING_KINDS, whose rule names
-joint_price, read it, so where no cell of a market has one of them, the
-python backend is handed that array, unread, instead of a list. All
-randomness is drawn before the loop, so both backends produce
-bit-identical traces. Only this variable selects, once per market; step
-always runs the plain loop:
+reading a numpy scalar), a bytearray for the wish and memoryviews of the
+clamp arrays; numba's njit is handed arrays and compiles the same
+generated source, which returns a tuple. Only the PRICE_READING_KINDS,
+whose rule names joint_price, read it, so where no cell of a market has
+one of them, the python backend is handed that array, unread, instead
+of a list. All randomness is drawn before the loop, so both backends
+produce bit-identical traces. Only this variable selects, once per
+market; step always runs the plain loop:
 
     LEASESIM_BACKEND=auto    njit when numba is importable (default)
     LEASESIM_BACKEND=numba   require njit
@@ -85,10 +85,13 @@ PRICE_READING_KINDS = frozenset(kind for kind, want in RULES.items() if "joint_p
 # the loop of one (kind, freeze_z) pair; {want} is the kind's rule and
 # {accrual} what z gains in a slot without a lease. Split on r, core's
 # z - r + eps * (1 - r) is z - 1.0 with a lease and z + eps without one,
-# the same IEEE results for any finite eps, which ControlParams guarantees
+# the same IEEE results for any finite eps, which ControlParams guarantees.
+# A lease takes a queue x below zero exactly when x < 1.0 (x is finite and
+# >= 0), and x + (-x) is +0.0, so a clamp stores -x, the operand that
+# replays it; every other slot stores nothing
 _TEMPLATE = """\
 def {name}(q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
-        queue_cutoff, v, eps_d, threshold, x_desired, q_after, z_after):
+        queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops):
     q = q0
     z = z0
     for i in range(len(arrival)):
@@ -96,18 +99,21 @@ def {name}(q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff
         if {want}:
             x_desired[i] = True  # the caller's zeroed buffer holds every other wish
             if joint_avail[i]:  # atomic mask: all or nothing, r = 1
-                q = q - 1.0
-                z = z - 1.0
-                if q < 0.0:  # only a lease can take a queue below zero
+                if q < 1.0:  # only a lease can take a queue below zero
+                    q_ops[i] = -q
                     q = 0.0
-                if z < 0.0:
+                else:
+                    q = q - 1.0
+                if z < 1.0:
+                    z_ops[i] = -z
                     z = 0.0
+                else:
+                    z = z - 1.0
             else:
                 z = z + {accrual}
         else:
             z = z + {accrual}
-        q_after[i] = q
-        z_after[i] = z
+    return q, z
 """
 
 # per freeze_z, z's accrual without a lease; frozen, z + 0.0 on an empty queue
@@ -115,6 +121,13 @@ _ACCRUAL = {False: "eps_d", True: "(0.0 if q == 0.0 else eps_d)"}
 
 # per (backend, policy code, freeze_z), the loop kind_loop generated
 _LOOPS: dict = {}
+
+
+def loop_source(kind: str, freeze_z: bool) -> tuple[str, str]:
+    """The name and source of the loop of `kind`, with z frozen on an empty
+    queue when `freeze_z` is True: _TEMPLATE filled with the kind's rule."""
+    name = f"{kind}_loop_frozen" if freeze_z else f"{kind}_loop"
+    return name, _TEMPLATE.format(name=name, want=RULES[kind], accrual=_ACCRUAL[freeze_z])
 
 
 def kind_loop(backend: str, policy_code: int, freeze_z):
@@ -129,9 +142,7 @@ def kind_loop(backend: str, policy_code: int, freeze_z):
     key = (backend, policy_code, bool(freeze_z))
     loop = _LOOPS.get(key)
     if loop is None:
-        kind = tuple(RULES)[policy_code]
-        name = f"{kind}_loop_frozen" if key[2] else f"{kind}_loop"
-        source = _TEMPLATE.format(name=name, want=RULES[kind], accrual=_ACCRUAL[key[2]])
+        name, source = loop_source(tuple(RULES)[policy_code], key[2])
         namespace = {"__name__": __name__}
         exec(compile(source, __file__, "exec"), namespace)
         loop = namespace[name]
@@ -143,14 +154,14 @@ def kind_loop(backend: str, policy_code: int, freeze_z):
 
 def _dispatcher(backend: str):
     """The slot loop of `backend`: it selects the loop of the call's kind
-    and freeze_z once, then runs it on the columns."""
+    and freeze_z once, runs it on the columns and returns its final (q, z)."""
 
     def _slot_loop(q0, z0, t0, freeze_z, arrival, joint_price, joint_avail, policy_code, period_k,
-                   price_cutoff, queue_cutoff, v, eps_d, threshold, x_desired, q_after, z_after):
+                   price_cutoff, queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops):
         loop = _LOOPS.get((backend, policy_code, freeze_z)) or kind_loop(backend, policy_code, freeze_z)
-        loop(
+        return loop(
             q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
-            queue_cutoff, v, eps_d, threshold, x_desired, q_after, z_after,
+            queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops,
         )
 
     return _slot_loop

@@ -124,10 +124,12 @@ def _check_outputs(*paths: str | Path | None) -> None:
             raise ConfigError(f"{path}: is a directory, expected a file path")
 
 
-def _summary_json_path(out: str) -> str:
-    if out.endswith(".csv"):
-        return out[: -len(".csv")] + ".summary.json"
-    return out + ".summary.json"
+def _sibling_path(out: str, suffix: str, sibling_suffix: str) -> str:
+    """The path of the file written beside `out`: `out` with `suffix`
+    replaced by `sibling_suffix`, or with it appended when `out` lacks
+    `suffix` (run: t.csv -> t.summary.json; sweep: s.json -> s.csv)."""
+    stem = out[: -len(suffix)] if out.endswith(suffix) else out
+    return stem + sibling_suffix
 
 
 def cmd_run(args) -> int:
@@ -136,7 +138,7 @@ def cmd_run(args) -> int:
         scenario = with_seed(scenario, args.seed)
     policy = parse_policy(args.policy)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
-    summary_path = _summary_json_path(args.out)
+    summary_path = _sibling_path(args.out, ".csv", ".summary.json")
     _check_outputs(summary_path, args.out)
     trace = run(scenario, policy, params)
     # the summary first: a value JSON cannot hold then leaves no file behind
@@ -156,7 +158,7 @@ def cmd_sweep(args) -> int:
     policy = parse_policy(args.policy)
     v_grid = _parse_float_list(args.v, "--v")
     eps_grid = _parse_float_list(args.eps, "--eps")
-    csv_path = args.out[: -len(".json")] + ".csv" if args.out.endswith(".json") else args.out + ".csv"
+    csv_path = _sibling_path(args.out, ".json", ".csv")
     _check_outputs(args.out, csv_path)
     table = sweep(scenario, policy, v_grid, eps_grid, common_random_numbers=args.crn)
     write_json(sweep_to_dict(table, scenario), args.out)

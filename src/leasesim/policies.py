@@ -205,11 +205,14 @@ def parse_policy(text: str) -> PolicySpec:
 
 
 def policy_label(spec: PolicySpec) -> str:
-    """Round-trip a PolicySpec back to its string form."""
+    """Round-trip a PolicySpec back to its string form: parse_policy of the
+    label is the spec. A cutoff is written short (`:g`) when that parses
+    back to the same float, and in full (repr) otherwise."""
     required = POLICY_KINDS[spec.kind]
     if required is None:
         return spec.kind
     value = getattr(spec, required)
     if required == "period_k":
         return f"{spec.kind}:{value}"
-    return f"{spec.kind}:{value:g}"
+    text = f"{value:g}"
+    return f"{spec.kind}:{text if float(text) == value else repr(float(value))}"

@@ -124,6 +124,15 @@ def sweep(
     # value fails before any cell runs; reseeded cells keep the base
     # scenario's prices, so its expected price serves them all
     cell_params = [default_params(scenario, v=v, eps_d=eps_d) for v in v_grid for eps_d in eps_grid]
+    # z gains up to eps_d a slot, so a cell's sum of z, which its summary
+    # averages, stays under horizon_slots**2 * eps_d; where that overflows,
+    # the cell's JSON could not hold its summary, so none runs
+    for params in cell_params:
+        if not math.isfinite(scenario.horizon_slots**2 * params.eps_d):
+            raise ConfigError(
+                f"eps_d={params.eps_d!r} is too large for horizon_slots={scenario.horizon_slots}: "
+                "the sum of z over the horizon, up to horizon_slots**2 * eps_d, overflows"
+            )
     if common_random_numbers:
         traces = runs(scenario, [(policy, params) for params in cell_params])
     else:

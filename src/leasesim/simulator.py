@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -141,8 +140,9 @@ def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
     )
 
 
-# dtypes of the loop's output columns x_desired (the wish, as a flag), q_after,
-# z_after; the python loop stores the two floats through memoryviews of them
+# dtypes of the loop's buffers x_desired (the wish, as a flag), q_ops and
+# z_ops (the clamp operands); the python loop stores the floats through
+# memoryviews of them
 _LOOP_DTYPES = (np.bool_, np.float64, np.float64)
 
 
@@ -155,30 +155,20 @@ def _shifted(first: float, column: np.ndarray) -> np.ndarray:
 
 
 def _slot_values(
-    t, q, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+    t, q_before, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
     joint_avail, x_desired, q_after, z_after,
 ) -> tuple:
     """A slot's values in TRACE_COLUMNS order, the one record rule, from the
-    slot index, the state (q, z) before the arrival, the market and the
-    loop's outputs (the wish x_desired as an int). Python numbers give one
-    SlotRecord, numpy columns a trace, each value bit for bit the slot's own.
+    slot index, q after the arrival and z before the slot, the market, and
+    the wish x_desired (as an int) and queues the loop gave. Python numbers
+    give one SlotRecord, numpy columns a trace, each value bit for bit the
+    slot's own.
     """
     r = x_desired & joint_avail
     return (
-        t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+        t, q_before, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
         x_desired, x_desired, r, r, r, r * price_ris + r * price_spectrum, q_after, z_after,
     )
-
-
-def _packed(values: list, dtype) -> np.ndarray:
-    """np.asarray(values, dtype) for a list of Python numbers, bit for bit.
-
-    struct packs the whole list in one call, about twice as fast as
-    numpy's per-element conversion; the array stays writable.
-    """
-    out = np.empty(len(values), dtype)
-    struct.pack_into(f"{len(values)}{out.dtype.char}", out, 0, *values)
-    return out
 
 
 def _market_columns(realization: Realization, python: bool, read_prices: bool = True) -> tuple:
@@ -214,28 +204,46 @@ def _run_loop(
     """All trace columns of `loop` run on `market`, the realization's
     _market_columns.
 
-    The output arrays are allocated first, the wish zeroed, since the
-    loop stores only the wishes that are True. Where the loop reads lists
-    (python), it stores q_after and z_after through memoryviews of them,
-    so no float output is kept alive as an object, and the wish goes to
-    a list of False (singletons, free to hold) packed after the loop.
+    The loop stores only True wishes, into a zeroed buffer (a bytearray
+    where it reads lists), and the operand -x of each lease that clamps a
+    queue x, into q_ops or z_ops, prefilled with -1.0, the operand of a
+    lease that does not clamp. np.cumsum, which adds left to right, then
+    replays both queues with the loop's own adds in the loop's order: q
+    over each slot's arrival and then q_ops * r (-1.0, a clamp operand, or
+    ±0.0 without a lease), so its partial sums alternate q_before and
+    q_after; z over z_ops where r is 1 and the accrual elsewhere. Overflow
+    is left to the JSON writers to name.
     """
     n = len(realization)
     market, joint_avail = market
-    outputs = [np.zeros(n, _LOOP_DTYPES[0]), *(np.empty(n, dtype) for dtype in _LOOP_DTYPES[1:])]
+    args = (q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params))
+    wish_dtype, q_dtype, z_dtype = _LOOP_DTYPES
+    q_ops, z_ops = np.full(n, -1.0, q_dtype), np.full(n, -1.0, z_dtype)
     if isinstance(market[0], list):
-        wishes = [False] * n
-        views = [memoryview(column) for column in outputs[1:]]
-        loop(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), wishes, *views)
-        outputs[0] = _packed(wishes, _LOOP_DTYPES[0])
+        wishes = bytearray(n)
+        loop(*args, wishes, memoryview(q_ops), memoryview(z_ops))
+        wish = np.frombuffer(wishes, wish_dtype)
     else:
-        loop(q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params), *outputs)
-    wish, q_after, z_after = outputs
+        wish = np.zeros(n, wish_dtype)
+        loop(*args, wish, q_ops, z_ops)
+    x_desired = wish.astype(np.int64)
+    r = x_desired & joint_avail
+    with np.errstate(over="ignore"):
+        q_steps = np.empty((n, 2))
+        q_steps[:, 0] = realization.arrival
+        np.multiply(q_ops, r, out=q_steps[:, 1])
+        q_steps[:1, 0] += q0
+        q_before, q_after = np.cumsum(q_steps).reshape(n, 2).T.copy()
+        eps_d = params.eps_d
+        accrual = np.where(q_after == 0.0, 0.0, eps_d) if freeze_z else eps_d
+        z_steps = np.where(r, z_ops, accrual)
+        z_steps[:1] += z0
+        z_after = np.cumsum(z_steps)
     return dict(zip(TRACE_COLUMNS, _slot_values(
-        np.arange(t0, t0 + n, dtype=np.int64), _shifted(q0, q_after), _shifted(z0, z_after),
+        np.arange(t0, t0 + n, dtype=np.int64), q_before, _shifted(z0, z_after),
         realization.arrival, realization.avail_ris, realization.avail_spectrum,
         realization.price_ris, realization.price_spectrum,
-        joint_avail, wish.astype(np.int64), q_after, z_after,
+        joint_avail, x_desired, q_after, z_after,
     )))
 
 
@@ -311,19 +319,19 @@ def step(
         check_price("observation: price_spectrum", price_spectrum)
         price_ris, price_spectrum = float(price_ris), float(price_spectrum)
     joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
-    x_desired, q_after, z_after = [False], [0], [0]
-    get_loop("python")(
+    x_desired, ops = [False], [0.0]  # step reads the loop's (q, z), not its clamp operands
+    q_after, z_after = get_loop("python")(
         q, z, t, freeze_z_when_empty, [arrival], [price_ris + price_spectrum], [joint_avail],
-        *_kernel_args(policy, params), x_desired, q_after, z_after
+        *_kernel_args(policy, params), x_desired, ops, ops
     )
     record = _build_record(_slot_values(
-        t, q, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
-        joint_avail, int(x_desired[0]), q_after[0], z_after[0]  # the wish is a bool; records hold ints
+        t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+        joint_avail, int(x_desired[0]), q_after, z_after  # the wish is a bool; records hold ints
     ))
     # the state came in checked and the arrival is >= 0, so the loop's
     # queues stay >= 0 (it clamps them after a lease) and the builder skips
     # QueueState's check, which every step would pay
-    return _build_state((q_after[0], z_after[0])), record
+    return _build_state((q_after, z_after)), record
 
 
 def _market_slots(

@@ -247,6 +247,42 @@ def test_run_summarizes_the_trace_once(tmp_path, scenario_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["run", "--out", "t.csv"], {"t.csv", "t.summary.json"}),
+        (["run", "--out", "t.json"], {"t.json", "t.json.summary.json"}),
+        (["run", "--out", "t"], {"t", "t.summary.json"}),
+        (["sweep", "--v", "1", "--eps", "1", "--out", "s.json"], {"s.json", "s.csv"}),
+        (["sweep", "--v", "1", "--eps", "1", "--out", "s.csv"], {"s.csv", "s.csv.csv"}),
+        (["sweep", "--v", "1", "--eps", "1", "--out", "s"], {"s", "s.csv"}),
+    ],
+    ids=["run_csv", "run_json", "run_bare", "sweep_json", "sweep_csv", "sweep_bare"],
+)
+def test_the_second_output_sits_beside_the_first(tmp_path, scenario_path, monkeypatch, argv, written):
+    """run and sweep write a second file beside --out by one rule: --out's
+    own suffix (.csv for run, .json for sweep) is replaced, and any other
+    name gets the sibling's suffix appended."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--scenario", scenario_path]) == 0
+    assert {path.name for path in tmp_path.iterdir()} == written | {Path(scenario_path).name}
+
+
+def test_sweep_rejects_an_eps_whose_z_sum_overflows_before_any_cell(tmp_path, scenario_path, monkeypatch, capsys):
+    """At horizon_slots 200, eps_d 1e305 could take the sum of z, which the
+    summary averages, past the largest float, so sweep exits 1 naming eps_d
+    before its first cell runs; 1e300 is run."""
+    monkeypatch.setattr(reporting, "runs", lambda *args: pytest.fail("a cell ran"))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--scenario", scenario_path, "--v", "1", "--eps", "1,1e305", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "eps_d=1e+305 is too large for horizon_slots=200: the sum of z" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [Path(scenario_path)]
+    monkeypatch.undo()
+    assert main(["sweep", "--scenario", scenario_path, "--v", "1", "--eps", "1e300", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
     "argv, directory",
     [
         (["run", "--out", "adir"], "adir"),
@@ -361,6 +397,16 @@ def test_compare_unknown_policy(tmp_path, scenario_path, capsys):
     assert "valid kinds" in capsys.readouterr().err
 
 
+def test_compare_names_close_cutoffs_apart(tmp_path, scenario_path):
+    """Cutoffs that agree to six digits are two policies with two labels,
+    each of which parses back to its own cutoff."""
+    out_dir = tmp_path / "close"
+    policies = "price_only:8,price_only:8.0000001"
+    assert main(["compare", "--scenario", scenario_path, "--policies", policies, "--out", str(out_dir)]) == 0
+    ranking = json.loads((out_dir / "ranking.json").read_text())["ranking"]
+    assert sorted(row["policy"] for row in ranking) == ["price_only:8", "price_only:8.0000001"]
+
+
 def test_compare_single_policy(tmp_path, scenario_path):
     out_dir = tmp_path / "solo"
     assert main(["compare", "--scenario", scenario_path, "--policies", "dsf", "--out", str(out_dir)]) == 0
@@ -374,10 +420,11 @@ def test_compare_single_policy(tmp_path, scenario_path):
         (["compare", "--policies", "dsf,dsf"], "--policies: 'dsf' repeats the earlier entry 'dsf' in list 'dsf,dsf'"),
         (["compare", "--policies", "dsf, greedy,greedy "],
          "--policies: 'greedy' repeats the earlier entry 'greedy' in list 'dsf, greedy,greedy '"),
-        # distinct cutoffs whose labels are equal: series.csv could not tell them apart
-        (["compare", "--policies", "price_only:8,price_only:8.0000001"],
-         "--policies: 'price_only:8.0000001' repeats the earlier entry 'price_only:8' in list "
-         "'price_only:8,price_only:8.0000001'"),
+        # one cutoff written two ways: the labels are equal, so series.csv
+        # could not tell the runs apart (distinct cutoffs get distinct labels)
+        (["compare", "--policies", "price_only:8,price_only:8.000"],
+         "--policies: 'price_only:8.000' repeats the earlier entry 'price_only:8' in list "
+         "'price_only:8,price_only:8.000'"),
         (["compare", "--policies", "dsf,,greedy"], "--policies: empty entry in list 'dsf,,greedy'"),
         (["compare", "--policies", "dsf,"], "--policies: empty entry in list 'dsf,'"),
         (["compare", "--policies", ""], "--policies: empty entry in list ''"),

@@ -3,6 +3,7 @@
 The compiled loop and the plain-python loop must produce bit-identical
 traces for every policy kind; the simulator treats them as interchangeable.
 """
+import ast
 import inspect
 
 import numpy as np
@@ -127,15 +128,63 @@ def test_generated_loops_do_not_dispatch(kind, freeze):
     assert {"policy_code", "freeze_z"}.isdisjoint(code.co_varnames + code.co_names)
 
 
+def _branch_stores(tree):
+    """Each subscript store in `tree`, as (target, value, the test of the
+    innermost `if` whose body holds it, or None)."""
+    stores = []
+
+    def visit(node, test):
+        if isinstance(node, ast.If):
+            for child in node.body:
+                visit(child, ast.unparse(node.test))
+            for child in node.orelse:
+                visit(child, test)
+            return
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Subscript):
+                        stores.append((ast.unparse(sub), ast.unparse(node.value), test))
+        for child in ast.iter_child_nodes(node):
+            visit(child, test)
+
+    visit(tree, None)
+    return stores
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("kind", sorted(_kernels.RULES))
+def test_generated_loops_store_only_wishes_and_clamps(kind, freeze):
+    """A generated loop stores into a buffer only under the wish branch (the
+    wish itself) or a clamp branch (the operand that replays the clamp), so
+    an ordinary slot stores nothing; it calls nothing but range and len,
+    so no per-slot append can stand in for a store either."""
+    name, source = _kernels.loop_source(kind, freeze)
+    tree = ast.parse(source)
+    want = ast.unparse(ast.parse(_kernels.RULES[kind]))
+    assert _branch_stores(tree) == [
+        ("x_desired[i]", "True", want),
+        ("q_ops[i]", "-q", "q < 1.0"),
+        ("z_ops[i]", "-z", "z < 1.0"),
+    ]
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert calls == {"range", "len"}
+    assert _kernels.kind_loop("python", _kernels.POLICY_CODES[kind], freeze).__name__ == name
+
+
 @pytest.mark.parametrize("path", ["list", "array", "step"])
 def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
     """The loop stores only the wishes that are True, so every caller hands
-    it a wish buffer that holds False in every slot."""
+    it a wish buffer that holds False in every slot: a bytearray where the
+    loop reads lists, a bool array where it reads arrays, a list in step."""
     wishes = []
 
     def loop(*args):
         wish = args[14]
-        assert type(wish) is (np.ndarray if path == "array" else list)
+        assert type(wish) is {"list": bytearray, "array": np.ndarray, "step": list}[path]
+        if path == "array":
+            assert wish.dtype == np.bool_
         wishes.append(list(wish))
         return _kernels._slot_loop(*args)
 
@@ -175,8 +224,8 @@ def test_backends_bit_identical(monkeypatch, policy):
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 def test_array_path_matches_list_path(monkeypatch, policy):
     """The numba path hands the loop numpy arrays. The python path hands it
-    lists to read, a list for the wish, and memoryviews of the q_after and
-    z_after arrays to store into.
+    lists to read, a bytearray for the wish, and memoryviews of the q_ops
+    and z_ops arrays to store clamp operands into.
 
     Drive the plain loop down the array path too: every column must come
     back with the same dtype and the same bytes.
@@ -206,24 +255,39 @@ def test_python_market_columns_hold_only_floats():
 
 
 def test_python_loop_stores_floats_through_memoryviews(monkeypatch):
-    """On the python backend the loop's last two arguments are memoryviews
-    of the q_after and z_after arrays the trace returns, so the floats go
-    straight into them; only the wish goes to a list."""
+    """On the python backend the loop's last three arguments are a
+    bytearray for the wish and memoryviews of the q_ops and z_ops arrays.
+    Through them it stores only the wishes that are True and, for each
+    lease that clamps a queue x, the operand -x; every other operand stays
+    -1.0. It returns the final (q, z), which the replayed columns end on."""
     calls = []
 
     def loop(*args):
-        calls.append(args)
-        return _kernels._slot_loop(*args)
+        result = _kernels._slot_loop(*args)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setenv(_kernels.ENV_VAR, "python")
     monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
     scenario = ScenarioConfig(horizon_slots=200, initial_backlog=3, seed=8)
-    trace = run(scenario, parse_policy("dsf"), default_params(scenario, v=2.0, eps_d=1.0))
-    [args] = calls
+    trace = run(scenario, parse_policy("dsf"), default_params(scenario, v=0.05, eps_d=0.3))
+    [(args, (q, z))] = calls
     wish, q_view, z_view = args[-3:]
-    assert type(wish) is list
-    assert type(q_view) is memoryview and q_view.obj is trace.column("q_after")
-    assert type(z_view) is memoryview and z_view.obj is trace.column("z_after")
+    assert type(wish) is bytearray and list(wish) == trace.column("x_desired").tolist()
+    assert type(q_view) is memoryview and type(z_view) is memoryview
+    assert q_view.format == z_view.format == "d" and len(q_view) == len(z_view) == len(trace)
+
+    leased = trace.column("r") == 1
+    q_before, z_before = trace.column("q_before"), trace.column("z_before")
+    q_clamps, z_clamps = leased & (q_before < 1.0), leased & (z_before < 1.0)
+    assert q_clamps.any() and z_clamps.any() and (leased & ~q_clamps).any()
+    q_ops, z_ops = np.asarray(q_view), np.asarray(z_view)
+    assert q_ops.tobytes() == np.where(q_clamps, -q_before, -1.0).tobytes()
+    assert z_ops.tobytes() == np.where(z_clamps, -z_before, -1.0).tobytes()
+
+    assert type(q) is float and type(z) is float
+    assert np.float64(q).tobytes() == trace.column("q_after")[-1].tobytes()
+    assert np.float64(z).tobytes() == trace.column("z_after")[-1].tobytes()
 
 
 @pytest.mark.parametrize("arrival", [2**53 + 1, 2**62], ids=["2**53+1", "2**62"])
@@ -315,16 +379,37 @@ def test_kernel_matches_decide_slot_by_slot():
             assert trace.column("y_desired")[i] == want.y, (label, i)
 
 
-def test_loop_outputs_match_loop_dtypes():
-    """The numba branch allocates one array per _LOOP_DTYPES entry and passes
-    them as the loop's trailing arguments, after `threshold`. Without numba,
-    test_backends_bit_identical is skipped; this still pins the count and
-    order that branch relies on."""
+def test_loop_outputs_match_loop_dtypes(monkeypatch):
+    """The loop's trailing arguments, after `threshold`, are the buffers it
+    writes: the wish and the clamp operands of q and z. The array branch,
+    which numba takes, allocates them as _LOOP_DTYPES says, zeroed and
+    filled with -1.0, and gets the final (q, z) back as a tuple. Without
+    numba, test_backends_bit_identical is skipped; this still pins what
+    that branch relies on."""
     names = list(inspect.signature(_kernels._slot_loop).parameters)
     outputs = names[names.index("threshold") + 1:]
-    assert outputs == ["x_desired", "q_after", "z_after"]
-    assert len(outputs) == len(simulator._LOOP_DTYPES)
-    assert simulator._LOOP_DTYPES[0] is np.bool_
+    assert outputs == ["x_desired", "q_ops", "z_ops"]
+    assert simulator._LOOP_DTYPES == (np.bool_, np.float64, np.float64)
+
+    calls = []
+
+    def loop(*args):
+        buffers = [buffer.copy() for buffer in args[-3:]]  # as handed in, before the loop writes
+        result = _kernels._slot_loop(*args)
+        calls.append((buffers, result))
+        return result
+
+    monkeypatch.setattr(simulator, "resolve_backend", lambda: "numba")
+    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
+    scenario = ScenarioConfig(horizon_slots=150, initial_backlog=2, seed=8)
+    trace = run(scenario, parse_policy("myopic"), default_params(scenario, v=2.0, eps_d=0.5))
+    [(buffers, result)] = calls
+    for buffer, dtype in zip(buffers, simulator._LOOP_DTYPES):
+        assert type(buffer) is np.ndarray and buffer.dtype == dtype and len(buffer) == len(trace)
+    wish, q_ops, z_ops = buffers
+    assert not wish.any() and (q_ops == -1.0).all() and (z_ops == -1.0).all()
+    assert type(result) is tuple and len(result) == 2
+    assert list(result) == [trace.column("q_after")[-1], trace.column("z_after")[-1]]
 
 
 # flags: 2 is neither 0 nor 1 and blocks the lease; 1 is drawn twice as
@@ -354,6 +439,18 @@ FREE_LEASE = [(0, 1.0, 1.0, 1, 1)]
 # a lease that both clamps cut back, and a lease on an empty queue
 @example(label="greedy", freeze=False, slots=FREE_LEASE, q0=0.25, z0=0.5, t0=1, v=1.0, eps_d=1.0)
 @example(label="dsf", freeze=True, slots=FREE_LEASE, q0=0.0, z0=30.0, t0=1, v=0.1, eps_d=1.0)
+# idle leases, each a q clamp of 0.0, while z only falls
+@example(label="dsf", freeze=False, slots=FREE_LEASE * 3, q0=0.0, z0=30.0, t0=1, v=0.1, eps_d=1.0)
+# a lease with z in (0, 1): z clamps, q does not
+@example(label="greedy", freeze=False, slots=FREE_LEASE, q0=3.0, z0=0.75, t0=1, v=1.0, eps_d=1.0)
+# a fractional q0 that clamps on the second lease
+@example(label="greedy", freeze=False, slots=FREE_LEASE * 2, q0=1.5, z0=0.0, t0=1, v=1.0, eps_d=0.5)
+# a frozen run: accrual, a blocked wish, a lease to zero, an empty slot that
+# keeps z, then a blocked wish on new arrivals
+@example(
+    label="dsf", freeze=True, q0=0.0, z0=0.0, t0=1, v=0.1, eps_d=0.5,
+    slots=[(1, 1.0, 1.0, 1, 1), (0, 1.0, 1.0, 0, 1), (0, 1.0, 1.0, 1, 1), (0, 1.0, 1.0, 1, 1), (2, 1.0, 1.0, 1, 0)],
+)
 def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     """On any short market and start: r is the wish masked by both flags
     and is the lease the loop took, both queues stay >= 0, the list and

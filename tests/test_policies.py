@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leasesim.core import HOLD, LEASE, ConfigError, ControlParams, QueueState
@@ -136,6 +136,33 @@ def test_parse_policy_round_trip():
         spec = parse_policy(text)
         assert policy_label(spec) == text
         assert parse_policy(policy_label(spec)) == spec
+
+
+specs = st.one_of(
+    st.sampled_from([kind for kind, required in POLICY_KINDS.items() if required is None]).map(PolicySpec),
+    st.integers(1, 10**12).map(lambda k: PolicySpec("periodic", period_k=k)),
+    st.builds(
+        lambda kind, cutoff: PolicySpec(kind, **{POLICY_KINDS[kind]: cutoff}),
+        st.sampled_from(["price_only", "queue_threshold"]),
+        # parse_policy reads a cutoff as a float, so int cutoffs stay where floats are exact
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 2**53),
+    ),
+)
+
+
+@example(PolicySpec("price_only", price_cutoff=8.0000001))
+@example(PolicySpec("queue_threshold", queue_cutoff=1234567.5))
+@example(PolicySpec("price_only", price_cutoff=5e-324))
+@given(specs)
+def test_policy_label_parses_back_to_its_spec(spec):
+    """Every spec's label parses back to the spec, so distinct specs get
+    distinct labels; a cutoff `:g` writes exactly keeps its short form."""
+    label = policy_label(spec)
+    assert parse_policy(label) == spec
+    required = POLICY_KINDS[spec.kind]
+    if required in ("price_cutoff", "queue_cutoff"):
+        short = f"{getattr(spec, required):g}"
+        assert label.endswith(":" + short) == (float(short) == getattr(spec, required))
 
 
 def test_parse_policy_errors():
