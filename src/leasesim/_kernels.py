@@ -25,43 +25,23 @@ the loop around it. The first time a (kind, freeze_z) pair is run,
 kind_loop fills the template with the kind's rule and the pair's accrual
 of z and generates that loop with exec, as core.frozen generates record
 builders, and keeps it. A generated loop tests neither the kind nor
-freeze_z on any slot. The caller hands it a zeroed wish buffer and clamp
-buffers it reads back after the loop. _slot_loop, the loop get_loop
-returns, takes the policy code and freeze_z among its 17 arguments and
-selects the generated loop once per call. The rules must stay in sync
-with policies.decide, which is written out on its own; tests enforce
+freeze_z on any slot. _slot_loop, the loop get_loop returns, takes the
+policy code and freeze_z among its 17 arguments and selects the
+generated loop once per call. The rules must stay in sync with
+policies.decide, which is written out on its own; tests enforce
 agreement on randomized inputs.
 
-The loop takes any indexable sequences for its columns: the plain-Python
-backend is handed lists to read (indexing a list is far cheaper than
-reading a numpy scalar), a bytearray for the wish and memoryviews of the
-clamp arrays; numba's njit is handed arrays and compiles the same
-generated source, which returns a tuple. Only the PRICE_READING_KINDS,
+The loop reads its columns as lists, since indexing a list is far
+cheaper than reading a numpy scalar; it stores the wish into a zeroed
+bytearray and the clamp operands through memoryviews of float64 arrays,
+which the caller reads back after the loop. Only the PRICE_READING_KINDS,
 whose rule names joint_price, read it, so where no cell of a market has
-one of them, the python backend is handed that array, unread, instead
-of a list. All randomness is drawn before the loop, so both backends
-produce bit-identical traces. Only this variable selects, once per
-market; step always runs the plain loop:
-
-    LEASESIM_BACKEND=auto    njit when numba is importable (default)
-    LEASESIM_BACKEND=numba   require njit
-    LEASESIM_BACKEND=python  force the plain loop
+one of them, the loop is handed that array, unread, instead of a list.
 """
 from __future__ import annotations
 
-import os
-
-from .core import ConfigError
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-ENV_VAR = "LEASESIM_BACKEND"
+HAVE_NUMBA = False  # perfbench records it as numba_importable; leasesim never uses numba
+ENV_VAR = "LEASESIM_BACKEND"  # perfbench records this variable; nothing in leasesim reads it
 
 # one decision rule per policy kind: the wish, as an expression in the
 # template's names (q is the backlog after the slot's arrival, i the
@@ -119,7 +99,7 @@ def {name}(q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff
 # per freeze_z, z's accrual without a lease; frozen, z + 0.0 on an empty queue
 _ACCRUAL = {False: "eps_d", True: "(0.0 if q == 0.0 else eps_d)"}
 
-# per (backend, policy code, freeze_z), the loop kind_loop generated
+# per (policy code, freeze_z), the loop kind_loop generated
 _LOOPS: dict = {}
 
 
@@ -130,63 +110,35 @@ def loop_source(kind: str, freeze_z: bool) -> tuple[str, str]:
     return name, _TEMPLATE.format(name=name, want=RULES[kind], accrual=_ACCRUAL[freeze_z])
 
 
-def kind_loop(backend: str, policy_code: int, freeze_z):
+def kind_loop(policy_code: int, freeze_z):
     """The loop of one policy kind, with z frozen on an empty queue when
-    `freeze_z` is truthy, for `backend`.
-
-    Generated from _TEMPLATE with exec on first use and kept, so each
-    (backend, kind, freeze_z) loop is made once. The source is compiled
-    under this file's name: numba caches only a function it can tie to a
-    source file, and the numba loop keeps cache=True.
-    """
-    key = (backend, policy_code, bool(freeze_z))
+    `freeze_z` is truthy, generated from _TEMPLATE with exec on first use
+    and kept, so each (kind, freeze_z) loop is made once."""
+    key = (policy_code, bool(freeze_z))
     loop = _LOOPS.get(key)
     if loop is None:
-        name, source = loop_source(tuple(RULES)[policy_code], key[2])
-        namespace = {"__name__": __name__}
-        exec(compile(source, __file__, "exec"), namespace)
-        loop = namespace[name]
-        if backend == "numba":
-            loop = njit(cache=True)(loop)
-        _LOOPS[key] = loop
+        name, source = loop_source(tuple(RULES)[policy_code], key[1])
+        namespace = {}
+        exec(source, namespace)
+        loop = _LOOPS[key] = namespace[name]
     return loop
 
 
-def _dispatcher(backend: str):
-    """The slot loop of `backend`: it selects the loop of the call's kind
-    and freeze_z once, runs it on the columns and returns its final (q, z)."""
-
-    def _slot_loop(q0, z0, t0, freeze_z, arrival, joint_price, joint_avail, policy_code, period_k,
-                   price_cutoff, queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops):
-        loop = _LOOPS.get((backend, policy_code, freeze_z)) or kind_loop(backend, policy_code, freeze_z)
-        return loop(
-            q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
-            queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops,
-        )
-
-    return _slot_loop
+def _slot_loop(q0, z0, t0, freeze_z, arrival, joint_price, joint_avail, policy_code, period_k,
+               price_cutoff, queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops):
+    """Select the loop of the call's kind and freeze_z once, run it on the
+    columns and return its final (q, z)."""
+    loop = _LOOPS.get((policy_code, freeze_z)) or kind_loop(policy_code, freeze_z)
+    return loop(
+        q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
+        queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops,
+    )
 
 
-_slot_loop = _dispatcher("python")
-_slot_loop_njit = _dispatcher("numba") if HAVE_NUMBA else None
+def resolve_backend() -> str:  # perfbench records what it returns as the backend
+    return "python"
 
 
-def resolve_backend() -> str:
-    """Map LEASESIM_BACKEND to 'numba' or 'python'."""
-    choice = os.environ.get(ENV_VAR, "auto").lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "python"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ConfigError(f"{ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    if choice == "python":
-        return "python"
-    raise ConfigError(f"{ENV_VAR} must be auto, numba or python, got {choice!r}")
-
-
-def get_loop(backend: str):
-    """The slot-loop callable of `backend`, as resolve_backend() names it."""
-    if backend == "numba":
-        return _slot_loop_njit
+def get_loop(backend=None):  # perfbench's tracer wraps simulator.get_loop and passes one argument
+    """The slot loop, _slot_loop; `backend` is ignored."""
     return _slot_loop

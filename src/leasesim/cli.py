@@ -262,7 +262,7 @@ def cmd_assure(args) -> int:
     if args.out:
         write_json(
             {
-                "header": {"tool": "leasesim", "version": VERSION},
+                "header": report_header(),
                 "intent": record_dict(intent),
                 "translation": record_dict(translation),
                 "report": report_to_dict(report),
@@ -289,7 +289,7 @@ def cmd_oracle(args) -> int:
     if args.out:
         write_json(
             {
-                "header": {"tool": "leasesim", "version": VERSION},
+                "header": report_header(),
                 "initial_backlog": args.initial_backlog,
                 "deadline": args.deadline,
                 "feasible": feasible,

@@ -4,7 +4,7 @@ Each slot proceeds through the same stages regardless of policy:
 arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage so traces can be audited after the fact.
-runs() draws one market and resolves the backend once for many cells;
+runs() draws one market and looks up the slot loop once for many cells;
 run() is its one-cell case; runs() and step() share one record rule.
 The oracle checks the market slots it reads against
 environment.COLUMN_RULES, the rule the CSV readers apply too.
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import POLICY_CODES, PRICE_READING_KINDS, get_loop, resolve_backend
+from ._kernels import POLICY_CODES, PRICE_READING_KINDS, get_loop
 from .core import ConfigError, ControlParams, QueueState, builder, check_int, check_price, frozen
 from .environment import (
     MARKET_FIELDS,
@@ -114,14 +114,30 @@ class Trace:
 
 
 def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlParams:
-    """Control parameters with expected prices taken from the scenario."""
+    """Control parameters with expected prices taken from the scenario.
+
+    z gains up to eps_d a slot, so a run's sum of z, which its summary
+    averages, stays under horizon_slots**2 * eps_d. Where that overflows,
+    no JSON could hold the summary, so a ConfigError names eps_d here,
+    before any policy runs.
+    """
     mean_price = expected_price(scenario.price_low, scenario.price_high)
-    return ControlParams(
+    params = ControlParams(
         v=v,
         eps_d=eps_d,
         expected_price_ris=mean_price,
         expected_price_spectrum=mean_price,
     )
+    try:
+        z_sum_bound = scenario.horizon_slots**2 * params.eps_d
+    except OverflowError:  # horizon_slots**2 is past the largest float
+        z_sum_bound = math.inf
+    if not math.isfinite(z_sum_bound):
+        raise ConfigError(
+            f"eps_d={params.eps_d!r} is too large for horizon_slots={scenario.horizon_slots}: "
+            "the sum of z over the horizon, up to horizon_slots**2 * eps_d, overflows"
+        )
+    return params
 
 
 def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
@@ -138,12 +154,6 @@ def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
         params.eps_d,
         params.v * (params.expected_price_ris + params.expected_price_spectrum),
     )
-
-
-# dtypes of the loop's buffers x_desired (the wish, as a flag), q_ops and
-# z_ops (the clamp operands); the python loop stores the floats through
-# memoryviews of them
-_LOOP_DTYPES = (np.bool_, np.float64, np.float64)
 
 
 def _shifted(first: float, column: np.ndarray) -> np.ndarray:
@@ -171,23 +181,19 @@ def _slot_values(
     )
 
 
-def _market_columns(realization: Realization, python: bool, read_prices: bool = True) -> tuple:
-    """The loop's three market columns (arrival as float64, joint_price,
-    joint_avail), and joint_avail as an int64 array, from which r is derived.
+def _market_columns(realization: Realization, read_prices: bool = True) -> tuple:
+    """The loop's three market columns as lists (arrival as floats,
+    joint_price, joint_avail), and joint_avail as an int64 array, from
+    which r is derived.
 
-    Float arrivals keep the loop's queue updates float with float; the
-    python backend's lists of arrival and joint_price hold only floats.
-    Without `read_prices` (no cell's kind is in PRICE_READING_KINDS), the
-    python backend gets joint_price as the array, which the loop never
-    indexes, and the list is not built."""
+    Float arrivals keep the loop's queue updates float with float. Without
+    `read_prices` (no cell's kind is in PRICE_READING_KINDS), the loop gets
+    joint_price as the array, which it never indexes, and the list is not
+    built."""
     joint_avail = ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64)
     joint_price = realization.price_ris + realization.price_spectrum
-    arrival = realization.arrival.astype(np.float64)
-    if python:
-        # the interpreted loop indexes plain lists far faster than numpy scalars
-        prices = joint_price.tolist() if read_prices else joint_price
-        return (arrival.tolist(), prices, joint_avail.tolist()), joint_avail
-    return (arrival, joint_price, joint_avail), joint_avail
+    prices = joint_price.tolist() if read_prices else joint_price
+    return (realization.arrival.astype(np.float64).tolist(), prices, joint_avail.tolist()), joint_avail
 
 
 def _run_loop(
@@ -204,10 +210,10 @@ def _run_loop(
     """All trace columns of `loop` run on `market`, the realization's
     _market_columns.
 
-    The loop stores only True wishes, into a zeroed buffer (a bytearray
-    where it reads lists), and the operand -x of each lease that clamps a
-    queue x, into q_ops or z_ops, prefilled with -1.0, the operand of a
-    lease that does not clamp. np.cumsum, which adds left to right, then
+    The loop stores only True wishes, into a zeroed bytearray, and the
+    operand -x of each lease that clamps a queue x, through memoryviews
+    into q_ops or z_ops, prefilled with -1.0, the operand of a lease that
+    does not clamp. np.cumsum, which adds left to right, then
     replays both queues with the loop's own adds in the loop's order: q
     over each slot's arrival and then q_ops * r (-1.0, a clamp operand, or
     ±0.0 without a lease), so its partial sums alternate q_before and
@@ -217,16 +223,9 @@ def _run_loop(
     n = len(realization)
     market, joint_avail = market
     args = (q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params))
-    wish_dtype, q_dtype, z_dtype = _LOOP_DTYPES
-    q_ops, z_ops = np.full(n, -1.0, q_dtype), np.full(n, -1.0, z_dtype)
-    if isinstance(market[0], list):
-        wishes = bytearray(n)
-        loop(*args, wishes, memoryview(q_ops), memoryview(z_ops))
-        wish = np.frombuffer(wishes, wish_dtype)
-    else:
-        wish = np.zeros(n, wish_dtype)
-        loop(*args, wish, q_ops, z_ops)
-    x_desired = wish.astype(np.int64)
+    wishes, q_ops, z_ops = bytearray(n), np.full(n, -1.0), np.full(n, -1.0)
+    loop(*args, wishes, memoryview(q_ops), memoryview(z_ops))
+    x_desired = np.frombuffer(wishes, np.bool_).astype(np.int64)
     r = x_desired & joint_avail
     with np.errstate(over="ignore"):
         q_steps = np.empty((n, 2))
@@ -253,7 +252,7 @@ def runs(
 ) -> Iterator[Trace]:
     """One trace per (policy, params) cell, all on one market realization.
 
-    The market is drawn and prepared, and the backend resolved, once
+    The market is drawn and prepared, and the loop looked up, once
     however many cells follow; each trace is the one run() gives for its
     cell, and holds its own copy of the market columns. The joint-price
     list is built only when a cell's kind reads it (PRICE_READING_KINDS).
@@ -261,10 +260,9 @@ def runs(
     """
     cells = list(cells)
     realization = draw_realization(scenario)
-    backend = resolve_backend()
-    loop = get_loop(backend)
+    loop = get_loop()
     read_prices = any(policy.kind in PRICE_READING_KINDS for policy, _ in cells)
-    market = _market_columns(realization, backend == "python", read_prices)
+    market = _market_columns(realization, read_prices)
     q0, freeze_z = float(scenario.initial_backlog), scenario.freeze_z_when_empty
     for policy, params in cells:
         columns = _run_loop(loop, market, realization, q0, 0.0, 1, freeze_z, policy, params)
@@ -296,7 +294,7 @@ def step(
 ) -> tuple[QueueState, SlotRecord]:
     """Advance one slot; returns the new state and the slot's record.
 
-    Runs the python loop on one-slot columns and builds the record by
+    Runs the slot loop on one-slot columns and builds the record by
     run()'s rule, so a chain of step() calls reproduces a full run exactly.
     """
     if type(t) is not int or t < 1:
@@ -320,7 +318,7 @@ def step(
         price_ris, price_spectrum = float(price_ris), float(price_spectrum)
     joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
     x_desired, ops = [False], [0.0]  # step reads the loop's (q, z), not its clamp operands
-    q_after, z_after = get_loop("python")(
+    q_after, z_after = get_loop()(
         q, z, t, freeze_z_when_empty, [arrival], [price_ris + price_spectrum], [joint_avail],
         *_kernel_args(policy, params), x_desired, ops, ops
     )

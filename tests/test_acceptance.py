@@ -78,7 +78,7 @@ def tolerant_monotone(values, direction: str) -> tuple[bool, str]:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_backend():
-    # compile/load the jitted loop outside any timed window
+    # generate the dsf loop and import what a run needs outside any timed window
     scenario = ScenarioConfig(horizon_slots=4)
     run(scenario, parse_policy("dsf"), default_params(scenario, v=1.0, eps_d=1.0))
 

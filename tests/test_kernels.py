@@ -1,7 +1,6 @@
-"""Backend selection and numba/python loop equivalence.
-
-The compiled loop and the plain-python loop must produce bit-identical
-traces for every policy kind; the simulator treats them as interchangeable.
+"""The slot loop: the generated loop of each policy kind, the buffers it
+writes, and its agreement with policies.decide, core's recurrences and a
+chain of step() calls, bit for bit.
 """
 import ast
 import inspect
@@ -12,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leasesim import _kernels, simulator
-from leasesim.core import ConfigError, ControlParams, QueueState, advance_virtual_queue
+from leasesim.core import ControlParams, QueueState, advance_virtual_queue
 from leasesim.environment import Realization, ScenarioConfig, draw_realization
 from leasesim.policies import POLICY_KINDS, PolicyInput, decide, parse_policy
-from leasesim.simulator import TRACE_COLUMNS, Trace, _market_columns, _run_loop, default_params, run, step
+from leasesim.simulator import Trace, _market_columns, _run_loop, default_params, run, step
 
 ALL_POLICIES = [
     "dsf",
@@ -28,53 +27,17 @@ ALL_POLICIES = [
 ]
 
 
-def test_resolve_backend_explicit(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_VAR, "Python")
-    assert _kernels.resolve_backend() == "python"
-    monkeypatch.setenv(_kernels.ENV_VAR, "auto")
-    assert _kernels.resolve_backend() == ("numba" if _kernels.HAVE_NUMBA else "python")
-    monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.resolve_backend() == "numba"
-    else:
-        with pytest.raises(ConfigError, match="^LEASESIM_BACKEND=numba but numba is not importable$"):
-            _kernels.resolve_backend()
-
-
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
-    assert _kernels.resolve_backend() == "python"
-    monkeypatch.delenv(_kernels.ENV_VAR)
-    assert _kernels.resolve_backend() in ("numba", "python")
-
-
-def test_resolve_backend_rejects_junk(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_VAR, "cuda")
-    with pytest.raises(ConfigError, match="^LEASESIM_BACKEND must be auto, numba or python, got 'cuda'$"):
-        _kernels.resolve_backend()
-
-
 def test_get_loop_python_is_uncompiled(monkeypatch):
-    """The python loop is not numba's: it runs the plain loop generated
-    for the call's kind."""
-    loop = _kernels.get_loop("python")
-    assert loop is _kernels._slot_loop and loop is not _kernels._slot_loop_njit
+    """get_loop gives _slot_loop, which runs the plain loop generated for
+    the call's kind."""
+    assert _kernels.get_loop() is _kernels._slot_loop
     code = _kernels.POLICY_CODES["greedy"]
-    generated = _kernels.kind_loop("python", code, False)
-    assert not hasattr(generated, "py_func")  # a numba dispatcher has one
+    generated = _kernels.kind_loop(code, False)
     calls = []
-    monkeypatch.setitem(
-        _kernels._LOOPS, ("python", code, False), lambda *args: calls.append(args) or generated(*args)
-    )
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    monkeypatch.setitem(_kernels._LOOPS, (code, False), lambda *args: calls.append(args) or generated(*args))
     scenario = ScenarioConfig(horizon_slots=50, initial_backlog=2, seed=3)
     run(scenario, parse_policy("greedy"), default_params(scenario, v=1.0, eps_d=1.0))
     assert len(calls) == 1
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_get_loop_numba_is_compiled():
-    assert _kernels.get_loop("numba") is _kernels._slot_loop_njit
 
 
 def test_policy_codes_cover_all_kinds():
@@ -103,18 +66,17 @@ def test_each_kind_loop_is_generated_once(monkeypatch, kind, freeze):
     dispatcher all get the same function object."""
     monkeypatch.setattr(_kernels, "_LOOPS", {})
     code = _kernels.POLICY_CODES[kind]
-    loop = _kernels.kind_loop("python", code, freeze)
-    assert _kernels.kind_loop("python", code, freeze) is loop
-    assert _kernels.kind_loop("python", code, 1 if freeze else 0) is loop
-    assert _kernels.kind_loop("python", code, "yes" if freeze else "") is loop
-    assert loop is not _kernels.kind_loop("python", code, not freeze)
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
+    loop = _kernels.kind_loop(code, freeze)
+    assert _kernels.kind_loop(code, freeze) is loop
+    assert _kernels.kind_loop(code, 1 if freeze else 0) is loop
+    assert _kernels.kind_loop(code, "yes" if freeze else "") is loop
+    assert loop is not _kernels.kind_loop(code, not freeze)
     scenario = ScenarioConfig(horizon_slots=20, seed=1, freeze_z_when_empty=freeze)
     label = next(label for label in ALL_POLICIES if label.partition(":")[0] == kind)
     run(scenario, parse_policy(label), default_params(scenario, v=1.0, eps_d=1.0))
     assert _kernels._LOOPS == {
-        ("python", code, freeze): loop,
-        ("python", code, not freeze): _kernels.kind_loop("python", code, not freeze),
+        (code, freeze): loop,
+        (code, not freeze): _kernels.kind_loop(code, not freeze),
     }
 
 
@@ -124,7 +86,7 @@ def test_generated_loops_do_not_dispatch(kind, freeze):
     """A generated loop, dsf's among them, never reads the policy code or
     freeze_z, so it cannot compare either on any slot: both are settled
     when the loop is chosen."""
-    code = _kernels.kind_loop("python", _kernels.POLICY_CODES[kind], freeze).__code__
+    code = _kernels.kind_loop(_kernels.POLICY_CODES[kind], freeze).__code__
     assert {"policy_code", "freeze_z"}.isdisjoint(code.co_varnames + code.co_names)
 
 
@@ -170,28 +132,23 @@ def test_generated_loops_store_only_wishes_and_clamps(kind, freeze):
     ]
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert calls == {"range", "len"}
-    assert _kernels.kind_loop("python", _kernels.POLICY_CODES[kind], freeze).__name__ == name
+    assert _kernels.kind_loop(_kernels.POLICY_CODES[kind], freeze).__name__ == name
 
 
-@pytest.mark.parametrize("path", ["list", "array", "step"])
+@pytest.mark.parametrize("path", ["list", "step"])
 def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
     """The loop stores only the wishes that are True, so every caller hands
-    it a wish buffer that holds False in every slot: a bytearray where the
-    loop reads lists, a bool array where it reads arrays, a list in step."""
+    it a wish buffer that holds False in every slot: a bytearray in runs,
+    a list in step."""
     wishes = []
 
     def loop(*args):
         wish = args[14]
-        assert type(wish) is {"list": bytearray, "array": np.ndarray, "step": list}[path]
-        if path == "array":
-            assert wish.dtype == np.bool_
+        assert type(wish) is {"list": bytearray, "step": list}[path]
         wishes.append(list(wish))
         return _kernels._slot_loop(*args)
 
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
-    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
-    if path == "array":
-        monkeypatch.setattr(simulator, "resolve_backend", lambda: "numba")
+    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
     scenario = ScenarioConfig(horizon_slots=100, initial_backlog=3, seed=6)
     dsf, params = parse_policy("dsf"), default_params(scenario, v=1.0, eps_d=1.0)
     if path == "step":
@@ -207,47 +164,11 @@ def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
     assert not any(any(wish) for wish in wishes)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_backends_bit_identical(monkeypatch, policy):
-    scenario = ScenarioConfig(horizon_slots=800, initial_backlog=2, seed=11)
-    spec = parse_policy(policy)
-    params = default_params(scenario, v=5.0, eps_d=1.0)
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
-    a = run(scenario, spec, params)
-    monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-    b = run(scenario, spec, params)
-    for name in TRACE_COLUMNS:
-        assert np.array_equal(a.column(name), b.column(name)), name
-
-
-@pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_array_path_matches_list_path(monkeypatch, policy):
-    """The numba path hands the loop numpy arrays. The python path hands it
-    lists to read, a bytearray for the wish, and memoryviews of the q_ops
-    and z_ops arrays to store clamp operands into.
-
-    Drive the plain loop down the array path too: every column must come
-    back with the same dtype and the same bytes.
-    """
-    scenario = ScenarioConfig(horizon_slots=800, initial_backlog=2, seed=11)
-    spec = parse_policy(policy)
-    params = default_params(scenario, v=5.0, eps_d=0.5)
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
-    want = run(scenario, spec, params)
-    monkeypatch.setattr(simulator, "resolve_backend", lambda: "numba")
-    monkeypatch.setattr(simulator, "get_loop", lambda backend: _kernels._slot_loop)
-    got = run(scenario, spec, params)
-    for name in TRACE_COLUMNS:
-        assert got.column(name).dtype == want.column(name).dtype, name
-        assert got.column(name).tobytes() == want.column(name).tobytes(), name
-
-
 def test_python_market_columns_hold_only_floats():
-    """The python loop adds arrivals to the float q and compares joint
-    prices with floats, so both lists hold floats, never ints."""
+    """The loop adds arrivals to the float q and compares joint prices
+    with floats, so both lists hold floats, never ints."""
     realization = draw_realization(ScenarioConfig(horizon_slots=300, arrival_prob=0.5, seed=4))
-    (arrival, joint_price, _), _ = _market_columns(realization, python=True)
+    (arrival, joint_price, _), _ = _market_columns(realization)
     assert type(arrival) is list and type(joint_price) is list
     assert {type(value) for value in arrival} == {float}
     assert {type(value) for value in joint_price} == {float}
@@ -255,11 +176,11 @@ def test_python_market_columns_hold_only_floats():
 
 
 def test_python_loop_stores_floats_through_memoryviews(monkeypatch):
-    """On the python backend the loop's last three arguments are a
-    bytearray for the wish and memoryviews of the q_ops and z_ops arrays.
-    Through them it stores only the wishes that are True and, for each
-    lease that clamps a queue x, the operand -x; every other operand stays
-    -1.0. It returns the final (q, z), which the replayed columns end on."""
+    """The loop's last three arguments are a bytearray for the wish and
+    memoryviews of the q_ops and z_ops arrays. Through them it stores only
+    the wishes that are True and, for each lease that clamps a queue x, the
+    operand -x; every other operand stays -1.0. It returns the final
+    (q, z), which the replayed columns end on."""
     calls = []
 
     def loop(*args):
@@ -267,8 +188,7 @@ def test_python_loop_stores_floats_through_memoryviews(monkeypatch):
         calls.append((args, result))
         return result
 
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
-    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
+    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
     scenario = ScenarioConfig(horizon_slots=200, initial_backlog=3, seed=8)
     trace = run(scenario, parse_policy("dsf"), default_params(scenario, v=0.05, eps_d=0.3))
     [(args, (q, z))] = calls
@@ -293,8 +213,8 @@ def test_python_loop_stores_floats_through_memoryviews(monkeypatch):
 @pytest.mark.parametrize("arrival", [2**53 + 1, 2**62], ids=["2**53+1", "2**62"])
 def test_huge_arrivals_give_the_same_bytes_on_every_path(arrival):
     """q + float(a) is q + a bit for bit for any int64 a: with arrivals that
-    a float cannot hold exactly, the list path, the array path and a chain
-    of step calls agree, and q_before is Python's q + arrival."""
+    a float cannot hold exactly, a run and a chain of step calls agree, and
+    q_before is Python's q + arrival."""
     n = 5
     realization = Realization(
         arrival=np.array([arrival, 0, 1, arrival, 0], dtype=np.int64),
@@ -306,20 +226,15 @@ def test_huge_arrivals_give_the_same_bytes_on_every_path(arrival):
     spec = parse_policy("greedy")
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     loop_args = (realization, 0.5, 0.0, 1, False, spec, params)
-    lists = _run_loop(_kernels._slot_loop, _market_columns(realization, python=True), *loop_args)
-    arrays = _run_loop(_kernels._slot_loop, _market_columns(realization, python=False), *loop_args)
-    for name in TRACE_COLUMNS:
-        assert arrays[name].dtype == lists[name].dtype, name
-        assert arrays[name].tobytes() == lists[name].tobytes(), name
-
-    trace = Trace(lists)
+    columns = _run_loop(_kernels._slot_loop, _market_columns(realization), *loop_args)
+    trace = Trace(columns)
     state = QueueState(0.5, 0.0)
     for i in range(n):
         want_q_before = state.q + int(realization.arrival[i])
         state, record = step(state, realization.observation(i), spec, params, t=1 + i)
         assert record == trace.record(i), i
         assert np.float64(record.q_before).tobytes() == np.float64(want_q_before).tobytes(), i
-        assert lists["q_before"][i].tobytes() == np.float64(want_q_before).tobytes(), i
+        assert columns["q_before"][i].tobytes() == np.float64(want_q_before).tobytes(), i
 
 
 def assert_core_recurrence(trace, eps_d, freeze):
@@ -381,33 +296,28 @@ def test_kernel_matches_decide_slot_by_slot():
 
 def test_loop_outputs_match_loop_dtypes(monkeypatch):
     """The loop's trailing arguments, after `threshold`, are the buffers it
-    writes: the wish and the clamp operands of q and z. The array branch,
-    which numba takes, allocates them as _LOOP_DTYPES says, zeroed and
-    filled with -1.0, and gets the final (q, z) back as a tuple. Without
-    numba, test_backends_bit_identical is skipped; this still pins what
-    that branch relies on."""
+    writes: the wish and the clamp operands of q and z. runs hands them in
+    as a zeroed bytearray and memoryviews of float64 arrays filled with
+    -1.0, and gets the final (q, z) back as a tuple."""
     names = list(inspect.signature(_kernels._slot_loop).parameters)
     outputs = names[names.index("threshold") + 1:]
     assert outputs == ["x_desired", "q_ops", "z_ops"]
-    assert simulator._LOOP_DTYPES == (np.bool_, np.float64, np.float64)
 
     calls = []
 
     def loop(*args):
-        buffers = [buffer.copy() for buffer in args[-3:]]  # as handed in, before the loop writes
+        buffers = [bytes(buffer) for buffer in args[-3:]]  # as handed in, before the loop writes
         result = _kernels._slot_loop(*args)
-        calls.append((buffers, result))
+        calls.append((args[-3:], buffers, result))
         return result
 
-    monkeypatch.setattr(simulator, "resolve_backend", lambda: "numba")
-    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
+    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
     scenario = ScenarioConfig(horizon_slots=150, initial_backlog=2, seed=8)
     trace = run(scenario, parse_policy("myopic"), default_params(scenario, v=2.0, eps_d=0.5))
-    [(buffers, result)] = calls
-    for buffer, dtype in zip(buffers, simulator._LOOP_DTYPES):
-        assert type(buffer) is np.ndarray and buffer.dtype == dtype and len(buffer) == len(trace)
-    wish, q_ops, z_ops = buffers
-    assert not wish.any() and (q_ops == -1.0).all() and (z_ops == -1.0).all()
+    [((wish, q_view, z_view), buffers, result)] = calls
+    assert type(wish) is bytearray and type(q_view) is memoryview and type(z_view) is memoryview
+    assert q_view.format == z_view.format == "d"
+    assert buffers == [bytes(len(trace)), np.full(len(trace), -1.0).tobytes(), np.full(len(trace), -1.0).tobytes()]
     assert type(result) is tuple and len(result) == 2
     assert list(result) == [trace.column("q_after")[-1], trace.column("z_after")[-1]]
 
@@ -453,9 +363,8 @@ FREE_LEASE = [(0, 1.0, 1.0, 1, 1)]
 )
 def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     """On any short market and start: r is the wish masked by both flags
-    and is the lease the loop took, both queues stay >= 0, the list and
-    array paths give the same bytes, and the trace is a chain of step
-    records."""
+    and is the lease the loop took, both queues stay >= 0, and the trace
+    is a chain of step records."""
     arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = zip(*slots)
     realization = Realization(
         arrival=np.array(arrival, dtype=np.int64),
@@ -467,7 +376,7 @@ def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     spec = parse_policy(label)
     params = ControlParams(v=v, eps_d=eps_d, expected_price_ris=5.5, expected_price_spectrum=5.5)
     loop_args = (realization, q0, z0, t0, freeze, spec, params)
-    columns = _run_loop(_kernels._slot_loop, _market_columns(realization, python=True), *loop_args)
+    columns = _run_loop(_kernels._slot_loop, _market_columns(realization), *loop_args)
 
     joint = (realization.avail_ris == 1) & (realization.avail_spectrum == 1)
     assert columns["r"].dtype == columns["x_desired"].dtype == np.int64
@@ -475,11 +384,6 @@ def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     trace = Trace(columns)
     assert_core_recurrence(trace, eps_d, freeze)
     assert (columns["q_after"] >= 0.0).all() and (columns["z_after"] >= 0.0).all()
-
-    arrays = _run_loop(_kernels._slot_loop, _market_columns(realization, python=False), *loop_args)
-    for name in TRACE_COLUMNS:
-        assert arrays[name].dtype == columns[name].dtype, name
-        assert arrays[name].tobytes() == columns[name].tobytes(), name
 
     state = QueueState(q0, z0)
     for i in range(len(realization)):

@@ -212,9 +212,9 @@ def test_crn_sweep_equals_cell_by_cell_runs():
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls so far to simulator's draw_realization and the backend
-    lookup, resolve_backend and get_loop, which runs() makes per market."""
-    counts = dict.fromkeys(("draw_realization", "resolve_backend", "get_loop"), 0)
+    """Calls so far to simulator's draw_realization and get_loop, which
+    runs() makes once per market."""
+    counts = dict.fromkeys(("draw_realization", "get_loop"), 0)
 
     def counted(name, original):
         def call(*args, **kwargs):

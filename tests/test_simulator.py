@@ -142,7 +142,7 @@ def test_run_treats_only_flag_one_as_available():
         avail_spectrum=np.array(avail_spectrum),
     )
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
-    market = _market_columns(realization, python=True)
+    market = _market_columns(realization)
     columns = _run_loop(_kernels._slot_loop, market, realization, 4.0, 1.5, 3, False, GREEDY, params)
     assert columns["r"].tolist() == [0, 0, 0, 1, 0, 1]
     state = QueueState(4.0, 1.5)
@@ -256,7 +256,7 @@ def test_step_checks_each_observation_field(label, **values):
         name: np.array([float(value) if name.startswith("price") else int(value)]) for name, value in values.items()
     })
     with np.errstate(over="ignore"):  # two huge prices sum to inf, as in step
-        market = _market_columns(realization, python=True)
+        market = _market_columns(realization)
     columns = _run_loop(_kernels._slot_loop, market, realization, 3.0, 2.0, 4, False, spec, params)
     want = Trace(columns).record(0)
     got_state, got = step(state, observation, spec, params, t=4)
@@ -544,6 +544,19 @@ def test_default_params_rejects_a_v_whose_threshold_overflows():
         default_params(scenario, v=1e308, eps_d=1.0)
 
 
+def test_default_params_rejects_an_eps_whose_z_sum_overflows():
+    """z gains up to eps_d a slot, so horizon_slots**2 * eps_d bounds the
+    sum of z the summary averages; eps_d is rejected where that bound is
+    inf and accepted where it is finite. A horizon whose square no float
+    holds gets the same error, not an OverflowError."""
+    scenario = ScenarioConfig(horizon_slots=10)
+    with pytest.raises(ConfigError, match=r"^eps_d=1e\+307 is too large for horizon_slots=10: the sum of z"):
+        default_params(scenario, v=1.0, eps_d=1e307)
+    assert default_params(scenario, v=1.0, eps_d=1e306).eps_d == 1e306
+    with pytest.raises(ConfigError, match=r"^eps_d=1e-300 is too large for horizon_slots=1000+: the sum of z"):
+        default_params(ScenarioConfig(horizon_slots=10**200), v=1.0, eps_d=1e-300)
+
+
 @pytest.mark.parametrize("label", ALL_POLICIES)
 def test_price_reading_kinds_are_the_kinds_whose_wishes_follow_prices(monkeypatch, label):
     """Permuting a market's realized prices leaves every wish of a
@@ -588,16 +601,15 @@ def test_mixed_runs_equal_separate_runs():
     ],
 )
 def test_python_loop_gets_a_price_list_only_for_price_reading_kinds(monkeypatch, labels, list_built):
-    """On the python backend the joint-price list is built only when a cell
-    reads it; otherwise the loop is handed the unread array."""
+    """The joint-price list is built only when a cell reads it; otherwise
+    the loop is handed the unread array."""
     calls = []
 
     def loop(*args):
         calls.append(args)
         return _kernels._slot_loop(*args)
 
-    monkeypatch.setenv(_kernels.ENV_VAR, "python")
-    monkeypatch.setattr(simulator, "get_loop", lambda backend: loop)
+    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
     scenario = ScenarioConfig(horizon_slots=50, seed=4)
     params = default_params(scenario, v=5.0, eps_d=1.0)
     traces = list(runs(scenario, [(parse_policy(label), params) for label in labels]))
