@@ -21,15 +21,13 @@ neither can go negative. The threshold of both dsf rules, v *
 (expected_price_ris + expected_price_spectrum), comes in precomputed.
 
 RULES holds each policy kind's decision as one expression; _TEMPLATE is
-the loop around it. The first time a (kind, freeze_z) pair is run,
-kind_loop fills the template with the kind's rule and the pair's accrual
-of z and generates that loop with exec, as core.frozen generates record
-builders, and keeps it. A generated loop tests neither the kind nor
-freeze_z on any slot. _slot_loop, the loop get_loop returns, takes the
-policy code and freeze_z among its 17 arguments and selects the
-generated loop once per call. The rules must stay in sync with
-policies.decide, which is written out on its own; tests enforce
-agreement on randomized inputs.
+the loop around it. get_loop((kind, freeze_z)), the one lookup, fills
+the template with the kind's rule and the pair's accrual of z on first
+use, generates the loop with exec and keeps it, so no slot tests the
+kind or freeze_z. A loop takes the kind's one parameter
+(policies.POLICY_KINDS) as `param`, None for a kind that takes none.
+The rules must stay in sync with policies.decide, which is written out
+on its own; tests enforce agreement on randomized inputs.
 
 The loop reads its columns as lists, since indexing a list is far
 cheaper than reading a numpy scalar; it stores the wish into a zeroed
@@ -49,15 +47,12 @@ ENV_VAR = "LEASESIM_BACKEND"  # perfbench records this variable; nothing in leas
 RULES = {
     "dsf": "q + z > threshold",  # threshold rule on expected prices
     "dsf_exact_argmin": "q + eps_d * z > threshold",  # exact argmin, expected prices
-    "periodic": "(t0 + i) % period_k == 0 and q > 0.0",  # periodic cadence
+    "periodic": "(t0 + i) % param == 0 and q > 0.0",  # periodic cadence
     "greedy": "q > 0.0",
-    "price_only": "joint_price[i] <= price_cutoff and q > 0.0",
-    "queue_threshold": "q >= queue_cutoff",
+    "price_only": "joint_price[i] <= param and q > 0.0",
+    "queue_threshold": "q >= param",
     "myopic": "q + eps_d * z > v * joint_price[i]",  # exact argmin, realized prices
 }
-
-# integer codes keep the kernel free of string dispatch
-POLICY_CODES = {kind: code for code, kind in enumerate(RULES)}
 
 # the kinds whose rule reads joint_price; the others never index it
 PRICE_READING_KINDS = frozenset(kind for kind, want in RULES.items() if "joint_price" in want)
@@ -70,8 +65,8 @@ PRICE_READING_KINDS = frozenset(kind for kind, want in RULES.items() if "joint_p
 # >= 0), and x + (-x) is +0.0, so a clamp stores -x, the operand that
 # replays it; every other slot stores nothing
 _TEMPLATE = """\
-def {name}(q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
-        queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops):
+def {name}(q0, z0, t0, param, arrival, joint_price, joint_avail, v, eps_d, threshold,
+        x_desired, q_ops, z_ops):
     q = q0
     z = z0
     for i in range(len(arrival)):
@@ -99,7 +94,7 @@ def {name}(q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff
 # per freeze_z, z's accrual without a lease; frozen, z + 0.0 on an empty queue
 _ACCRUAL = {False: "eps_d", True: "(0.0 if q == 0.0 else eps_d)"}
 
-# per (policy code, freeze_z), the loop kind_loop generated
+# per (kind, freeze_z) key, the loop get_loop generated
 _LOOPS: dict = {}
 
 
@@ -110,35 +105,21 @@ def loop_source(kind: str, freeze_z: bool) -> tuple[str, str]:
     return name, _TEMPLATE.format(name=name, want=RULES[kind], accrual=_ACCRUAL[freeze_z])
 
 
-def kind_loop(policy_code: int, freeze_z):
-    """The loop of one policy kind, with z frozen on an empty queue when
-    `freeze_z` is truthy, generated from _TEMPLATE with exec on first use
-    and kept, so each (kind, freeze_z) loop is made once."""
-    key = (policy_code, bool(freeze_z))
+def get_loop(key):
+    """The loop of `key`, a (policy kind, freeze_z) pair, made once: z is
+    frozen on an empty queue when freeze_z, of any type, is truthy."""
     loop = _LOOPS.get(key)
     if loop is None:
-        name, source = loop_source(tuple(RULES)[policy_code], key[1])
-        namespace = {}
-        exec(source, namespace)
-        loop = _LOOPS[key] = namespace[name]
+        kind, freeze_z = key[0], bool(key[1])
+        loop = _LOOPS.get((kind, freeze_z))
+        if loop is None:
+            name, source = loop_source(kind, freeze_z)
+            namespace = {}
+            exec(source, namespace)
+            loop = _LOOPS[kind, freeze_z] = namespace[name]
+        _LOOPS[key] = loop
     return loop
-
-
-def _slot_loop(q0, z0, t0, freeze_z, arrival, joint_price, joint_avail, policy_code, period_k,
-               price_cutoff, queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops):
-    """Select the loop of the call's kind and freeze_z once, run it on the
-    columns and return its final (q, z)."""
-    loop = _LOOPS.get((policy_code, freeze_z)) or kind_loop(policy_code, freeze_z)
-    return loop(
-        q0, z0, t0, arrival, joint_price, joint_avail, period_k, price_cutoff,
-        queue_cutoff, v, eps_d, threshold, x_desired, q_ops, z_ops,
-    )
 
 
 def resolve_backend() -> str:  # perfbench records what it returns as the backend
     return "python"
-
-
-def get_loop(backend=None):  # perfbench's tracer wraps simulator.get_loop and passes one argument
-    """The slot loop, _slot_loop; `backend` is ignored."""
-    return _slot_loop

@@ -105,7 +105,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to read
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 

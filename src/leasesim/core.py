@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 __all__ = [
     "ConfigError",
@@ -19,6 +20,7 @@ __all__ = [
     "frozen",
     "builder",
     "record_dict",
+    "record_from_dict",
     "QueueState",
     "LeaseDecision",
     "ControlParams",
@@ -47,23 +49,25 @@ def check_int(name: str, value, low: int, high: int | None = None) -> None:
         raise ConfigError(f"{name} must be <= {high}, got {value}")
 
 
+def _finite(value) -> bool:
+    """Whether `value` is a real number, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def check_price(name: str, value) -> None:
     """Reject anything but a finite number >= 0 (bools too), naming the field."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (math.isfinite(value) and value >= 0)
-    ):
+    if not (_finite(value) and value >= 0):
         raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def check_positive(name: str, value) -> None:
     """Reject anything but a finite number > 0 (bools too), naming the field."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (math.isfinite(value) and value > 0)
-    ):
+    if not (_finite(value) and value > 0):
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
@@ -128,6 +132,30 @@ def record_dict(record) -> dict:
     }
 
 
+def record_from_dict(cls, data, name: str, where: str = "document"):
+    """The record of dataclass `cls` in `data`, parsed JSON: the inverse of
+    record_dict. A non-object, an unknown field or a missing required one
+    raises a ConfigError naming `name` `where` ("translation document"); a
+    nested record is read by the same rule, named by its field
+    ("translation params"). The record's own checks judge the values."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} {where} must be a JSON object, got {type(data).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise ConfigError(
+            f"{name} {where} has unknown fields: {', '.join(unknown)}; valid fields: {', '.join(names)}"
+        )
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ConfigError(f"{name} {where} is missing required fields: {', '.join(missing)}")
+    types = get_type_hints(cls)
+    return cls(**{
+        key: record_from_dict(types[key], value, name, key) if is_dataclass(types[key]) else value
+        for key, value in data.items()
+    })
+
+
 @dataclass(frozen=True)
 class QueueState:
     """Backlog pair a policy observes: data packets q, delay urgency z."""
@@ -177,7 +205,7 @@ class ControlParams:
             check_positive(name, getattr(self, name))
         # the threshold of both dsf rules; an infinite one never leases
         threshold = self.v * (self.expected_price_ris + self.expected_price_spectrum)
-        if not math.isfinite(threshold):
+        if not _finite(threshold):
             raise ConfigError(
                 f"v={self.v!r} is too large: the lease threshold "
                 f"v * (expected_price_ris + expected_price_spectrum) is {threshold}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, check_int, check_positive, check_price, frozen, record_dict
+from .core import ConfigError, check_int, check_positive, check_price, frozen, record_dict, record_from_dict
 
 __all__ = [
     "DEFAULT_SEED",
@@ -267,16 +267,7 @@ def scenario_fingerprint(config: ScenarioConfig) -> str:
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed JSON, rejecting unknown fields."""
-    if not isinstance(data, dict):
-        raise ConfigError("scenario document must be a JSON object")
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}; valid fields: {sorted(known)}")
-    try:
-        return ScenarioConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad scenario document: {exc}") from exc
+    return record_from_dict(ScenarioConfig, data, "scenario")
 
 
 def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:

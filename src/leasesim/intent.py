@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigError, ControlParams, check_int, check_positive, record_dict
+from .core import ConfigError, ControlParams, check_int, check_positive, record_dict, record_from_dict
 from .environment import ScenarioConfig
 from .simulator import default_params
 
@@ -243,33 +243,13 @@ def assure(trace, intent: IntentSpec, translation: TranslationResult) -> Assuran
 
 
 def intent_from_dict(data: dict) -> IntentSpec:
-    """Build an IntentSpec from parsed JSON, rejecting unknown fields."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"intent document must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(IntentSpec.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"unknown intent fields: {', '.join(unknown)}")
-    required = {field.name for field in fields(IntentSpec) if field.default is MISSING}
-    missing = sorted(required - set(data))
-    if missing:
-        raise ConfigError(f"intent is missing required fields: {', '.join(missing)}")
-    return IntentSpec(**data)
+    """Build an IntentSpec from parsed JSON, rejecting unknown and missing fields."""
+    return record_from_dict(IntentSpec, data, "intent")
 
 
 def translation_from_dict(data: dict) -> TranslationResult:
     """Inverse of record_dict(TranslationResult), for reloading emitted JSON."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"translation document must be a JSON object, got {type(data).__name__}")
-    try:
-        params = data["params"]
-        if not isinstance(params, dict):
-            raise ConfigError(f"translation params must be a JSON object, got {type(params).__name__}")
-        return TranslationResult(
-            **{field.name: data[field.name] for field in fields(TranslationResult) if field.name != "params"},
-            params=ControlParams(**{field.name: params[field.name] for field in fields(ControlParams)}),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"translation document is missing field {exc.args[0]!r}") from exc
+    return record_from_dict(TranslationResult, data, "translation")
 
 
 def report_to_dict(report: AssuranceReport) -> dict:

@@ -63,7 +63,8 @@ class PolicyInput:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """A policy kind plus exactly the parameters that kind requires."""
+    """A policy kind plus exactly the parameters that kind requires; a
+    cutoff is stored as a float."""
 
     kind: str
     period_k: int | None = None
@@ -85,8 +86,9 @@ class PolicySpec:
                 raise ConfigError(f"policy {self.kind!r} requires parameter {name!r}")
             elif name == "period_k":
                 check_int(name, value, 1)
-            else:
+            else:  # a cutoff is held as the float the loop and the label read
                 check_positive(name, value)
+                object.__setattr__(self, name, float(value))
 
 
 def dsf_objective(
@@ -215,4 +217,4 @@ def policy_label(spec: PolicySpec) -> str:
     if required == "period_k":
         return f"{spec.kind}:{value}"
     text = f"{value:g}"
-    return f"{spec.kind}:{text if float(text) == value else repr(float(value))}"
+    return f"{spec.kind}:{text if float(text) == value else repr(value)}"

@@ -4,7 +4,7 @@ Each slot proceeds through the same stages regardless of policy:
 arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage so traces can be audited after the fact.
-runs() draws one market and looks up the slot loop once for many cells;
+runs() draws one market for many cells;
 run() is its one-cell case; runs() and step() share one record rule.
 The oracle checks the market slots it reads against
 environment.COLUMN_RULES, the rule the CSV readers apply too.
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import POLICY_CODES, PRICE_READING_KINDS, get_loop
+from ._kernels import PRICE_READING_KINDS, get_loop
 from .core import ConfigError, ControlParams, QueueState, builder, check_int, check_price, frozen
 from .environment import (
     MARKET_FIELDS,
@@ -30,7 +30,7 @@ from .environment import (
     expected_price,
     first_bad_row,
 )
-from .policies import PolicySpec
+from .policies import POLICY_KINDS, PolicySpec
 
 
 @dataclass(frozen=True)
@@ -141,15 +141,11 @@ def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlP
 
 
 def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
-    """The loop's scalar policy and control arguments, in argument order."""
-    period_k = policy.period_k if policy.period_k is not None else 1
-    price_cutoff = policy.price_cutoff if policy.price_cutoff is not None else 0.0
-    queue_cutoff = policy.queue_cutoff if policy.queue_cutoff is not None else 0.0
+    """The loop's scalar arguments: the kind's one parameter (None for a
+    kind that takes none), v, eps_d and the threshold of both dsf rules."""
+    required = POLICY_KINDS[policy.kind]
     return (
-        POLICY_CODES[policy.kind],
-        period_k,
-        float(price_cutoff),
-        float(queue_cutoff),
+        None if required is None else getattr(policy, required),
         params.v,
         params.eps_d,
         params.v * (params.expected_price_ris + params.expected_price_spectrum),
@@ -222,9 +218,9 @@ def _run_loop(
     """
     n = len(realization)
     market, joint_avail = market
-    args = (q0, z0, t0, freeze_z, *market, *_kernel_args(policy, params))
+    param, v, eps_d, threshold = _kernel_args(policy, params)
     wishes, q_ops, z_ops = bytearray(n), np.full(n, -1.0), np.full(n, -1.0)
-    loop(*args, wishes, memoryview(q_ops), memoryview(z_ops))
+    loop(q0, z0, t0, param, *market, v, eps_d, threshold, wishes, memoryview(q_ops), memoryview(z_ops))
     x_desired = np.frombuffer(wishes, np.bool_).astype(np.int64)
     r = x_desired & joint_avail
     with np.errstate(over="ignore"):
@@ -233,7 +229,6 @@ def _run_loop(
         np.multiply(q_ops, r, out=q_steps[:, 1])
         q_steps[:1, 0] += q0
         q_before, q_after = np.cumsum(q_steps).reshape(n, 2).T.copy()
-        eps_d = params.eps_d
         accrual = np.where(q_after == 0.0, 0.0, eps_d) if freeze_z else eps_d
         z_steps = np.where(r, z_ops, accrual)
         z_steps[:1] += z0
@@ -252,19 +247,19 @@ def runs(
 ) -> Iterator[Trace]:
     """One trace per (policy, params) cell, all on one market realization.
 
-    The market is drawn and prepared, and the loop looked up, once
-    however many cells follow; each trace is the one run() gives for its
-    cell, and holds its own copy of the market columns. The joint-price
+    The market is drawn and prepared once however many cells follow, and
+    each cell runs its kind's loop; each trace is the one run() gives for
+    its cell, and holds its own copy of the market columns. The joint-price
     list is built only when a cell's kind reads it (PRICE_READING_KINDS).
     Traces are yielded one at a time, so only the caller keeps them alive.
     """
     cells = list(cells)
     realization = draw_realization(scenario)
-    loop = get_loop()
     read_prices = any(policy.kind in PRICE_READING_KINDS for policy, _ in cells)
     market = _market_columns(realization, read_prices)
     q0, freeze_z = float(scenario.initial_backlog), scenario.freeze_z_when_empty
     for policy, params in cells:
+        loop = get_loop((policy.kind, freeze_z))
         columns = _run_loop(loop, market, realization, q0, 0.0, 1, freeze_z, policy, params)
         columns.update({name: columns[name].copy() for name in MARKET_FIELDS})
         yield Trace(columns, scenario=scenario, policy=policy, params=params)
@@ -318,9 +313,10 @@ def step(
         price_ris, price_spectrum = float(price_ris), float(price_spectrum)
     joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
     x_desired, ops = [False], [0.0]  # step reads the loop's (q, z), not its clamp operands
-    q_after, z_after = get_loop()(
-        q, z, t, freeze_z_when_empty, [arrival], [price_ris + price_spectrum], [joint_avail],
-        *_kernel_args(policy, params), x_desired, ops, ops
+    param, v, eps_d, threshold = _kernel_args(policy, params)
+    q_after, z_after = get_loop((policy.kind, freeze_z_when_empty))(
+        q, z, t, param, [arrival], [price_ris + price_spectrum], [joint_avail],
+        v, eps_d, threshold, x_desired, ops, ops
     )
     record = _build_record(_slot_values(
         t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,

@@ -684,6 +684,13 @@ def test_assure_rejects_bad_trace_cell(tmp_path, assured_pipeline, capsys, colum
         ("feasible", "yes", "feasible must be true or false, got 'yes'"),
         ("tightness", -0.5, "tightness must be a number >= 0, got -0.5"),
         ("tightness", math.nan, "tightness must be a number >= 0, got nan"),
+        # a misspelled field, at the top or in params, is an error, not dropped
+        ("n_packet", 5, "translation document has unknown fields: n_packet; valid fields: n_packets, "),
+        (
+            "params",
+            {"v": 1.0, "eps_d": 1.0, "expected_price_ris": 1.0, "expected_price_spectrum": 1.0, "eps": 1.0},
+            "translation params has unknown fields: eps; valid fields: v, eps_d, ",
+        ),
     ],
 )
 def test_assure_rejects_bad_translation(tmp_path, assured_pipeline, capsys, field, value, message):
@@ -696,6 +703,58 @@ def test_assure_rejects_bad_translation(tmp_path, assured_pipeline, capsys, fiel
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+
+
+HUGE = "1" + "0" * 400  # a JSON integer no float holds
+
+
+@pytest.mark.parametrize(
+    "document,field,message",
+    [
+        ("scenario", "price_high", "price_high must be a finite number > 0, got"),
+        ("scenario", "arrival_prob", "arrival_prob must be a finite number >= 0, got"),
+        ("intent", "payload_mb", "payload_mb must be a finite number > 0, got"),
+        ("translation", "params.v", "v must be a finite number > 0, got"),
+    ],
+)
+def test_an_integer_too_large_for_a_float_names_its_field(
+    tmp_path, assured_pipeline, capsys, document, field, message
+):
+    """A huge JSON integer exits 1 naming its field, where it used to
+    escape as an OverflowError, and no file is written."""
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    with open(translation_path) as fh:
+        doc = {"scenario": {}, "intent": FLAGSHIP_DOC, "translation": json.load(fh)["translation"]}[document]
+    doc = json.loads(json.dumps(doc))
+    outer, _, inner = field.rpartition(".")
+    (doc[outer] if outer else doc)[inner] = "HUGE"
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc).replace('"HUGE"', HUGE))
+    out = tmp_path / "out.json"
+    argv = {
+        "scenario": ["run", "--scenario", str(bad)],
+        "intent": ["intent", "--file", str(bad)],
+        "translation": ["assure", "--trace", trace_path, "--intent", intent_path, "--translation", str(bad)],
+    }[document]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{message} {HUGE}" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_an_integer_too_long_to_read_names_the_file(tmp_path, capsys):
+    """An integer past Python's digit limit for int conversion fails the
+    JSON read, naming the file, not with a traceback."""
+    bad = tmp_path / "scenario.json"
+    bad.write_text('{"price_high": 1' + "0" * 5000 + "}")
+    out = tmp_path / "t.csv"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid JSON" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

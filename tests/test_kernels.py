@@ -28,66 +28,47 @@ ALL_POLICIES = [
 
 
 def test_get_loop_python_is_uncompiled(monkeypatch):
-    """get_loop gives _slot_loop, which runs the plain loop generated for
-    the call's kind."""
-    assert _kernels.get_loop() is _kernels._slot_loop
-    code = _kernels.POLICY_CODES["greedy"]
-    generated = _kernels.kind_loop(code, False)
+    """A run calls the plain loop get_loop generated for its kind."""
+    generated = _kernels.get_loop(("greedy", False))
     calls = []
-    monkeypatch.setitem(_kernels._LOOPS, (code, False), lambda *args: calls.append(args) or generated(*args))
+    monkeypatch.setitem(_kernels._LOOPS, ("greedy", False), lambda *args: calls.append(args) or generated(*args))
     scenario = ScenarioConfig(horizon_slots=50, initial_backlog=2, seed=3)
     run(scenario, parse_policy("greedy"), default_params(scenario, v=1.0, eps_d=1.0))
     assert len(calls) == 1
 
 
-def test_policy_codes_cover_all_kinds():
-    assert set(_kernels.POLICY_CODES) == {
-        "dsf",
-        "dsf_exact_argmin",
-        "periodic",
-        "greedy",
-        "price_only",
-        "queue_threshold",
-        "myopic",
-    }
-
-
 def test_rules_cover_exactly_the_policy_kinds():
-    """One rule per kind: the table, the kernel codes and the policy
-    grammar name the same kinds."""
-    assert set(_kernels.RULES) == set(_kernels.POLICY_CODES) == set(POLICY_KINDS)
+    """One rule per kind: the table and the policy grammar name the same
+    kinds."""
+    assert set(_kernels.RULES) == set(POLICY_KINDS)
 
 
 @pytest.mark.parametrize("freeze", [False, True])
 @pytest.mark.parametrize("kind", sorted(_kernels.RULES))
 def test_each_kind_loop_is_generated_once(monkeypatch, kind, freeze):
     """The first lookup of a (kind, freeze_z) pair generates its loop; a
-    second lookup, a truthy freeze_z of another type and a run through the
-    dispatcher all get the same function object."""
+    second lookup, a truthy freeze_z of another type and a run all get the
+    same function object."""
     monkeypatch.setattr(_kernels, "_LOOPS", {})
-    code = _kernels.POLICY_CODES[kind]
-    loop = _kernels.kind_loop(code, freeze)
-    assert _kernels.kind_loop(code, freeze) is loop
-    assert _kernels.kind_loop(code, 1 if freeze else 0) is loop
-    assert _kernels.kind_loop(code, "yes" if freeze else "") is loop
-    assert loop is not _kernels.kind_loop(code, not freeze)
+    loop = _kernels.get_loop((kind, freeze))
+    assert _kernels.get_loop((kind, freeze)) is loop
+    assert _kernels.get_loop((kind, 1 if freeze else 0)) is loop
+    assert _kernels.get_loop((kind, "yes" if freeze else "")) is loop
+    assert loop is not _kernels.get_loop((kind, not freeze))
     scenario = ScenarioConfig(horizon_slots=20, seed=1, freeze_z_when_empty=freeze)
     label = next(label for label in ALL_POLICIES if label.partition(":")[0] == kind)
     run(scenario, parse_policy(label), default_params(scenario, v=1.0, eps_d=1.0))
-    assert _kernels._LOOPS == {
-        (code, freeze): loop,
-        (code, not freeze): _kernels.kind_loop(code, not freeze),
-    }
+    assert set(_kernels._LOOPS.values()) == {loop, _kernels.get_loop((kind, not freeze))}
 
 
 @pytest.mark.parametrize("freeze", [False, True])
 @pytest.mark.parametrize("kind", sorted(_kernels.RULES))
 def test_generated_loops_do_not_dispatch(kind, freeze):
-    """A generated loop, dsf's among them, never reads the policy code or
+    """A generated loop, dsf's among them, never reads the policy kind or
     freeze_z, so it cannot compare either on any slot: both are settled
     when the loop is chosen."""
-    code = _kernels.kind_loop(_kernels.POLICY_CODES[kind], freeze).__code__
-    assert {"policy_code", "freeze_z"}.isdisjoint(code.co_varnames + code.co_names)
+    code = _kernels.get_loop((kind, freeze)).__code__
+    assert {"kind", "freeze_z"}.isdisjoint(code.co_varnames + code.co_names)
 
 
 def _branch_stores(tree):
@@ -132,7 +113,7 @@ def test_generated_loops_store_only_wishes_and_clamps(kind, freeze):
     ]
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert calls == {"range", "len"}
-    assert _kernels.kind_loop(_kernels.POLICY_CODES[kind], freeze).__name__ == name
+    assert _kernels.get_loop((kind, freeze)).__name__ == name
 
 
 @pytest.mark.parametrize("path", ["list", "step"])
@@ -143,12 +124,12 @@ def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
     wishes = []
 
     def loop(*args):
-        wish = args[14]
+        wish = args[10]
         assert type(wish) is {"list": bytearray, "step": list}[path]
         wishes.append(list(wish))
-        return _kernels._slot_loop(*args)
+        return _kernels.get_loop(("dsf", False))(*args)
 
-    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
+    monkeypatch.setattr(simulator, "get_loop", lambda key: loop)
     scenario = ScenarioConfig(horizon_slots=100, initial_backlog=3, seed=6)
     dsf, params = parse_policy("dsf"), default_params(scenario, v=1.0, eps_d=1.0)
     if path == "step":
@@ -184,11 +165,11 @@ def test_python_loop_stores_floats_through_memoryviews(monkeypatch):
     calls = []
 
     def loop(*args):
-        result = _kernels._slot_loop(*args)
+        result = _kernels.get_loop(("dsf", False))(*args)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
+    monkeypatch.setattr(simulator, "get_loop", lambda key: loop)
     scenario = ScenarioConfig(horizon_slots=200, initial_backlog=3, seed=8)
     trace = run(scenario, parse_policy("dsf"), default_params(scenario, v=0.05, eps_d=0.3))
     [(args, (q, z))] = calls
@@ -226,7 +207,7 @@ def test_huge_arrivals_give_the_same_bytes_on_every_path(arrival):
     spec = parse_policy("greedy")
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     loop_args = (realization, 0.5, 0.0, 1, False, spec, params)
-    columns = _run_loop(_kernels._slot_loop, _market_columns(realization), *loop_args)
+    columns = _run_loop(_kernels.get_loop((spec.kind, False)), _market_columns(realization), *loop_args)
     trace = Trace(columns)
     state = QueueState(0.5, 0.0)
     for i in range(n):
@@ -299,7 +280,7 @@ def test_loop_outputs_match_loop_dtypes(monkeypatch):
     writes: the wish and the clamp operands of q and z. runs hands them in
     as a zeroed bytearray and memoryviews of float64 arrays filled with
     -1.0, and gets the final (q, z) back as a tuple."""
-    names = list(inspect.signature(_kernels._slot_loop).parameters)
+    names = list(inspect.signature(_kernels.get_loop(("myopic", False))).parameters)
     outputs = names[names.index("threshold") + 1:]
     assert outputs == ["x_desired", "q_ops", "z_ops"]
 
@@ -307,11 +288,11 @@ def test_loop_outputs_match_loop_dtypes(monkeypatch):
 
     def loop(*args):
         buffers = [bytes(buffer) for buffer in args[-3:]]  # as handed in, before the loop writes
-        result = _kernels._slot_loop(*args)
+        result = _kernels.get_loop(("myopic", False))(*args)
         calls.append((args[-3:], buffers, result))
         return result
 
-    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
+    monkeypatch.setattr(simulator, "get_loop", lambda key: loop)
     scenario = ScenarioConfig(horizon_slots=150, initial_backlog=2, seed=8)
     trace = run(scenario, parse_policy("myopic"), default_params(scenario, v=2.0, eps_d=0.5))
     [((wish, q_view, z_view), buffers, result)] = calls
@@ -376,7 +357,7 @@ def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     spec = parse_policy(label)
     params = ControlParams(v=v, eps_d=eps_d, expected_price_ris=5.5, expected_price_spectrum=5.5)
     loop_args = (realization, q0, z0, t0, freeze, spec, params)
-    columns = _run_loop(_kernels._slot_loop, _market_columns(realization), *loop_args)
+    columns = _run_loop(_kernels.get_loop((spec.kind, freeze)), _market_columns(realization), *loop_args)
 
     joint = (realization.avail_ris == 1) & (realization.avail_spectrum == 1)
     assert columns["r"].dtype == columns["x_desired"].dtype == np.int64

@@ -5,12 +5,15 @@ wrapping simulator.get_loop. Should one of those names go, every
 benchmark workload would fail while the rest of this suite still passed.
 """
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 from leasesim import _kernels, simulator
 from leasesim.core import QueueState
 from leasesim.environment import ScenarioConfig, draw_realization
-from leasesim.policies import parse_policy
+from leasesim.policies import POLICY_KINDS, parse_policy
 from leasesim.simulator import default_params, run, step
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -28,12 +31,14 @@ def test_perfbench_records_the_python_loop():
 def test_get_loop_with_one_argument_is_the_loop_runs_and_step_use(monkeypatch):
     """perfbench's tracer calls simulator.get_loop with one argument and
     counts a loop call's slots from its fifth argument, the arrival
-    column: get_loop(None) is the loop that runs and step call."""
-    loop = simulator.get_loop(None)
-    assert loop is _kernels._slot_loop
+    column: get_loop(key) is the loop that runs and step call."""
+    get_loop = simulator.get_loop
+    assert get_loop(("dsf", False)) is _kernels.get_loop(("dsf", False))
     slots = []
 
     def traced_get_loop(backend=None):
+        loop = get_loop(backend)
+
         def traced(*args):
             slots.append(len(args[4]))
             return loop(*args)
@@ -46,3 +51,12 @@ def test_get_loop_with_one_argument_is_the_loop_runs_and_step_use(monkeypatch):
     run(scenario, dsf, params)
     step(QueueState(2.0, 0.0), draw_realization(scenario).observation(0), dsf, params)
     assert slots == [30, 1]
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_every_loop_takes_the_arrival_column_fifth(kind, freeze):
+    """perfbench counts a loop call's slots from args[4], so the loop of
+    every kind, with z frozen or not, takes `arrival` fifth."""
+    names = list(inspect.signature(simulator.get_loop((kind, freeze))).parameters)
+    assert names[4] == "arrival"

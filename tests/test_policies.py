@@ -144,8 +144,8 @@ specs = st.one_of(
     st.builds(
         lambda kind, cutoff: PolicySpec(kind, **{POLICY_KINDS[kind]: cutoff}),
         st.sampled_from(["price_only", "queue_threshold"]),
-        # parse_policy reads a cutoff as a float, so int cutoffs stay where floats are exact
-        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 2**53),
+        # an int cutoff is stored as the float parse_policy reads
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(min_value=1),
     ),
 )
 
@@ -153,6 +153,7 @@ specs = st.one_of(
 @example(PolicySpec("price_only", price_cutoff=8.0000001))
 @example(PolicySpec("queue_threshold", queue_cutoff=1234567.5))
 @example(PolicySpec("price_only", price_cutoff=5e-324))
+@example(PolicySpec("price_only", price_cutoff=2**53 + 1))
 @given(specs)
 def test_policy_label_parses_back_to_its_spec(spec):
     """Every spec's label parses back to the spec, so distinct specs get

@@ -212,8 +212,8 @@ def test_crn_sweep_equals_cell_by_cell_runs():
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls so far to simulator's draw_realization and get_loop, which
-    runs() makes once per market."""
+    """Calls so far to simulator's draw_realization, which runs() makes
+    once per market, and get_loop, which it makes once per cell."""
     counts = dict.fromkeys(("draw_realization", "get_loop"), 0)
 
     def counted(name, original):
@@ -233,17 +233,18 @@ def test_crn_sweep_draws_the_market_once(call_counts):
     with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
         sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, [1.0, math.nan])
     assert call_counts == dict.fromkeys(call_counts, 0)  # a bad grid value fails before the market is drawn
+    cells = len(v_grid) * len(eps_grid)
     sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid)
-    assert call_counts == dict.fromkeys(call_counts, 1)
+    assert call_counts == {"draw_realization": 1, "get_loop": cells}
     sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid, common_random_numbers=False)
-    assert call_counts == dict.fromkeys(call_counts, 1 + len(v_grid) * len(eps_grid))
+    assert call_counts == {"draw_realization": 1 + cells, "get_loop": 2 * cells}
 
 
 def test_compare_draws_the_market_once(call_counts):
     scenario = ScenarioConfig(horizon_slots=30)
     labels = ("dsf", "greedy", "periodic:2", "myopic", "price_only:8", "queue_threshold:10")
     compare(scenario, [parse_policy(p) for p in labels], default_params(scenario, v=10.0, eps_d=1.0))
-    assert call_counts == dict.fromkeys(call_counts, 1)
+    assert call_counts == {"draw_realization": 1, "get_loop": len(labels)}
 
 
 def test_compare_shares_the_market():

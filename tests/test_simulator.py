@@ -143,7 +143,7 @@ def test_run_treats_only_flag_one_as_available():
     )
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     market = _market_columns(realization)
-    columns = _run_loop(_kernels._slot_loop, market, realization, 4.0, 1.5, 3, False, GREEDY, params)
+    columns = _run_loop(_kernels.get_loop(("greedy", False)), market, realization, 4.0, 1.5, 3, False, GREEDY, params)
     assert columns["r"].tolist() == [0, 0, 0, 1, 0, 1]
     state = QueueState(4.0, 1.5)
     for i in range(len(realization)):
@@ -257,7 +257,7 @@ def test_step_checks_each_observation_field(label, **values):
     })
     with np.errstate(over="ignore"):  # two huge prices sum to inf, as in step
         market = _market_columns(realization)
-    columns = _run_loop(_kernels._slot_loop, market, realization, 3.0, 2.0, 4, False, spec, params)
+    columns = _run_loop(_kernels.get_loop((spec.kind, False)), market, realization, 3.0, 2.0, 4, False, spec, params)
     want = Trace(columns).record(0)
     got_state, got = step(state, observation, spec, params, t=4)
     assert got == want
@@ -604,12 +604,16 @@ def test_python_loop_gets_a_price_list_only_for_price_reading_kinds(monkeypatch,
     """The joint-price list is built only when a cell reads it; otherwise
     the loop is handed the unread array."""
     calls = []
+    get_loop = simulator.get_loop
 
-    def loop(*args):
-        calls.append(args)
-        return _kernels._slot_loop(*args)
+    def recording_get_loop(key):
+        def loop(*args):
+            calls.append(args)
+            return get_loop(key)(*args)
 
-    monkeypatch.setattr(simulator, "get_loop", lambda: loop)
+        return loop
+
+    monkeypatch.setattr(simulator, "get_loop", recording_get_loop)
     scenario = ScenarioConfig(horizon_slots=50, seed=4)
     params = default_params(scenario, v=5.0, eps_d=1.0)
     traces = list(runs(scenario, [(parse_policy(label), params) for label in labels]))
