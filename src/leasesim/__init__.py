@@ -26,7 +26,6 @@ from .environment import (
     Realization,
     ScenarioConfig,
     draw_realization,
-    empirical_means,
     expected_price,
     scenario_from_dict,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "Realization",
     "draw_realization",
     "expected_price",
-    "empirical_means",
     "scenario_from_dict",
     "PolicySpec",
     "PolicyInput",

@@ -106,18 +106,14 @@ def loop_source(kind: str, freeze_z: bool) -> tuple[str, str]:
 
 
 def get_loop(key):
-    """The loop of `key`, a (policy kind, freeze_z) pair, made once: z is
-    frozen on an empty queue when freeze_z, of any type, is truthy."""
+    """The loop of `key`, a (policy kind, freeze_z) pair with freeze_z a
+    bool, made once: z is frozen on an empty queue when freeze_z is True."""
     loop = _LOOPS.get(key)
     if loop is None:
-        kind, freeze_z = key[0], bool(key[1])
-        loop = _LOOPS.get((kind, freeze_z))
-        if loop is None:
-            name, source = loop_source(kind, freeze_z)
-            namespace = {}
-            exec(source, namespace)
-            loop = _LOOPS[kind, freeze_z] = namespace[name]
-        _LOOPS[key] = loop
+        name, source = loop_source(*key)
+        namespace = {}
+        exec(source, namespace)
+        loop = _LOOPS[key] = namespace[name]
     return loop
 
 

@@ -12,27 +12,6 @@ import numbers
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import get_type_hints
 
-__all__ = [
-    "ConfigError",
-    "check_int",
-    "check_price",
-    "check_positive",
-    "frozen",
-    "builder",
-    "record_dict",
-    "record_from_dict",
-    "QueueState",
-    "LeaseDecision",
-    "ControlParams",
-    "HOLD",
-    "LEASE",
-    "advance_data_queue",
-    "advance_virtual_queue",
-    "departure",
-    "slot_cost",
-    "lyapunov",
-]
-
 
 class ConfigError(ValueError):
     """Invalid configuration: bad field values, missing policy parameters,
@@ -47,6 +26,12 @@ def check_int(name: str, value, low: int, high: int | None = None) -> None:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ConfigError(f"{name} must be <= {high}, got {value}")
+
+
+def check_bool(name: str, value) -> None:
+    """Reject anything but True or False (numpy bools and 0/1 too), naming the field."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 def _finite(value) -> bool:
@@ -71,49 +56,39 @@ def check_positive(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-# per dataclass, the builder frozen() generated for it on first use
+# per dataclass, the builder generated for it on first use
 _BUILDERS: dict = {}
 
 
-def frozen(cls, values):
-    """An instance of the frozen dataclass `cls` holding `values` in field order.
-
-    Equal to `cls(*values)`, hash and `vars()` order included, but built
-    without the generated __init__, which pays one guarded setattr per
-    field. __post_init__ does not run either, so its checks are skipped:
-    for per-slot records whose values are known to pass them.
-
-    On first use for a class, a builder is generated with exec, as
-    dataclasses generates __init__: `[d['t'], d['q_before'], ...] = values`
-    into the new instance's __dict__, one constant-key store per field,
-    which CPython specializes. Values of the wrong length raise ValueError.
-    """
-    return (_BUILDERS.get(cls) or builder(cls))(values)
-
-
 def builder(cls):
-    """The function frozen(cls, values) calls, `build(values)`, generated
-    on first use for `cls` and kept. A caller that builds one class on a
-    hot path looks it up once and skips frozen's lookup on every call."""
+    """`build(values)`, which returns an instance of the frozen dataclass
+    `cls` holding `values` in field order; generated on first use for
+    `cls` and kept, so a hot path looks it up once.
+
+    An instance it builds equals `cls(*values)`, hash and `vars()` order
+    included, but skips the generated __init__, which pays one guarded
+    setattr per field. __post_init__ does not run either, so its checks
+    are skipped: for per-slot records whose values are known to pass them.
+
+    The builder is generated with exec, as dataclasses generates __init__:
+    `[d['t'], d['q_before'], ...] = values` into the new instance's
+    __dict__, one constant-key store per field, which CPython specializes.
+    Values of the wrong length raise ValueError.
+    """
     build = _BUILDERS.get(cls)
     if build is None:
-        build = _BUILDERS[cls] = _builder(cls)
+        targets = ", ".join(f"d[{f.name!r}]" for f in fields(cls))
+        source = (
+            "def build(values):\n"
+            "    instance = new(cls)\n"
+            "    d = instance.__dict__\n"
+            f"    [{targets}] = values\n"
+            "    return instance\n"
+        )
+        namespace = {"new": object.__new__, "cls": cls}
+        exec(source, namespace)
+        build = _BUILDERS[cls] = namespace["build"]
     return build
-
-
-def _builder(cls):
-    """The function frozen() calls to build `cls` from a sequence of values."""
-    targets = ", ".join(f"d[{f.name!r}]" for f in fields(cls))
-    source = (
-        "def build(values):\n"
-        "    instance = new(cls)\n"
-        "    d = instance.__dict__\n"
-        f"    [{targets}] = values\n"
-        "    return instance\n"
-    )
-    namespace = {"new": object.__new__, "cls": cls}
-    exec(source, namespace)
-    return namespace["build"]
 
 
 def record_dict(record) -> dict:
@@ -124,7 +99,7 @@ def record_dict(record) -> dict:
     whose fields hold plain values or other records: a nested record
     becomes a nested dict, and every other value is the object itself,
     not asdict's deep copy. `vars()` holds the fields in field order, as
-    both the generated __init__ and frozen() store them.
+    both the generated __init__ and builder() store them.
     """
     return {
         name: record_dict(value) if hasattr(type(value), "__dataclass_fields__") else value

@@ -17,29 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, check_int, check_positive, check_price, frozen, record_dict, record_from_dict
-
-__all__ = [
-    "DEFAULT_SEED",
-    "ScenarioConfig",
-    "MarketObservation",
-    "Realization",
-    "MARKET_FIELDS",
-    "COLUMN_RULES",
-    "check_value",
-    "first_bad_row",
-    "check_market_slot",
-    "draw_slot",
-    "draw_realization",
-    "expected_price",
-    "empirical_means",
-    "derive_seed",
-    "scenario_fingerprint",
-    "scenario_from_dict",
-    "with_seed",
-]
+from .core import (
+    ConfigError, builder, check_bool, check_int, check_positive, check_price, record_dict, record_from_dict,
+)
 
 DEFAULT_SEED = 42
+
+# the longest horizon a scenario may ask for: a run holds its market and
+# trace in memory, and a 10**6-slot run peaks near 250 MiB resident
+MAX_HORIZON_SLOTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -62,10 +48,10 @@ class ScenarioConfig:
     freeze_z_when_empty: bool = False
 
     def __post_init__(self) -> None:
-        check_int("horizon_slots", self.horizon_slots, 1)
+        check_int("horizon_slots", self.horizon_slots, 1, MAX_HORIZON_SLOTS)
         # the loop's float queue is exact up to 2**53 packets, and a drawn
-        # market adds at most one per slot (a longer horizon fails its draw)
-        check_int("initial_backlog", self.initial_backlog, 0, max(2**53 - self.horizon_slots, 0))
+        # market adds at most one per slot
+        check_int("initial_backlog", self.initial_backlog, 0, 2**53 - self.horizon_slots)
         check_int("seed", self.seed, 0, 2**64 - 1)
         for name in ("arrival_prob", "avail_prob_ris", "avail_prob_spectrum"):
             p = getattr(self, name)
@@ -83,10 +69,7 @@ class ScenarioConfig:
                 f"prices must satisfy 0 < price_low <= price_high, "
                 f"got [{self.price_low}, {self.price_high}]"
             )
-        if not isinstance(self.freeze_z_when_empty, bool):
-            raise ConfigError(
-                f"freeze_z_when_empty must be true or false, got {self.freeze_z_when_empty!r}"
-            )
+        check_bool("freeze_z_when_empty", self.freeze_z_when_empty)
         joint = self.avail_prob_ris * self.avail_prob_spectrum
         if self.arrival_prob >= joint and self.arrival_prob > 0:
             warnings.warn(
@@ -123,7 +106,7 @@ class Realization:
         return len(self.arrival)
 
     def observation(self, i: int) -> MarketObservation:
-        return frozen(MarketObservation, (
+        return builder(MarketObservation)((
             float(self.price_ris[i]),
             float(self.price_spectrum[i]),
             int(self.avail_ris[i]),
@@ -196,7 +179,7 @@ def draw_slot(config: ScenarioConfig, rng: np.random.Generator) -> MarketObserva
     return MarketObservation(price_ris, price_spectrum, avail_ris, avail_spectrum, arrival)
 
 
-def draw_realization(config: ScenarioConfig, n_slots: int | None = None) -> Realization:
+def draw_realization(config: ScenarioConfig) -> Realization:
     """Draw the whole observation sequence for a scenario up front.
 
     One rng.random((n, 5)) call fills the slots row by row in draw_slot's
@@ -205,11 +188,10 @@ def draw_realization(config: ScenarioConfig, n_slots: int | None = None) -> Real
     the scalar Generator.uniform computes. The sequence is therefore
     bit-identical to a chain of draw_slot calls on one generator.
     """
-    n = config.horizon_slots if n_slots is None else n_slots
     try:
-        u = np.random.default_rng(config.seed).random((n, 5))
-    except (ValueError, MemoryError) as exc:  # numpy's size limit, or too little memory
-        raise ConfigError(f"horizon_slots={n} is too many slots to draw ({exc})") from exc
+        u = np.random.default_rng(config.seed).random((config.horizon_slots, 5))
+    except MemoryError as exc:
+        raise ConfigError(f"horizon_slots={config.horizon_slots} is too many slots to draw ({exc})") from exc
     span = config.price_high - config.price_low
     return Realization(
         arrival=(u[:, 0] < config.arrival_prob).astype(np.int64),
@@ -225,27 +207,6 @@ def expected_price(price_low: float, price_high: float) -> float:
     if price_low > price_high:
         raise ValueError(f"price_low {price_low} exceeds price_high {price_high}")
     return (price_low + price_high) / 2.0
-
-
-def empirical_means(
-    config: ScenarioConfig, n_slots: int
-) -> tuple[float, float, float, float, float]:
-    """Sample means over n_slots fresh draws, for sanity-checking the
-    stochastic layer against its analytic moments.
-
-    Returns (mean_price_ris, mean_price_spectrum, mean_avail_ris,
-    mean_avail_spectrum, mean_arrival).
-    """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    r = draw_realization(config, n_slots)
-    return (
-        float(r.price_ris.mean()),
-        float(r.price_spectrum.mean()),
-        float(r.avail_ris.mean()),
-        float(r.avail_spectrum.mean()),
-        float(r.arrival.mean()),
-    )
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -275,5 +236,5 @@ def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
     other fields passed when `config` was built, and checking them again
     would repeat their warning."""
     check_int("seed", seed, 0, 2**64 - 1)
-    return frozen(ScenarioConfig, {**vars(config), "seed": seed}.values())
+    return builder(ScenarioConfig)({**vars(config), "seed": seed}.values())
 

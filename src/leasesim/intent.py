@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigError, ControlParams, check_int, check_positive, record_dict, record_from_dict
+from .core import ConfigError, ControlParams, check_bool, check_int, check_positive, record_dict, record_from_dict
 from .environment import ScenarioConfig
 from .simulator import default_params
 
@@ -64,8 +64,7 @@ class TranslationResult:
     def __post_init__(self) -> None:
         check_int("n_packets", self.n_packets, 1)
         check_int("deadline_slots", self.deadline_slots, 1)
-        if not isinstance(self.feasible, bool):
-            raise ConfigError(f"feasible must be true or false, got {self.feasible!r}")
+        check_bool("feasible", self.feasible)
         tightness = self.tightness  # inf when the resources are never jointly available
         if isinstance(tightness, bool) or not isinstance(tightness, numbers.Real) or not tightness >= 0:
             raise ConfigError(f"tightness must be a number >= 0, got {tightness!r}")

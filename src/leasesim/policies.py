@@ -12,18 +12,6 @@ from dataclasses import dataclass
 from .core import HOLD, LEASE, ConfigError, ControlParams, LeaseDecision, QueueState, check_int, check_positive
 from .environment import MARKET_FIELDS, check_value
 
-__all__ = [
-    "POLICY_KINDS",
-    "PolicyInput",
-    "PolicySpec",
-    "dsf_objective",
-    "dsf_decide",
-    "dsf_decide_exact_argmin",
-    "decide",
-    "parse_policy",
-    "policy_label",
-]
-
 # kinds and the parameter each one requires (None = parameter-free)
 POLICY_KINDS: dict[str, str | None] = {
     "dsf": None,

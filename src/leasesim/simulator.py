@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import PRICE_READING_KINDS, get_loop
-from .core import ConfigError, ControlParams, QueueState, builder, check_int, check_price, frozen
+from .core import ConfigError, ControlParams, QueueState, builder, check_bool, check_int, check_price
 from .environment import (
     MARKET_FIELDS,
     MarketObservation,
@@ -68,6 +68,9 @@ INT_TRACE_COLUMNS = frozenset(f.name for f in fields(SlotRecord) if f.type in ("
 # per trace column, the Python type a SlotRecord field holds
 _RECORD_TYPES = tuple(int if name in INT_TRACE_COLUMNS else float for name in TRACE_COLUMNS)
 
+# the record and state constructors, looked up once
+_build_record, _build_state = builder(SlotRecord), builder(QueueState)
+
 
 class Trace:
     """Column-oriented log of a run; iterates as SlotRecord rows."""
@@ -99,18 +102,11 @@ class Trace:
         return self._columns[name]
 
     def record(self, i: int) -> SlotRecord:
-        return frozen(
-            SlotRecord,
-            [cast(column[i]) for cast, column in zip(_RECORD_TYPES, self._columns.values())],
-        )
+        return _build_record([cast(column[i]) for cast, column in zip(_RECORD_TYPES, self._columns.values())])
 
     def __iter__(self) -> Iterator[SlotRecord]:
         for i in range(len(self)):
             yield self.record(i)
-
-    @property
-    def records(self) -> list[SlotRecord]:
-        return list(self)
 
 
 def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlParams:
@@ -128,11 +124,7 @@ def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlP
         expected_price_ris=mean_price,
         expected_price_spectrum=mean_price,
     )
-    try:
-        z_sum_bound = scenario.horizon_slots**2 * params.eps_d
-    except OverflowError:  # horizon_slots**2 is past the largest float
-        z_sum_bound = math.inf
-    if not math.isfinite(z_sum_bound):
+    if not math.isfinite(scenario.horizon_slots**2 * params.eps_d):
         raise ConfigError(
             f"eps_d={params.eps_d!r} is too large for horizon_slots={scenario.horizon_slots}: "
             "the sum of z over the horizon, up to horizon_slots**2 * eps_d, overflows"
@@ -275,10 +267,6 @@ def run(
     return trace
 
 
-# step's two constructors, looked up once: frozen(cls, values) without its lookup
-_build_record, _build_state = builder(SlotRecord), builder(QueueState)
-
-
 def step(
     state: QueueState,
     observation: MarketObservation,
@@ -292,6 +280,8 @@ def step(
     Runs the slot loop on one-slot columns and builds the record by
     run()'s rule, so a chain of step() calls reproduces a full run exactly.
     """
+    if type(freeze_z_when_empty) is not bool:
+        check_bool("freeze_z_when_empty", freeze_z_when_empty)
     if type(t) is not int or t < 1:
         check_int("slot index", t, 1)
         t = int(t)

@@ -145,7 +145,7 @@ def test_run_rejects_non_finite_policy_cutoff(tmp_path, scenario_path, capsys, p
         ({"freeze_z_when_empty": "no"}, "freeze_z_when_empty must be true or false, got 'no'"),
         ({"arrival_prob": "0.3"}, "arrival_prob must be a finite number >= 0, got '0.3'"),
         ({"price_low": True}, "price_low must be a finite number > 0, got True"),
-        ({"horizon_slots": 10**20}, f"horizon_slots={10**20} is too many slots to draw"),
+        ({"horizon_slots": 10**20}, f"horizon_slots must be <= 1000000, got {10**20}"),
     ],
 )
 def test_run_rejects_mistyped_scenario_field(tmp_path, capsys, document, message):
@@ -580,6 +580,20 @@ def test_intent_derivation_failure_leaves_no_file(tmp_path, capsys, out):
     assert "error: initial_backlog must be <= " in captured.err
     assert "Traceback" not in captured.err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["big.json"]
+
+
+def test_intent_deadline_past_the_horizon_cap_leaves_no_file(tmp_path, capsys):
+    """A deadline of 2 * 10**6 one-second slots derives a horizon past
+    the 10**6-slot cap; intent exits 1 naming horizon_slots, and writes
+    nothing."""
+    intent_path = write_json(tmp_path, "long.json", {"payload_mb": 100, "deadline_s": 2e6, "reliability_pct": 99})
+    argv = ["intent", "--file", intent_path, "--out", str(tmp_path / "tr.json")]
+    assert main(argv + ["--scenario-out", str(tmp_path / "der.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: horizon_slots must be <= 1000000, got 2000000" in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["long.json"]
 
 
 # --- assure ------------------------------------------------------------

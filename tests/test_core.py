@@ -198,7 +198,7 @@ def serialized_records() -> dict:
     table = sweep(scenario, parse_policy("myopic"), [1.0, 5.0], [0.5])
     return {
         "ScenarioConfig": scenario,
-        "ScenarioConfig from with_seed": with_seed(scenario, 2**64 - 1),  # built by frozen()
+        "ScenarioConfig from with_seed": with_seed(scenario, 2**64 - 1),  # built by builder()
         "derived ScenarioConfig": derived,
         "ControlParams": translation.params,
         "IntentSpec": intent,
@@ -265,3 +265,42 @@ def test_no_module_uses_dataclasses_asdict():
             if "asdict" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    """The names a module's import statements bind, in order."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every module but __init__ uses each name it imports, so a deletion
+    leaves no dangling import. The one exception is cli's summarize, which
+    perfbench traces there."""
+    import leasesim
+
+    unused = []
+    for path in sorted(Path(leasesim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in used]
+    assert unused == ["cli.summarize"]
+
+
+def test_package_all_is_what_init_imports():
+    """leasesim.__all__ is the one public list: each name __init__ imports,
+    once, and each resolves on a star import."""
+    import leasesim
+
+    imported = _imported_names(ast.parse(Path(leasesim.__file__).read_text()))
+    assert sorted(leasesim.__all__) == sorted(imported)
+    namespace = {}
+    exec("from leasesim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(imported)

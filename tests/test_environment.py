@@ -9,13 +9,13 @@ from leasesim.environment import (
     COLUMN_RULES,
     DEFAULT_SEED,
     MARKET_FIELDS,
+    MAX_HORIZON_SLOTS,
     MarketObservation,
     ScenarioConfig,
     check_value,
     derive_seed,
     draw_realization,
     draw_slot,
-    empirical_means,
     expected_price,
     first_bad_row,
     scenario_fingerprint,
@@ -83,18 +83,18 @@ def test_binary_columns():
 
 def test_empirical_means_against_analytic():
     config = ScenarioConfig(arrival_prob=0.5)
-    mp, ms, ar, asp, arr = empirical_means(config, 100_000)
-    assert abs(mp - 5.5) < 0.1
-    assert abs(ms - 5.5) < 0.1
-    assert abs(ar - 0.9) < 0.02
-    assert abs(asp - 0.9) < 0.02
-    assert abs(arr - 0.5) < 0.02
+    real = draw_realization(dataclasses.replace(config, horizon_slots=100_000))
+    assert abs(real.price_ris.mean() - 5.5) < 0.1
+    assert abs(real.price_spectrum.mean() - 5.5) < 0.1
+    assert abs(real.avail_ris.mean() - 0.9) < 0.02
+    assert abs(real.avail_spectrum.mean() - 0.9) < 0.02
+    assert abs(real.arrival.mean() - 0.5) < 0.02
 
 
 def test_empirical_means_degenerate_availability():
     config = ScenarioConfig(avail_prob_ris=1.0, avail_prob_spectrum=1.0, arrival_prob=0.5)
-    _, _, ar, asp, _ = empirical_means(config, 1000)
-    assert ar == 1.0 and asp == 1.0
+    real = draw_realization(dataclasses.replace(config, horizon_slots=1000))
+    assert real.avail_ris.mean() == 1.0 and real.avail_spectrum.mean() == 1.0
 
 
 def test_price_streams_uncorrelated():
@@ -141,11 +141,21 @@ def test_validation():
         # the float queue is exact up to 2**53 packets
         ({"horizon_slots": 200, "initial_backlog": 2**53 - 199}, f"initial_backlog must be <= {2**53 - 200}, got"),
         ({"initial_backlog": 2**53 + 2}, f"initial_backlog must be <= {2**53 - 5000}, got {2**53 + 2}"),
+        # a run holds its market and trace in memory
+        ({"horizon_slots": 10**6 + 1}, "horizon_slots must be <= 1000000, got 1000001"),
     ],
 )
 def test_validation_rejects_non_integer_counts(fields, message):
     with pytest.raises(ConfigError, match=message):
         ScenarioConfig(**fields)
+
+
+def test_validation_accepts_the_longest_horizon():
+    """10**6 slots is the cap: the scenario is built (not drawn), and its
+    backlog cap is 2**53 - 10**6."""
+    config = ScenarioConfig(horizon_slots=10**6, initial_backlog=2**53 - 10**6)
+    assert config.horizon_slots == MAX_HORIZON_SLOTS == 10**6
+    assert with_seed(config, 3).horizon_slots == 10**6
 
 
 def test_validation_accepts_numpy_integers():

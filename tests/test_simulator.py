@@ -16,7 +16,7 @@ from leasesim.core import (
     QueueState,
     advance_data_queue,
     advance_virtual_queue,
-    frozen,
+    builder,
 )
 from leasesim.environment import MarketObservation, Realization, ScenarioConfig, draw_realization, with_seed
 from leasesim.policies import parse_policy
@@ -297,7 +297,19 @@ def test_step_accepts_a_numpy_slot_index():
     assert type(got[1].t) is int
 
 
-ALL_POLICIES = ["dsf", "dsf_exact_argmin", "periodic:3", "greedy", "price_only:8", "queue_threshold:5", "myopic"]
+@pytest.mark.parametrize("flag", ["no", 1, None, np.bool_(True)], ids=["str", "int", "none", "numpy_bool"])
+def test_step_rejects_a_non_bool_freeze_flag(flag):
+    """step judges freeze_z_when_empty by ScenarioConfig's rule: only True
+    or False. A truthy "no" used to freeze z."""
+    params = ControlParams(v=1000.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    message = f"^freeze_z_when_empty must be true or false, got {re.escape(repr(flag))}$"
+    with pytest.raises(ConfigError, match=message):
+        step(QueueState(0.0, 2.0), flat_market(arrival=0, avail=0), DSF, params, freeze_z_when_empty=flag)
+    state, _ = step(QueueState(0.0, 2.0), flat_market(arrival=0, avail=0), DSF, params, freeze_z_when_empty=True)
+    assert state.z == 2.0
+
+
+ALL_POLICIES =["dsf", "dsf_exact_argmin", "periodic:3", "greedy", "price_only:8", "queue_threshold:5", "myopic"]
 
 
 @pytest.mark.parametrize(
@@ -374,21 +386,20 @@ def test_with_seed_builds_as_init_does():
 def test_frozen_rejects_values_of_the_wrong_length(cls, values):
     """A short tuple would leave an instance with fields missing, a long
     one would drop values."""
-    assert_same_as_init(frozen(cls, values), cls)
+    assert_same_as_init(builder(cls)(values), cls)
     with pytest.raises(ValueError, match="not enough values to unpack"):
-        frozen(cls, values[:-1])
+        builder(cls)(values[:-1])
     with pytest.raises(ValueError, match="too many values to unpack"):
-        frozen(cls, (*values, 0))
+        builder(cls)((*values, 0))
 
 
 def test_frozen_generates_one_builder_per_class(monkeypatch):
     monkeypatch.setattr(core, "_BUILDERS", {})
-    made = []
-    builder = core._builder
-    monkeypatch.setattr(core, "_builder", lambda cls: made.append(cls) or builder(cls))
-    states = [frozen(QueueState, (1.0, 2.0)), frozen(QueueState, (3.0, 4.0))]
-    observation = frozen(MarketObservation, (2.0, 3.0, 1, 1, 0))
-    assert made == [QueueState, MarketObservation]
+    build_state = builder(QueueState)
+    states = [build_state((1.0, 2.0)), builder(QueueState)((3.0, 4.0))]
+    observation = builder(MarketObservation)((2.0, 3.0, 1, 1, 0))
+    assert list(core._BUILDERS) == [QueueState, MarketObservation]
+    assert core._BUILDERS[QueueState] is build_state
     assert core._BUILDERS[QueueState] is not core._BUILDERS[MarketObservation]
     assert states == [QueueState(1.0, 2.0), QueueState(3.0, 4.0)]
     assert observation == MarketObservation(2.0, 3.0, 1, 1, 0)
@@ -500,7 +511,7 @@ def test_trace_validation():
 def test_trace_records_round_trip():
     scenario = ScenarioConfig(horizon_slots=25, seed=4)
     trace = run(scenario, GREEDY, default_params(scenario, v=1.0, eps_d=1.0))
-    rows = trace.records
+    rows = list(trace)
     assert len(rows) == 25
     assert rows[3] == trace.record(3)
     assert isinstance(rows[0].t, int) and isinstance(rows[0].cost, float)
@@ -547,14 +558,16 @@ def test_default_params_rejects_a_v_whose_threshold_overflows():
 def test_default_params_rejects_an_eps_whose_z_sum_overflows():
     """z gains up to eps_d a slot, so horizon_slots**2 * eps_d bounds the
     sum of z the summary averages; eps_d is rejected where that bound is
-    inf and accepted where it is finite. A horizon whose square no float
-    holds gets the same error, not an OverflowError."""
+    inf and accepted where it is finite. No scenario has a horizon whose
+    square a float cannot hold: horizon_slots is at most 10**6."""
     scenario = ScenarioConfig(horizon_slots=10)
     with pytest.raises(ConfigError, match=r"^eps_d=1e\+307 is too large for horizon_slots=10: the sum of z"):
         default_params(scenario, v=1.0, eps_d=1e307)
     assert default_params(scenario, v=1.0, eps_d=1e306).eps_d == 1e306
-    with pytest.raises(ConfigError, match=r"^eps_d=1e-300 is too large for horizon_slots=1000+: the sum of z"):
-        default_params(ScenarioConfig(horizon_slots=10**200), v=1.0, eps_d=1e-300)
+    with pytest.raises(ConfigError, match=r"^horizon_slots must be <= 1000000, got 1000+$"):
+        ScenarioConfig(horizon_slots=10**200)
+    with pytest.raises(ConfigError, match=r"^eps_d=1e\+297 is too large for horizon_slots=1000000: the sum of z"):
+        default_params(ScenarioConfig(horizon_slots=10**6), v=1.0, eps_d=1e297)
 
 
 @pytest.mark.parametrize("label", ALL_POLICIES)
