@@ -24,8 +24,8 @@ RULES holds each policy kind's decision as one expression; _TEMPLATE is
 the loop around it. get_loop((kind, freeze_z)), the one lookup, fills
 the template with the kind's rule and the pair's accrual of z on first
 use, generates the loop with exec and keeps it, so no slot tests the
-kind or freeze_z. A loop takes the kind's one parameter
-(policies.POLICY_KINDS) as `param`, None for a kind that takes none.
+kind or freeze_z. A loop takes the kind's one parameter,
+PolicySpec.param, as `param`, None for a kind that takes none.
 The rules must stay in sync with policies.decide, which is written out
 on its own; tests enforce agreement on randomized inputs.
 

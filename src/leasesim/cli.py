@@ -53,16 +53,11 @@ DEFAULT_COMPARE_POLICIES = "dsf,greedy,periodic:2,price_only:8,queue_threshold:1
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors by default; here that code is
-    reserved for assurance failures, so usage errors exit 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    """An argument parser that takes a token reading as a number for a
+    value, so `--v -1e3` reaches the field check instead of being taken
+    for a flag."""
 
     def _parse_optional(self, arg_string):
-        # a token that reads as a number is a value, so `--v -1e3` reaches
-        # the field check instead of being taken for a flag
         try:
             float(arg_string)
         except ValueError:
@@ -417,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits for --help/--version/usage errors
+    except SystemExit as exc:  # --help/--version exit 0; a usage error's 2 is assure's fail code, so 1 here
         code = exc.code
         return 0 if code in (None, 0) else 1
     try:

@@ -8,6 +8,7 @@ a finished trace back against the intent and reports drift.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ConfigError, ControlParams, check_bool, check_int, check_positive, record_dict, record_from_dict
-from .environment import ScenarioConfig
+from .environment import MAX_HORIZON_SLOTS, ScenarioConfig
 from .simulator import default_params
 
 PRIORITIES = ("cost_saver", "balanced", "delay_critical")
@@ -63,7 +64,7 @@ class TranslationResult:
 
     def __post_init__(self) -> None:
         check_int("n_packets", self.n_packets, 1)
-        check_int("deadline_slots", self.deadline_slots, 1)
+        check_int("deadline_slots", self.deadline_slots, 1, MAX_HORIZON_SLOTS)  # a horizon derive_scenario can run
         check_bool("feasible", self.feasible)
         tightness = self.tightness  # inf when the resources are never jointly available
         if isinstance(tightness, bool) or not isinstance(tightness, numbers.Real) or not tightness >= 0:
@@ -124,13 +125,8 @@ def translate_intent(
     else:
         tightness = math.inf
 
-    if tightness < TIGHTNESS_BANDS[0]:
-        eps_d = EPS_BY_BAND[0]
-    elif tightness < TIGHTNESS_BANDS[1]:
-        eps_d = EPS_BY_BAND[1]
-    else:
-        eps_d = EPS_BY_BAND[2]
-    v = max(1.0, V_BASE * (1.0 - tightness)) if math.isfinite(tightness) else 1.0
+    eps_d = EPS_BY_BAND[bisect.bisect_right(TIGHTNESS_BANDS, tightness)]
+    v = max(1.0, V_BASE * (1.0 - tightness))  # 1.0 for an infinite tightness too
 
     if intent.priority == "cost_saver":
         v *= PRIORITY_MULTIPLIER

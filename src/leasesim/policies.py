@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import HOLD, LEASE, ConfigError, ControlParams, LeaseDecision, QueueState, check_int, check_positive
-from .environment import MARKET_FIELDS, check_value
+from .environment import check_value
 
-# kinds and the parameter each one requires (None = parameter-free)
+# kinds and the name of the one parameter each requires (None = parameter-free)
 POLICY_KINDS: dict[str, str | None] = {
     "dsf": None,
     "dsf_exact_argmin": None,
@@ -28,55 +28,48 @@ POLICY_KINDS: dict[str, str | None] = {
 class PolicyInput:
     """Uniform observation bundle handed to every policy for one slot.
 
-    The slot index is an integer >= 0; the realized prices and the flags
-    must hold what COLUMN_RULES allows in the market columns price_ris,
-    price_spectrum, avail_ris and avail_spectrum. A bad value raises a
-    ConfigError naming the field.
+    The slot index is an integer >= 0; the realized prices must hold what
+    COLUMN_RULES allows in the market columns price_ris and price_spectrum.
+    A bad value raises a ConfigError naming the field.
     """
 
     state: QueueState
     slot_index: int
     realized_price_ris: float
     realized_price_spectrum: float
-    avail_ris: int
-    avail_spectrum: int
     params: ControlParams
 
     def __post_init__(self) -> None:
         check_int("PolicyInput: slot_index", self.slot_index, 0)
-        market = (self.realized_price_ris, self.realized_price_spectrum, self.avail_ris, self.avail_spectrum)
-        for name, value in zip(MARKET_FIELDS[1:], market):  # every market field but arrival
-            check_value("PolicyInput", name, value)
+        check_value("PolicyInput", "price_ris", self.realized_price_ris)
+        check_value("PolicyInput", "price_spectrum", self.realized_price_spectrum)
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """A policy kind plus exactly the parameters that kind requires; a
-    cutoff is stored as a float."""
+    """A policy kind and its one parameter, None for a kind that takes
+    none; errors name the parameter as POLICY_KINDS does. A cutoff is
+    stored as a float."""
 
     kind: str
-    period_k: int | None = None
-    price_cutoff: float | None = None
-    queue_cutoff: float | None = None
+    param: int | float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ConfigError(
                 f"unknown policy kind {self.kind!r}; valid kinds: {', '.join(POLICY_KINDS)}"
             )
-        required = POLICY_KINDS[self.kind]
-        for name in ("period_k", "price_cutoff", "queue_cutoff"):
-            value = getattr(self, name)
-            if name != required:
-                if value is not None:
-                    raise ConfigError(f"policy {self.kind!r} takes no parameter {name!r}, got {value!r}")
-            elif value is None:
-                raise ConfigError(f"policy {self.kind!r} requires parameter {name!r}")
-            elif name == "period_k":
-                check_int(name, value, 1)
-            else:  # a cutoff is held as the float the loop and the label read
-                check_positive(name, value)
-                object.__setattr__(self, name, float(value))
+        name = POLICY_KINDS[self.kind]
+        if name is None:
+            if self.param is not None:
+                raise ConfigError(f"policy {self.kind!r} takes no parameter, got {self.param!r}")
+        elif self.param is None:
+            raise ConfigError(f"policy {self.kind!r} requires parameter {name!r}")
+        elif name == "period_k":
+            check_int(name, self.param, 1)
+        else:  # a cutoff is held as the float the loop and the label read
+            check_positive(name, self.param)
+            object.__setattr__(self, "param", float(self.param))
 
 
 def dsf_objective(
@@ -148,14 +141,14 @@ def decide(spec: PolicySpec, inp: PolicyInput) -> LeaseDecision:
             inp.params.expected_price_spectrum,
         )
     if kind == "periodic":
-        return LEASE if inp.slot_index % spec.period_k == 0 and q > 0 else HOLD
+        return LEASE if inp.slot_index % spec.param == 0 and q > 0 else HOLD
     if kind == "greedy":
         return LEASE if q > 0 else HOLD
     if kind == "price_only":
-        cheap = inp.realized_price_ris + inp.realized_price_spectrum <= spec.price_cutoff
+        cheap = inp.realized_price_ris + inp.realized_price_spectrum <= spec.param
         return LEASE if cheap and q > 0 else HOLD
     if kind == "queue_threshold":
-        return LEASE if q >= spec.queue_cutoff else HOLD
+        return LEASE if q >= spec.param else HOLD
     if kind == "myopic":
         return dsf_decide_exact_argmin(
             inp.state, inp.params, inp.realized_price_ris, inp.realized_price_spectrum
@@ -168,41 +161,35 @@ def parse_policy(text: str) -> PolicySpec:
 
     The parameter is an integer cadence for periodic and a real cutoff for
     price_only / queue_threshold; the other kinds take none. Only what the
-    text itself gets wrong is caught here: an empty string, a parameter on
-    a kind that takes none, a parameter that is not a number. PolicySpec
-    judges the rest (an unknown kind, a missing or out-of-range parameter)
-    with the same messages as when it is built directly.
+    text itself gets wrong is caught here: an empty string, a parameter
+    that is not a number. PolicySpec judges the rest (an unknown kind, a
+    parameter missing, out of range or on a kind that takes none) with the
+    same messages as when it is built directly.
     """
     text = text.strip()
     if not text:
         raise ConfigError("empty policy string")
     name, sep, raw = text.partition(":")
     name = name.strip()
-    if not sep or name not in POLICY_KINDS:
-        return PolicySpec(kind=name)  # raises for an unknown kind or a missing parameter
-    required = POLICY_KINDS[name]
-    if required is None:
-        raise ConfigError(f"policy {name!r} takes no parameter, got {raw!r}")
+    required = POLICY_KINDS.get(name)
+    if required is None or not sep:  # PolicySpec builds it or names what is wrong
+        return PolicySpec(name, raw if sep else None)
     raw = raw.strip()
     try:
-        if required == "period_k":
-            value: int | float = int(raw)
-        else:
-            value = float(raw)
+        value = int(raw) if required == "period_k" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"bad parameter {raw!r} for policy {name!r}") from exc
-    return PolicySpec(kind=name, **{required: value})
+    return PolicySpec(name, value)
 
 
 def policy_label(spec: PolicySpec) -> str:
     """Round-trip a PolicySpec back to its string form: parse_policy of the
     label is the spec. A cutoff is written short (`:g`) when that parses
     back to the same float, and in full (repr) otherwise."""
-    required = POLICY_KINDS[spec.kind]
-    if required is None:
+    param = spec.param
+    if param is None:
         return spec.kind
-    value = getattr(spec, required)
-    if required == "period_k":
-        return f"{spec.kind}:{value}"
-    text = f"{value:g}"
-    return f"{spec.kind}:{text if float(text) == value else repr(value)}"
+    if not isinstance(param, float):  # period_k
+        return f"{spec.kind}:{param}"
+    text = f"{param:g}"
+    return f"{spec.kind}:{text if float(text) == param else repr(param)}"

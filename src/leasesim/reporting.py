@@ -63,8 +63,6 @@ class SweepTable:
     v_grid: tuple[float, ...]
     eps_grid: tuple[float, ...]
     common_random_numbers: bool
-    base_seed: int
-    scenario_fingerprint: str
     rows: tuple[SweepCell, ...]
 
 
@@ -140,8 +138,6 @@ def sweep(
         v_grid=tuple(v_grid),
         eps_grid=tuple(eps_grid),
         common_random_numbers=common_random_numbers,
-        base_seed=scenario.seed,
-        scenario_fingerprint=scenario_fingerprint(scenario),
         rows=tuple(rows),
     )
 
@@ -410,13 +406,16 @@ def write_summary_json(trace: Trace, path: str | Path) -> RunSummary:
 
 
 def sweep_to_dict(table: SweepTable, scenario: ScenarioConfig) -> dict:
+    """The sweep document; its base seed and fingerprint are the header's,
+    taken from `scenario`, the one the sweep ran."""
+    header = report_header(scenario, table.policy)
     return {
-        "header": report_header(scenario, table.policy),
+        "header": header,
         "v_grid": list(table.v_grid),
         "eps_grid": list(table.eps_grid),
         "common_random_numbers": table.common_random_numbers,
-        "base_seed": table.base_seed,
-        "scenario_fingerprint": table.scenario_fingerprint,
+        "base_seed": header["seed"],
+        "scenario_fingerprint": header["scenario_fingerprint"],
         "rows": [record_dict(cell) for cell in table.rows],
     }
 

@@ -30,7 +30,7 @@ from .environment import (
     expected_price,
     first_bad_row,
 )
-from .policies import POLICY_KINDS, PolicySpec
+from .policies import PolicySpec
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,8 @@ def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlP
 def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
     """The loop's scalar arguments: the kind's one parameter (None for a
     kind that takes none), v, eps_d and the threshold of both dsf rules."""
-    required = POLICY_KINDS[policy.kind]
-    return (
-        None if required is None else getattr(policy, required),
-        params.v,
-        params.eps_d,
-        params.v * (params.expected_price_ris + params.expected_price_spectrum),
-    )
+    threshold = params.v * (params.expected_price_ris + params.expected_price_spectrum)
+    return policy.param, params.v, params.eps_d, threshold
 
 
 def _shifted(first: float, column: np.ndarray) -> np.ndarray:

@@ -583,17 +583,18 @@ def test_intent_derivation_failure_leaves_no_file(tmp_path, capsys, out):
 
 
 def test_intent_deadline_past_the_horizon_cap_leaves_no_file(tmp_path, capsys):
-    """A deadline of 2 * 10**6 one-second slots derives a horizon past
-    the 10**6-slot cap; intent exits 1 naming horizon_slots, and writes
-    nothing."""
+    """A deadline of 2 * 10**6 one-second slots is past the 10**6-slot
+    horizon cap; intent exits 1 naming deadline_slots, with or without
+    --scenario-out, and writes nothing."""
     intent_path = write_json(tmp_path, "long.json", {"payload_mb": 100, "deadline_s": 2e6, "reliability_pct": 99})
     argv = ["intent", "--file", intent_path, "--out", str(tmp_path / "tr.json")]
-    assert main(argv + ["--scenario-out", str(tmp_path / "der.json")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: horizon_slots must be <= 1000000, got 2000000" in captured.err
-    assert "Traceback" not in captured.err
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["long.json"]
+    for extra in (["--scenario-out", str(tmp_path / "der.json")], []):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: deadline_slots must be <= 1000000, got 2000000" in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["long.json"]
 
 
 # --- assure ------------------------------------------------------------
@@ -705,6 +706,7 @@ def test_assure_rejects_bad_trace_cell(tmp_path, assured_pipeline, capsys, colum
             {"v": 1.0, "eps_d": 1.0, "expected_price_ris": 1.0, "expected_price_spectrum": 1.0, "eps": 1.0},
             "translation params has unknown fields: eps; valid fields: v, eps_d, ",
         ),
+        ("deadline_slots", 10**6 + 1, "deadline_slots must be <= 1000000, got 1000001"),  # past the horizon cap
     ],
 )
 def test_assure_rejects_bad_translation(tmp_path, assured_pipeline, capsys, field, value, message):

@@ -304,3 +304,18 @@ def test_package_all_is_what_init_imports():
     namespace = {}
     exec("from leasesim import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(imported)
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    """pyproject.toml declares no version of its own: setuptools reads
+    the attribute that leasesim.__version__ is, so the two cannot part."""
+    import importlib
+
+    import leasesim
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    module, _, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert getattr(importlib.import_module(module), name) == leasesim.__version__

@@ -57,6 +57,24 @@ def test_single_packet_translation():
     assert round(result.params.v, 2) == 19.8
 
 
+@pytest.mark.parametrize(
+    "payload_mb, deadline_s, scenario, tightness, eps_d, v",
+    [
+        (49990.0, 10000.0, FULL_AVAIL, 0.4999, 0.5, 10.001999999999999),  # just below the first edge
+        (10.0, 2.0, FULL_AVAIL, 0.5, 1.0, 10.0),
+        (79990.0, 10000.0, FULL_AVAIL, 0.7999, 1.0, 4.001999999999999),  # just below the second edge
+        (40.0, 5.0, FULL_AVAIL, 0.8, 2.0, 3.999999999999999),
+        (10.0, 1.0, FULL_AVAIL, 1.0, 2.0, 1.0),
+        (10.0, 1.0, ScenarioConfig(avail_prob_ris=0.0, arrival_prob=0.0), math.inf, 2.0, 1.0),
+    ],
+)
+def test_band_edges(payload_mb, deadline_s, scenario, tightness, eps_d, v):
+    """Each band holds its lower edge; v floors at 1.0, an infinite
+    tightness included."""
+    result = translate_intent(IntentSpec(payload_mb, deadline_s, 99.0), scenario)
+    assert (result.tightness, result.params.eps_d, result.params.v) == (tightness, eps_d, v)
+
+
 def test_priority_overrides_apply_after_banding():
     saver = translate_intent(
         IntentSpec(1000.0, 900.0, 99.0, priority="cost_saver"), DEFAULT_SCENARIO

@@ -263,8 +263,6 @@ def test_kernel_matches_decide_slot_by_slot():
                 slot_index=int(slot[i]),
                 realized_price_ris=obs.price_ris,
                 realized_price_spectrum=obs.price_spectrum,
-                avail_ris=obs.avail_ris,
-                avail_spectrum=obs.avail_spectrum,
                 params=params,
             )
             want = decide(spec, inp)

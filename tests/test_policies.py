@@ -1,5 +1,6 @@
 """Unit and property tests for the policy layer."""
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given
@@ -23,14 +24,12 @@ def make_params(v=1.0, eps_d=1.0, ep=5.5, es=5.5):
     return ControlParams(v=v, eps_d=eps_d, expected_price_ris=ep, expected_price_spectrum=es)
 
 
-def make_input(q=0.0, z=0.0, t=1, p=5.5, s=5.5, a1=1, a2=1, params=None):
+def make_input(q=0.0, z=0.0, t=1, p=5.5, s=5.5, params=None):
     return PolicyInput(
         state=QueueState(q=q, z=z),
         slot_index=t,
         realized_price_ris=p,
         realized_price_spectrum=s,
-        avail_ris=a1,
-        avail_spectrum=a2,
         params=params or make_params(),
     )
 
@@ -77,14 +76,14 @@ def test_objective_transcription_diverges_from_rule():
 
 def test_decide_baseline_examples():
     params = make_params()
-    assert decide(PolicySpec("periodic", period_k=2), make_input(q=3, t=4, params=params)) == LEASE
-    assert decide(PolicySpec("price_only", price_cutoff=8.0), make_input(q=1, p=3, s=4)) == LEASE
-    assert decide(PolicySpec("queue_threshold", queue_cutoff=10.0), make_input(q=9)) == HOLD
+    assert decide(PolicySpec("periodic", param=2), make_input(q=3, t=4, params=params)) == LEASE
+    assert decide(PolicySpec("price_only", param=8.0), make_input(q=1, p=3, s=4)) == LEASE
+    assert decide(PolicySpec("queue_threshold", param=10.0), make_input(q=9)) == HOLD
 
 
 def test_periodic_needs_backlog():
-    assert decide(PolicySpec("periodic", period_k=2), make_input(q=0, t=4)) == HOLD
-    assert decide(PolicySpec("periodic", period_k=2), make_input(q=3, t=5)) == HOLD
+    assert decide(PolicySpec("periodic", param=2), make_input(q=0, t=4)) == HOLD
+    assert decide(PolicySpec("periodic", param=2), make_input(q=3, t=5)) == HOLD
 
 
 def test_greedy():
@@ -93,7 +92,7 @@ def test_greedy():
 
 
 def test_price_only_needs_backlog_and_cheap_prices():
-    spec = PolicySpec("price_only", price_cutoff=8.0)
+    spec = PolicySpec("price_only", param=8.0)
     assert decide(spec, make_input(q=0, p=1, s=1)) == HOLD
     assert decide(spec, make_input(q=5, p=6, s=3)) == HOLD
     assert decide(spec, make_input(q=5, p=4, s=4)) == LEASE  # boundary: 8 <= 8 leases
@@ -119,13 +118,11 @@ def test_policy_spec_parameter_iff():
     with pytest.raises(ConfigError):
         PolicySpec("periodic")  # missing cadence
     with pytest.raises(ConfigError):
-        PolicySpec("dsf", period_k=2)  # parameter on a parameter-free kind
+        PolicySpec("dsf", param=2)  # parameter on a parameter-free kind
     with pytest.raises(ConfigError):
-        PolicySpec("price_only", price_cutoff=8.0, queue_cutoff=1.0)
+        PolicySpec("periodic", param=0)
     with pytest.raises(ConfigError):
-        PolicySpec("periodic", period_k=0)
-    with pytest.raises(ConfigError):
-        PolicySpec("queue_threshold", queue_cutoff=-3.0)
+        PolicySpec("queue_threshold", param=-3.0)
     with pytest.raises(ConfigError):
         PolicySpec("nosuch")
 
@@ -140,9 +137,9 @@ def test_parse_policy_round_trip():
 
 specs = st.one_of(
     st.sampled_from([kind for kind, required in POLICY_KINDS.items() if required is None]).map(PolicySpec),
-    st.integers(1, 10**12).map(lambda k: PolicySpec("periodic", period_k=k)),
+    st.integers(1, 10**12).map(lambda k: PolicySpec("periodic", param=k)),
     st.builds(
-        lambda kind, cutoff: PolicySpec(kind, **{POLICY_KINDS[kind]: cutoff}),
+        lambda kind, cutoff: PolicySpec(kind, param=cutoff),
         st.sampled_from(["price_only", "queue_threshold"]),
         # an int cutoff is stored as the float parse_policy reads
         st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(min_value=1),
@@ -150,20 +147,19 @@ specs = st.one_of(
 )
 
 
-@example(PolicySpec("price_only", price_cutoff=8.0000001))
-@example(PolicySpec("queue_threshold", queue_cutoff=1234567.5))
-@example(PolicySpec("price_only", price_cutoff=5e-324))
-@example(PolicySpec("price_only", price_cutoff=2**53 + 1))
+@example(PolicySpec("price_only", param=8.0000001))
+@example(PolicySpec("queue_threshold", param=1234567.5))
+@example(PolicySpec("price_only", param=5e-324))
+@example(PolicySpec("price_only", param=2**53 + 1))
 @given(specs)
 def test_policy_label_parses_back_to_its_spec(spec):
     """Every spec's label parses back to the spec, so distinct specs get
     distinct labels; a cutoff `:g` writes exactly keeps its short form."""
     label = policy_label(spec)
     assert parse_policy(label) == spec
-    required = POLICY_KINDS[spec.kind]
-    if required in ("price_cutoff", "queue_cutoff"):
-        short = f"{getattr(spec, required):g}"
-        assert label.endswith(":" + short) == (float(short) == getattr(spec, required))
+    if POLICY_KINDS[spec.kind] in ("price_cutoff", "queue_cutoff"):
+        short = f"{spec.param:g}"
+        assert label.endswith(":" + short) == (float(short) == spec.param)
 
 
 def test_parse_policy_errors():
@@ -194,20 +190,29 @@ def test_parse_policy_reports_kind_and_missing_parameter_as_policy_spec_does(tex
     assert str(parsed.value) == str(built.value)
 
 
+def test_parse_policy_reports_a_parameter_on_a_parameter_free_kind_as_policy_spec_does():
+    with pytest.raises(ConfigError) as parsed:
+        parse_policy("dsf:3")
+    with pytest.raises(ConfigError) as built:
+        PolicySpec("dsf", "3")
+    assert str(parsed.value) == str(built.value) == "policy 'dsf' takes no parameter, got '3'"
+
+
+def test_policy_spec_is_a_kind_and_one_parameter():
+    assert [f.name for f in fields(PolicySpec)] == ["kind", "param"]
+    spec = PolicySpec("price_only", 8.0)
+    assert policy_label(spec) == "price_only:8"
+    assert parse_policy(policy_label(spec)) == spec
+
+
 def test_policy_input_validation():
     with pytest.raises(ValueError):
         make_input(p=-1.0)
-    with pytest.raises(ValueError):
-        make_input(a1=2)
     for field, bad in [
         ("price_ris", {"p": math.nan}),
         ("price_ris", {"p": math.inf}),
         ("price_spectrum", {"s": math.nan}),
         ("price_spectrum", {"s": math.inf}),
-        ("avail_ris", {"a1": 1.0}),
-        ("avail_ris", {"a1": True}),
-        ("avail_spectrum", {"a2": True}),
-        ("avail_spectrum", {"a2": 2}),
         ("slot_index", {"t": -1}),
         ("slot_index", {"t": 1.5}),
         ("slot_index", {"t": True}),
@@ -229,9 +234,9 @@ all_specs = st.sampled_from(
         PolicySpec("dsf_exact_argmin"),
         PolicySpec("greedy"),
         PolicySpec("myopic"),
-        PolicySpec("periodic", period_k=3),
-        PolicySpec("price_only", price_cutoff=8.0),
-        PolicySpec("queue_threshold", queue_cutoff=10.0),
+        PolicySpec("periodic", param=3),
+        PolicySpec("price_only", param=8.0),
+        PolicySpec("queue_threshold", param=10.0),
     ]
 )
 
