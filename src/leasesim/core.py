@@ -20,6 +20,8 @@ class ConfigError(ValueError):
 
 def check_int(name: str, value, low: int, high: int | None = None) -> None:
     """Reject anything but an integer in [low, high] (bools too), naming the field."""
+    if type(value) is int and value >= low and (high is None or value <= high):
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < low:
@@ -36,6 +38,8 @@ def check_bool(name: str, value) -> None:
 
 def _finite(value) -> bool:
     """Whether `value` is a real number, not a bool, that a float holds finitely."""
+    if type(value) is float:
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:

@@ -146,17 +146,26 @@ def first_bad_row(name: str, column: np.ndarray) -> int | None:
     or None. Only 1-D integer (or, under a float rule, float) columns at
     most 8 bytes wide are judged, where numpy agrees with check_value on
     their tolist() values; any other column is bad from row 0, for its
-    caller to check value by value."""
+    caller to check value by value.
+
+    A column whose min and max obey the rule is accepted by those two
+    reductions; a NaN makes both NaN and fails them. Only a column that
+    fails is scanned, by a boolean mask, for its first bad row."""
     rule = COLUMN_RULES[name]
     kinds = "iuf" if rule is None else "iu"
     if column.ndim != 1 or column.dtype.kind not in kinds or column.dtype.itemsize > 8:
         return 0
+    if not len(column):
+        return None
     if rule is None:
+        if column.min() >= 0 and column.max() < math.inf:
+            return None
         bad = ~(np.isfinite(column) & (column >= 0))
     else:
+        if column.min() >= rule[0] and column.max() <= rule[1]:
+            return None
         bad = (column < rule[0]) | (column > rule[1])
-    rows = bad.nonzero()[0]
-    return int(rows[0]) if len(rows) else None
+    return int(bad.nonzero()[0][0])
 
 
 def check_market_slot(where: str, arrival, price_ris, price_spectrum, avail_ris, avail_spectrum) -> None:
@@ -166,27 +175,16 @@ def check_market_slot(where: str, arrival, price_ris, price_spectrum, avail_ris,
         check_value(where, name, value)
 
 
-def draw_slot(config: ScenarioConfig, rng: np.random.Generator) -> MarketObservation:
-    """Draw one slot's observation, advancing the generator deterministically.
-
-    The incremental reference: draw_realization must equal a chain of these.
-    """
-    arrival = 1 if rng.random() < config.arrival_prob else 0
-    price_ris = rng.uniform(config.price_low, config.price_high)
-    price_spectrum = rng.uniform(config.price_low, config.price_high)
-    avail_ris = 1 if rng.random() < config.avail_prob_ris else 0
-    avail_spectrum = 1 if rng.random() < config.avail_prob_spectrum else 0
-    return MarketObservation(price_ris, price_spectrum, avail_ris, avail_spectrum, arrival)
-
-
 def draw_realization(config: ScenarioConfig) -> Realization:
     """Draw the whole observation sequence for a scenario up front.
 
-    One rng.random((n, 5)) call fills the slots row by row in draw_slot's
-    order, and each column repeats draw_slot's arithmetic on its uniform:
-    a flag is `u < p`, a price is `low + (high - low) * u`, exactly what
-    the scalar Generator.uniform computes. The sequence is therefore
-    bit-identical to a chain of draw_slot calls on one generator.
+    One rng.random((n, 5)) call fills the slots row by row in the draw
+    order (arrival, price_ris, price_spectrum, avail_ris, avail_spectrum),
+    and each column turns its uniform u into a value: a flag is `u < p`, a
+    price is `low + (high - low) * u`, exactly what the scalar
+    Generator.uniform computes. The sequence is therefore bit-identical to
+    drawing each slot's five values in that order with scalar calls on
+    one generator, which the test suite keeps as its reference.
     """
     try:
         u = np.random.default_rng(config.seed).random((config.horizon_slots, 5))

@@ -277,7 +277,8 @@ def _loadtxt_columns(
 
 
 def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
-    """The named columns of a CSV, matched by header and checked.
+    """The named columns of a CSV, matched by header and checked. A header
+    that names a column twice is a ConfigError naming it.
 
     The body lines go to numpy's loadtxt first. When that rejects them or
     a value fails the check, the csv module splits the same lines into
@@ -295,6 +296,11 @@ def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.n
             missing = [name for name in names if name not in header]
             if missing:
                 raise ConfigError(f"{path}: missing {what} columns: {', '.join(missing)}")
+            seen = set()
+            for name in header:
+                if name in seen:
+                    raise ConfigError(f"{path}: {what} CSV header repeats column {name}")
+                seen.add(name)
             lines = fh.readlines()  # kept for the fallback: the file may be a pipe
         columns = _loadtxt_columns(lines, header, names)
         if columns is not None:

@@ -280,7 +280,9 @@ def step(
     if type(t) is not int or t < 1:
         check_int("slot index", t, 1)
         t = int(t)
-    q, z = float(state.q), float(state.z)
+    q, z = state.q, state.z
+    if type(q) is not float or type(z) is not float:
+        q, z = float(q), float(z)
     arrival = observation.arrival
     if type(arrival) is not int or arrival < 0:
         check_int("observation: arrival", arrival, 0)

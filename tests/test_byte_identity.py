@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from leasesim.cli import main
-from leasesim.environment import ScenarioConfig, draw_realization, draw_slot
+from leasesim.environment import MarketObservation, ScenarioConfig, draw_realization
 from leasesim.policies import parse_policy
 from leasesim.reporting import sweep, sweep_to_dict, write_trace_csv
 from leasesim.simulator import default_params, run
@@ -100,6 +100,18 @@ def test_sweep_json_digest(scenario_name, crn, label):
     table = sweep(scenario, parse_policy(label), SWEEP_V_GRID, SWEEP_EPS_GRID, common_random_numbers=crn)
     document = json.dumps(sweep_to_dict(table, scenario), indent=2) + "\n"
     assert hashlib.sha256(document.encode()).hexdigest() == SWEEP_DIGESTS[(scenario_name, crn, label)]
+
+
+def draw_slot(config, rng):
+    """Draw one slot's observation with scalar calls, advancing the
+    generator deterministically: the incremental reference that
+    draw_realization must equal a chain of."""
+    arrival = 1 if rng.random() < config.arrival_prob else 0
+    price_ris = rng.uniform(config.price_low, config.price_high)
+    price_spectrum = rng.uniform(config.price_low, config.price_high)
+    avail_ris = 1 if rng.random() < config.avail_prob_ris else 0
+    avail_spectrum = 1 if rng.random() < config.avail_prob_spectrum else 0
+    return MarketObservation(price_ris, price_spectrum, avail_ris, avail_spectrum, arrival)
 
 
 @pytest.mark.filterwarnings("ignore:arrival_prob")  # degenerate markets have no headroom

@@ -688,6 +688,21 @@ def test_assure_rejects_bad_trace_cell(tmp_path, assured_pipeline, capsys, colum
     assert "Traceback" not in err
 
 
+def test_assure_rejects_a_trace_that_names_a_column_twice(tmp_path, assured_pipeline, capsys):
+    """A zero-filled q_after column put first would count every packet in
+    the queue as delivered, were the first copy read."""
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    with open(trace_path, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n".join(["q_after," + lines[0]] + ["0.0," + line for line in lines[1:] if line]) + "\n")
+    code = main(["assure", "--trace", str(twice), "--intent", intent_path, "--translation", translation_path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{twice}: trace CSV header repeats column q_after" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
@@ -884,6 +899,16 @@ def test_oracle_rejects_bad_realization_cells(tmp_path, capsys, row, field, text
     err = capsys.readouterr().err
     assert code == 1
     assert f"row 2: {field} must be" in err and text in err
+
+
+def test_oracle_rejects_a_realization_that_names_a_column_twice(tmp_path, capsys):
+    lines = WORKED_CSV.splitlines()
+    path = tmp_path / "real.csv"
+    path.write_text("\n".join([lines[0] + ",arrival"] + [line + ",5" for line in lines[1:]]) + "\n")
+    code = main(["oracle", "--realization", str(path), "--initial-backlog", "1", "--deadline", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{path}: realization CSV header repeats column arrival" in err
 
 
 # --- global flags ------------------------------------------------------

@@ -2,8 +2,12 @@
 import ast
 import dataclasses
 import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +21,9 @@ from leasesim.core import (
     QueueState,
     advance_data_queue,
     advance_virtual_queue,
+    check_int,
+    check_positive,
+    check_price,
     departure,
     lyapunov,
     record_dict,
@@ -132,6 +139,84 @@ def test_queue_state_rejects_non_finite_and_bool(field, bad):
     values = {"q": 1.0, "z": 1.0, field: bad}
     with pytest.raises(ConfigError, match=f"^{field} must be a finite number >= 0, got {bad!r}$"):
         QueueState(**values)
+
+
+def reference_check_int(name, value, low, high=None):
+    """check_int's rule before its fast accept path, kept verbatim."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{name} must be <= {high}, got {value}")
+
+
+def reference_finite(value):
+    """_finite's rule before its fast accept path, kept verbatim."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def reference_check_price(name, value):
+    if not (reference_finite(value) and value >= 0):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def reference_check_positive(name, value):
+    if not (reference_finite(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def verdict(check, *args):
+    """None when `check(*args)` accepts, else the error's type and text."""
+    try:
+        check(*args)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+    return None
+
+
+class Int(int):
+    pass
+
+
+class Float(float):
+    pass
+
+
+check_inputs = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.sampled_from([2**53, 2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63) - 1, 10**400]),
+    st.booleans(),
+    st.floats(),
+    st.integers().map(Int),
+    st.floats().map(Float),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+    st.sampled_from([None, "1", "nan", 1j, Decimal("1.5"), Decimal("nan"), [1], Fraction(10**400)]),
+)
+bounds = st.integers(-3, 3) | st.sampled_from([2**63 - 1, 2**64 - 1]) | st.integers()
+
+
+@given(value=check_inputs, low=bounds, high=st.none() | bounds)
+def test_check_int_keeps_its_rule_and_messages(value, low, high):
+    assert verdict(check_int, "n", value, low, high) == verdict(reference_check_int, "n", value, low, high)
+
+
+@given(value=check_inputs)
+def test_check_price_and_check_positive_keep_their_rule_and_messages(value):
+    assert verdict(check_price, "p", value) == verdict(reference_check_price, "p", value)
+    assert verdict(check_positive, "p", value) == verdict(reference_check_positive, "p", value)
 
 
 def test_lease_decision_validation():

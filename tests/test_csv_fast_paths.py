@@ -5,7 +5,8 @@ one grid, indexing the texts of a small integer range by value instead of
 sorting; `_read_csv_columns` parses the body with numpy's loadtxt and
 falls back to the csv module. The references below are the per-cell
 trace writer, the csv.writer sweep writer and the csv-module reader they
-replaced, kept verbatim, and a csv.writer comparison-series writer: for
+replaced, kept verbatim (the reader with the later repeated-header rule
+added), and a csv.writer comparison-series writer: for
 every trace or table the bytes must match, and for every CSV text both
 readers must return the same arrays with the same dtypes or raise the
 same error.
@@ -92,6 +93,9 @@ def reference_read_columns(path, names, what):
         missing = [name for name in names if name not in header]
         if missing:
             raise ConfigError(f"{path}: missing {what} columns: {', '.join(missing)}")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ConfigError(f"{path}: {what} CSV header repeats column {name}")
         rows = [row for row in reader if row]
     for row, cells in enumerate(rows, start=1):
         if len(cells) != len(header):
@@ -334,16 +338,19 @@ def kind(name):
 
 @st.composite
 def csv_texts(draw, names):
-    """A CSV text over `names`: the header reordered, extended with extra or
-    duplicated columns, or short of one, sometimes quoted; up to six rows
-    of valid cells with a few odd ones, blank and whitespace-only lines, a
-    short row now and then, and mixed CRLF, LF and CR line ends."""
+    """A CSV text over `names`: the header reordered, extended with extra
+    columns or now and then a repeated one, or short of one, sometimes
+    quoted; up to six rows of valid cells with a few odd ones, blank and
+    whitespace-only lines, a short row now and then, and mixed CRLF, LF
+    and CR line ends."""
     header = list(names)
     if draw(st.booleans()):
         header = draw(st.permutations(header))
-    extras = st.sampled_from(["note", "t", "cost", "arrival", "price_ris", "r", ""])
-    for extra in draw(st.lists(extras, max_size=3)):
+    extras = st.sampled_from([name for name in ("note", "t", "cost", "r", "") if name not in header])
+    for extra in draw(st.lists(extras, max_size=3, unique=True)):
         header.insert(draw(st.integers(0, len(header))), extra)
+    if draw(st.integers(0, 4)) == 0:  # both readers reject a repeated column
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
     if draw(st.integers(0, 9)) == 0:
         del header[draw(st.integers(0, len(header) - 1))]
     header_cells = [f'"{name}"' if draw(st.integers(0, 9)) == 0 else name for name in header]
@@ -417,9 +424,8 @@ def trace_text(end="\r\n", extra=None, **cells):
         trace_text(end="\n").replace("\n", "\n\n", 1),
         trace_text(x_desired=" 1 ", cost="\t2.5 ", r="+1"),
         trace_text(extra=("note", ["4.5", "0", "1e400"])),
-        trace_text(extra=("cost", ["-1", "nan", "inf"])),
     ],
-    ids=["crlf", "cr", "blank_line", "spaces_and_sign", "extra_numeric_column", "duplicated_column"],
+    ids=["crlf", "cr", "blank_line", "spaces_and_sign", "extra_numeric_column"],
 )
 def test_numeric_bodies_take_the_loadtxt_path(tmp_path, monkeypatch, text):
     path = write_text(tmp_path, text)
@@ -427,6 +433,20 @@ def test_numeric_bodies_take_the_loadtxt_path(tmp_path, monkeypatch, text):
     assert expected[0] == "ok"
     monkeypatch.setattr(reporting, "_parse_column", None)  # the csv-module path cannot run
     assert outcome(fast_trace_columns, path) == expected
+
+
+@pytest.mark.parametrize(
+    "read,what", [(read_trace_csv, "trace"), (read_realization_csv, "realization")], ids=["trace", "realization"]
+)
+def test_a_repeated_header_column_is_rejected_before_the_body(tmp_path, monkeypatch, read, what):
+    """A second cost column, which loadtxt would parse and the reader would
+    ignore, makes the header an error before either body parser runs."""
+    path = write_text(tmp_path, trace_text(extra=("cost", ["-1", "nan", "inf"])))
+    monkeypatch.setattr(reporting, "_loadtxt_columns", None)
+    monkeypatch.setattr(reporting, "_parse_column", None)
+    with pytest.raises(ConfigError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {what} CSV header repeats column cost"
 
 
 @pytest.mark.filterwarnings("error")

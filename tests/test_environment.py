@@ -1,8 +1,11 @@
 """Tests for the seeded stochastic environment."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leasesim.core import ConfigError
 from leasesim.environment import (
@@ -15,7 +18,6 @@ from leasesim.environment import (
     check_value,
     derive_seed,
     draw_realization,
-    draw_slot,
     expected_price,
     first_bad_row,
     scenario_fingerprint,
@@ -57,16 +59,12 @@ def test_different_seeds_differ():
 
 
 def test_degenerate_draws():
-    rng = np.random.default_rng(0)
-    no_arrivals = ScenarioConfig(arrival_prob=0.0)
-    fixed_price = ScenarioConfig(price_low=5.0, price_high=5.0)
-    always_avail = ScenarioConfig(avail_prob_ris=1.0, avail_prob_spectrum=1.0)
-    for _ in range(200):
-        assert draw_slot(no_arrivals, rng).arrival == 0
-        obs = draw_slot(fixed_price, rng)
-        assert obs.price_ris == 5.0 and obs.price_spectrum == 5.0
-        obs = draw_slot(always_avail, rng)
-        assert obs.avail_ris == 1 and obs.avail_spectrum == 1
+    no_arrivals = draw_realization(ScenarioConfig(horizon_slots=200, arrival_prob=0.0))
+    assert not no_arrivals.arrival.any()
+    fixed_price = draw_realization(ScenarioConfig(horizon_slots=200, price_low=5.0, price_high=5.0))
+    assert (fixed_price.price_ris == 5.0).all() and (fixed_price.price_spectrum == 5.0).all()
+    always_avail = draw_realization(ScenarioConfig(horizon_slots=200, avail_prob_ris=1.0, avail_prob_spectrum=1.0))
+    assert (always_avail.avail_ris == 1).all() and (always_avail.avail_spectrum == 1).all()
 
 
 def test_price_support():
@@ -254,18 +252,65 @@ def test_first_bad_row_agrees_with_check_value(name, values, row):
     """Row 0 also stands for a column the numpy rule does not take; then
     check_value decides value by value."""
     assert first_bad_row(name, values) == row
-    verdicts = []
-    for value in values.tolist():
+    if row is None or values.ndim == 1 and values.dtype.kind in "iuf" and values.dtype.itemsize <= 8:
+        assert first_rejected_row(name, values) == row
+
+
+def first_rejected_row(name, values):
+    """The first row whose tolist() value check_value rejects, or None."""
+    for row, value in enumerate(values.tolist()):
         try:
             check_value("row", name, value)
         except ConfigError:
-            verdicts.append(False)
-        else:
-            verdicts.append(True)
-    if row is None:
-        assert all(verdicts)
-    elif values.ndim == 1 and values.dtype.kind in "iuf" and values.dtype.itemsize <= 8:
-        assert verdicts.index(False) == row
+            return row
+    return None
+
+
+INT_DTYPES = [np.dtype(f"{kind}{size}") for kind in "iu" for size in (1, 2, 4, 8)]
+FLOAT_DTYPES = [np.dtype(f"f{size}") for size in (2, 4, 8)]
+
+
+@st.composite
+def judged_columns(draw):
+    """A COLUMN_RULES name and a 1-D column it judges: any int or uint
+    dtype under any rule, or any float dtype under the float rule, up to 8
+    bytes. The rows are valid but for up to three at any position, drawn
+    from the dtype's edge values (NaN, +-inf, -0.0, subnormals, extremes,
+    one past the rule) or, for an int dtype, from its whole range; a
+    column may be empty."""
+    dtype = draw(st.sampled_from(INT_DTYPES + FLOAT_DTYPES))
+    names = [name for name, rule in COLUMN_RULES.items() if rule is None or dtype.kind != "f"]
+    name = draw(st.sampled_from(names))
+    rule = COLUMN_RULES[name]
+    if dtype.kind == "f":
+        info = np.finfo(dtype)
+        valid = st.floats(0.0, float(info.max), width=8 * dtype.itemsize)
+        changes = st.sampled_from([
+            math.nan, math.inf, -math.inf, -0.0, 0.0, float(info.smallest_subnormal),
+            -float(info.smallest_subnormal), float(info.tiny), float(info.max), -float(info.max), -1.0,
+        ])
+    else:
+        info = np.iinfo(dtype)
+        low, high = rule if rule is not None else (0, info.max)
+        low, high = max(low, info.min), min(high, info.max)
+        valid = st.integers(low, high)
+        edges = [value for value in (info.min, info.max, low - 1, high + 1, 0, 1, -1) if info.min <= value <= info.max]
+        changes = st.sampled_from(edges) | st.integers(info.min, info.max)
+    rows = draw(st.lists(valid, max_size=10))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(changes)
+    return name, np.array(rows, dtype=dtype)
+
+
+@settings(max_examples=500)
+@given(column=judged_columns())
+# columns that only max() rejects; a `<= inf` test would pass the first two
+@example(column=("price_ris", np.array([1.0, math.inf], dtype=np.float16)))
+@example(column=("cost", np.array([-0.0, 5e-324, math.inf])))
+@example(column=("arrival", np.array([0, 2**64 - 1], dtype=np.uint64)))
+def test_first_bad_row_is_the_first_row_check_value_rejects(column):
+    name, values = column
+    assert first_bad_row(name, values) == first_rejected_row(name, values)
 
 
 def test_derive_seed_is_stable_and_spread():

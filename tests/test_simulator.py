@@ -19,7 +19,7 @@ from leasesim.core import (
     builder,
 )
 from leasesim.environment import MarketObservation, Realization, ScenarioConfig, draw_realization, with_seed
-from leasesim.policies import parse_policy
+from leasesim.policies import POLICY_KINDS, PolicySpec, parse_policy
 from leasesim.simulator import (
     INT_TRACE_COLUMNS,
     TRACE_COLUMNS,
@@ -432,6 +432,54 @@ def test_largest_initial_backlog_conserves_packets():
     assert served > 0
     packets_in = scenario.initial_backlog + int(trace.column("arrival").sum())
     assert packets_in == served + int(trace.column("q_after")[-1])
+
+
+@st.composite
+def conserving_runs(draw):
+    """A random scenario, either freeze flag, with an initial backlog up to
+    its cap 2**53 - horizon_slots, and one cell of each of the 7 kinds."""
+    horizon = draw(st.integers(1, 300))
+    price_low = draw(st.floats(0.5, 20.0))
+    scenario = ScenarioConfig(
+        horizon_slots=horizon,
+        arrival_prob=draw(st.floats(0.0, 1.0)),
+        price_low=price_low,
+        price_high=draw(st.floats(price_low, 40.0)),
+        avail_prob_ris=draw(st.floats(0.0, 1.0)),
+        avail_prob_spectrum=draw(st.floats(0.0, 1.0)),
+        initial_backlog=draw(st.integers(0, 20) | st.integers(0, 2**53 - horizon) | st.just(2**53 - horizon)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        freeze_z_when_empty=draw(st.booleans()),
+    )
+    params = default_params(scenario, v=draw(st.floats(0.1, 50.0)), eps_d=draw(st.floats(0.1, 5.0)))
+    param_of = {
+        "period_k": st.integers(1, 10),
+        "price_cutoff": st.floats(0.5, 80.0),
+        "queue_cutoff": st.floats(0.5, 2.0**54),
+    }
+    specs = [PolicySpec(kind, None if name is None else draw(param_of[name])) for kind, name in POLICY_KINDS.items()]
+    return scenario, [(spec, params) for spec in specs]
+
+
+@pytest.mark.filterwarnings("ignore:arrival_prob=.* stability headroom:UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(drawn=conserving_runs())
+def test_every_kind_conserves_packets_and_prices_its_leases(drawn):
+    """For every trace: initial backlog + the arrivals == the packets served
+    (q_before - q_after) + the last q_after, as integers; and each row's
+    cost is r * price_ris + r * price_spectrum."""
+    scenario, cells = drawn
+    kinds = []
+    for trace in runs(scenario, cells):
+        kinds.append(trace.policy.kind)
+        q_before, q_after = trace.column("q_before").tolist(), trace.column("q_after").tolist()
+        assert all(q.is_integer() for q in q_before + q_after)
+        served = sum(int(before) - int(after) for before, after in zip(q_before, q_after))
+        packets_in = scenario.initial_backlog + sum(trace.column("arrival").tolist())
+        assert packets_in == served + int(q_after[-1])
+        r = trace.column("r")
+        assert np.array_equal(trace.column("cost"), r * trace.column("price_ris") + r * trace.column("price_spectrum"))
+    assert kinds == list(POLICY_KINDS)
 
 
 def test_cost_accounting_elementwise():
