@@ -17,8 +17,8 @@ which CPython specializes; q + float(a) equals q + a bit for bit for any
 int64 a, so step's int arrival gives the same queues. Both queues are
 clamped at zero only after a lease: without one, q only gains an arrival
 and z gains eps_d > 0 or nothing, so from q0, z0 >= 0 and arrivals >= 0
-neither can go negative. The threshold of both dsf rules, v *
-(expected_price_ris + expected_price_spectrum), comes in precomputed.
+neither can go negative. The threshold of both dsf rules comes in as
+ControlParams.threshold.
 
 RULES holds each policy kind's decision as one expression; _TEMPLATE is
 the loop around it. get_loop((kind, freeze_z)), the one lookup, fills

@@ -17,16 +17,14 @@ from .core import ConfigError, record_dict
 from .environment import ScenarioConfig, scenario_from_dict, with_seed
 from .intent import (
     PACKET_SIZE_MB,
-    PRIORITY_MULTIPLIER,
     SLOT_DURATION_S,
-    TIGHTNESS_BANDS,
-    V_BASE,
     assure,
     derive_scenario,
     intent_from_dict,
     report_to_dict,
     translate_intent,
     translation_from_dict,
+    translator_settings,
 )
 from .policies import parse_policy, policy_label
 from .reporting import (
@@ -188,18 +186,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _translator_header(scenario: ScenarioConfig, slot_duration_s: float, packet_size_mb: float) -> dict:
-    header = report_header(scenario)
-    header["translator"] = {
-        "slot_duration_s": slot_duration_s,
-        "packet_size_mb": packet_size_mb,
-        "tightness_bands": list(TIGHTNESS_BANDS),
-        "v_base": V_BASE,
-        "priority_multiplier": PRIORITY_MULTIPLIER,
-    }
-    return header
-
-
 def cmd_intent(args) -> int:
     intent = intent_from_dict(_load_json(args.file))
     scenario = _load_scenario(args.scenario)
@@ -210,7 +196,7 @@ def cmd_intent(args) -> int:
         packet_size_mb=args.packet_size,
     )
     document = {
-        "header": _translator_header(scenario, args.slot_duration, args.packet_size),
+        "header": {**report_header(scenario), "translator": translator_settings(args.slot_duration, args.packet_size)},
         "intent": record_dict(intent),
         "translation": record_dict(translation),
     }
@@ -240,6 +226,7 @@ def cmd_intent(args) -> int:
 
 
 def cmd_assure(args) -> int:
+    _check_outputs(args.out)
     trace = read_trace_csv(args.trace)
     intent = intent_from_dict(_load_json(args.intent))
     translation_doc = _load_json(args.translation)
@@ -269,6 +256,7 @@ def cmd_assure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_outputs(args.out)
     realization = read_realization_csv(args.realization)
     min_cost, decisions, feasible = offline_min_cost(
         realization, args.initial_backlog, args.deadline

@@ -182,13 +182,16 @@ class ControlParams:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             check_positive(name, getattr(self, name))
-        # the threshold of both dsf rules; an infinite one never leases
-        threshold = self.v * (self.expected_price_ris + self.expected_price_spectrum)
-        if not _finite(threshold):
+        if not _finite(self.threshold):  # an infinite threshold never leases
             raise ConfigError(
                 f"v={self.v!r} is too large: the lease threshold "
-                f"v * (expected_price_ris + expected_price_spectrum) is {threshold}"
+                f"v * (expected_price_ris + expected_price_spectrum) is {self.threshold}"
             )
+
+    @property
+    def threshold(self) -> float:
+        """Both dsf rules' lease threshold; not a field, so no document holds it."""
+        return self.v * (self.expected_price_ris + self.expected_price_spectrum)
 
 
 def advance_data_queue(q: float, r: int, a: int) -> float:

@@ -120,7 +120,7 @@ MARKET_FIELDS = ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_s
 
 # the values each market and trace column may hold: an integer column's
 # (low, high) range, or None for a float column of finite numbers >= 0;
-# the oracle, the CSV readers and check_market_slot all apply this table
+# the oracle, step, the CSV readers and check_market_slot all apply this table
 COLUMN_RULES = {
     "t": (1, 2**63 - 1),
     "arrival": (0, 2**63 - 1),

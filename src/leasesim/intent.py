@@ -21,14 +21,25 @@ from .simulator import default_params
 
 PRIORITIES = ("cost_saver", "balanced", "delay_critical")
 
-# translator rule-table constants; tuning choices, so every emitted report
-# carries them in its header
+# translator rule-table constants; tuning choices, so translator_settings
+# puts them in a translation's header, all but EPS_BY_BAND
 SLOT_DURATION_S = 1.0
 PACKET_SIZE_MB = 10.0
 V_BASE = 20.0
 TIGHTNESS_BANDS = (0.5, 0.8)
 EPS_BY_BAND = (0.5, 1.0, 2.0)
 PRIORITY_MULTIPLIER = 2.0
+
+
+def translator_settings(slot_duration_s: float, packet_size_mb: float) -> dict:
+    """The `translator` block of a translation's header."""
+    return {
+        "slot_duration_s": slot_duration_s,
+        "packet_size_mb": packet_size_mb,
+        "tightness_bands": list(TIGHTNESS_BANDS),
+        "v_base": V_BASE,
+        "priority_multiplier": PRIORITY_MULTIPLIER,
+    }
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,7 @@ def dsf_objective(
 def dsf_decide(state: QueueState, params: ControlParams) -> LeaseDecision:
     """Threshold rule: lease both resources when combined backlog pressure
     q + z strictly exceeds v times the expected joint price; ties hold."""
-    threshold = params.v * (params.expected_price_ris + params.expected_price_spectrum)
-    return LEASE if state.q + state.z > threshold else HOLD
+    return LEASE if state.q + state.z > params.threshold else HOLD
 
 
 def dsf_decide_exact_argmin(
@@ -129,17 +128,12 @@ def decide(spec: PolicySpec, inp: PolicyInput) -> LeaseDecision:
     Baselines guard against paying with an empty queue; the threshold rules
     consult only their objective.
     """
-    q = inp.state.q
+    state, params, q = inp.state, inp.params, inp.state.q
     kind = spec.kind
     if kind == "dsf":
-        return dsf_decide(inp.state, inp.params)
+        return dsf_decide(state, params)
     if kind == "dsf_exact_argmin":
-        return dsf_decide_exact_argmin(
-            inp.state,
-            inp.params,
-            inp.params.expected_price_ris,
-            inp.params.expected_price_spectrum,
-        )
+        return dsf_decide_exact_argmin(state, params, params.expected_price_ris, params.expected_price_spectrum)
     if kind == "periodic":
         return LEASE if inp.slot_index % spec.param == 0 and q > 0 else HOLD
     if kind == "greedy":
@@ -150,9 +144,7 @@ def decide(spec: PolicySpec, inp: PolicyInput) -> LeaseDecision:
     if kind == "queue_threshold":
         return LEASE if q >= spec.param else HOLD
     if kind == "myopic":
-        return dsf_decide_exact_argmin(
-            inp.state, inp.params, inp.realized_price_ris, inp.realized_price_spectrum
-        )
+        return dsf_decide_exact_argmin(state, params, inp.realized_price_ris, inp.realized_price_spectrum)
     raise ConfigError(f"unknown policy kind {kind!r}")  # unreachable after validation
 
 

@@ -6,7 +6,7 @@ lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage so traces can be audited after the fact.
 runs() draws one market for many cells;
 run() is its one-cell case; runs() and step() share one record rule.
-The oracle checks the market slots it reads against
+The oracle and step check the market slots they read against
 environment.COLUMN_RULES, the rule the CSV readers apply too.
 """
 from __future__ import annotations
@@ -19,8 +19,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import PRICE_READING_KINDS, get_loop
-from .core import ConfigError, ControlParams, QueueState, builder, check_bool, check_int, check_price
+from .core import ConfigError, ControlParams, QueueState, builder, check_bool, check_int
 from .environment import (
+    COLUMN_RULES,
     MARKET_FIELDS,
     MarketObservation,
     Realization,
@@ -70,6 +71,12 @@ _RECORD_TYPES = tuple(int if name in INT_TRACE_COLUMNS else float for name in TR
 
 # the record and state constructors, looked up once
 _build_record, _build_state = builder(SlotRecord), builder(QueueState)
+
+# the COLUMN_RULES bounds of step's integer inputs, read once for its fast accept
+_T_LOW, _T_HIGH = COLUMN_RULES["t"]
+_ARRIVAL_LOW, _ARRIVAL_HIGH = COLUMN_RULES["arrival"]
+_RIS_LOW, _RIS_HIGH = COLUMN_RULES["avail_ris"]
+_SPECTRUM_LOW, _SPECTRUM_HIGH = COLUMN_RULES["avail_spectrum"]
 
 
 class Trace:
@@ -130,13 +137,6 @@ def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlP
             "the sum of z over the horizon, up to horizon_slots**2 * eps_d, overflows"
         )
     return params
-
-
-def _kernel_args(policy: PolicySpec, params: ControlParams) -> tuple:
-    """The loop's scalar arguments: the kind's one parameter (None for a
-    kind that takes none), v, eps_d and the threshold of both dsf rules."""
-    threshold = params.v * (params.expected_price_ris + params.expected_price_spectrum)
-    return policy.param, params.v, params.eps_d, threshold
 
 
 def _shifted(first: float, column: np.ndarray) -> np.ndarray:
@@ -205,9 +205,9 @@ def _run_loop(
     """
     n = len(realization)
     market, joint_avail = market
-    param, v, eps_d, threshold = _kernel_args(policy, params)
     wishes, q_ops, z_ops = bytearray(n), np.full(n, -1.0), np.full(n, -1.0)
-    loop(q0, z0, t0, param, *market, v, eps_d, threshold, wishes, memoryview(q_ops), memoryview(z_ops))
+    loop(q0, z0, t0, policy.param, *market, params.v, params.eps_d, params.threshold,
+         wishes, memoryview(q_ops), memoryview(z_ops))
     x_desired = np.frombuffer(wishes, np.bool_).astype(np.int64)
     r = x_desired & joint_avail
     with np.errstate(over="ignore"):
@@ -216,7 +216,7 @@ def _run_loop(
         np.multiply(q_ops, r, out=q_steps[:, 1])
         q_steps[:1, 0] += q0
         q_before, q_after = np.cumsum(q_steps).reshape(n, 2).T.copy()
-        accrual = np.where(q_after == 0.0, 0.0, eps_d) if freeze_z else eps_d
+        accrual = np.where(q_after == 0.0, 0.0, params.eps_d) if freeze_z else params.eps_d
         z_steps = np.where(r, z_ops, accrual)
         z_steps[:1] += z0
         z_after = np.cumsum(z_steps)
@@ -274,36 +274,32 @@ def step(
 
     Runs the slot loop on one-slot columns and builds the record by
     run()'s rule, so a chain of step() calls reproduces a full run exactly.
+    A slot index or observation that breaks COLUMN_RULES raises a ConfigError naming it.
     """
     if type(freeze_z_when_empty) is not bool:
         check_bool("freeze_z_when_empty", freeze_z_when_empty)
-    if type(t) is not int or t < 1:
-        check_int("slot index", t, 1)
+    if type(t) is not int or not _T_LOW <= t <= _T_HIGH:
+        check_int("slot index", t, _T_LOW, _T_HIGH)
         t = int(t)
     q, z = state.q, state.z
     if type(q) is not float or type(z) is not float:
         q, z = float(q), float(z)
-    arrival = observation.arrival
-    if type(arrival) is not int or arrival < 0:
-        check_int("observation: arrival", arrival, 0)
-        arrival = int(arrival)
-    avail_ris, avail_spectrum = observation.avail_ris, observation.avail_spectrum
-    if not (type(avail_ris) is int and avail_ris >= 0 and type(avail_spectrum) is int and avail_spectrum >= 0):
-        check_int("observation: avail_ris", avail_ris, 0)
-        check_int("observation: avail_spectrum", avail_spectrum, 0)
-        avail_ris, avail_spectrum = int(avail_ris), int(avail_spectrum)
+    arrival, avail_ris, avail_spectrum = observation.arrival, observation.avail_ris, observation.avail_spectrum
     price_ris, price_spectrum = observation.price_ris, observation.price_spectrum
-    if not (type(price_ris) is float and type(price_spectrum) is float
+    # the fast accept: plain ints and floats that COLUMN_RULES allows
+    if not (type(arrival) is int and _ARRIVAL_LOW <= arrival <= _ARRIVAL_HIGH
+            and type(avail_ris) is int and _RIS_LOW <= avail_ris <= _RIS_HIGH
+            and type(avail_spectrum) is int and _SPECTRUM_LOW <= avail_spectrum <= _SPECTRUM_HIGH
+            and type(price_ris) is float and type(price_spectrum) is float
             and 0.0 <= price_ris < math.inf and 0.0 <= price_spectrum < math.inf):
-        check_price("observation: price_ris", price_ris)
-        check_price("observation: price_spectrum", price_spectrum)
+        check_market_slot("observation", arrival, price_ris, price_spectrum, avail_ris, avail_spectrum)
+        arrival, avail_ris, avail_spectrum = int(arrival), int(avail_ris), int(avail_spectrum)
         price_ris, price_spectrum = float(price_ris), float(price_spectrum)
-    joint_avail = 1 if avail_ris == 1 and avail_spectrum == 1 else 0
+    joint_avail = avail_ris & avail_spectrum
     x_desired, ops = [False], [0.0]  # step reads the loop's (q, z), not its clamp operands
-    param, v, eps_d, threshold = _kernel_args(policy, params)
     q_after, z_after = get_loop((policy.kind, freeze_z_when_empty))(
-        q, z, t, param, [arrival], [price_ris + price_spectrum], [joint_avail],
-        v, eps_d, threshold, x_desired, ops, ops
+        q, z, t, policy.param, [arrival], [price_ris + price_spectrum], [joint_avail],
+        params.v, params.eps_d, params.threshold, x_desired, ops, ops
     )
     record = _build_record(_slot_values(
         t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,

@@ -647,6 +647,21 @@ def test_assure_pass_exits_zero(tmp_path, assured_pipeline, capsys):
     assert report["verdict"] == "pass"
 
 
+def test_assure_rejects_an_output_directory_before_reading(tmp_path, assured_pipeline, capsys):
+    """An --out that is a directory exits 1 naming it before any input is
+    read, so no verdict is printed first."""
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    (tmp_path / "outdir").mkdir()
+    out = str(tmp_path / "outdir")
+    capsys.readouterr()
+    code = main(["assure", "--trace", trace_path, "--intent", intent_path, "--translation", translation_path,
+                 "--out", out])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: is a directory, expected a file path\n"
+    assert captured.out == ""
+
+
 def test_assure_truncated_run_exits_two(tmp_path, assured_pipeline, capsys):
     intent_path, translation_path, derived_path, _ = assured_pipeline
     truncated = json.loads(derived_path.read_text())
@@ -851,6 +866,20 @@ def test_oracle_worked_example(tmp_path, capsys):
     document = json.loads((tmp_path / "oracle.json").read_text())
     assert document["min_cost"] == 2.0
     assert document["decisions"] == [0, 0, 1]
+
+
+def test_oracle_rejects_an_output_directory_before_reading(tmp_path, capsys):
+    """An --out that is a directory exits 1 naming it before the
+    realization is read, so no minimum cost is printed first."""
+    path = tmp_path / "real.csv"
+    path.write_text(WORKED_CSV)
+    (tmp_path / "outdir").mkdir()
+    out = str(tmp_path / "outdir")
+    code = main(["oracle", "--realization", str(path), "--initial-backlog", "1", "--deadline", "3", "--out", out])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: is a directory, expected a file path\n"
+    assert captured.out == ""
 
 
 def test_oracle_infeasible_still_exits_zero(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leasesim.core import HOLD, LEASE, ConfigError, ControlParams, QueueState
+from leasesim.core import HOLD, LEASE, ConfigError, ControlParams, QueueState, record_dict
+from leasesim.environment import MarketObservation
 from leasesim.policies import (
     POLICY_KINDS,
     PolicyInput,
@@ -18,6 +19,7 @@ from leasesim.policies import (
     parse_policy,
     policy_label,
 )
+from leasesim.simulator import step
 
 
 def make_params(v=1.0, eps_d=1.0, ep=5.5, es=5.5):
@@ -278,6 +280,24 @@ def test_threshold_monotonicity(q, z, dq, dz, v, ep, es):
         low_q = max(q - dq, 0.0)
         low_z = max(z - dz, 0.0)
         assert dsf_decide(QueueState(q=low_q, z=low_z), params) == HOLD
+
+
+@given(v=v_floats, eps_d=v_floats, ep=price_floats, es=price_floats, on_z=st.booleans())
+def test_dsf_holds_at_the_threshold_and_leases_just_above_it(v, eps_d, ep, es, on_z):
+    """ControlParams.threshold is dsf's one threshold: dsf_decide and the
+    dsf loop, through step, hold at q + z == threshold and lease one float
+    above it. It is a read-only property, not a field, so no document
+    holds it."""
+    params = ControlParams(v=v, eps_d=eps_d, expected_price_ris=ep, expected_price_spectrum=es)
+    assert "threshold" not in record_dict(params)
+    with pytest.raises(AttributeError):
+        params.threshold = 0.0
+    market = MarketObservation(price_ris=ep, price_spectrum=es, avail_ris=1, avail_spectrum=1, arrival=0)
+    for pressure, want in ((params.threshold, HOLD), (math.nextafter(params.threshold, math.inf), LEASE)):
+        state = QueueState(q=0.0, z=pressure) if on_z else QueueState(q=pressure, z=0.0)
+        assert dsf_decide(state, params) == want
+        _, record = step(state, market, PolicySpec("dsf"), params)
+        assert (record.x_desired, record.r) == (want.x, want.x)
 
 
 @given(

@@ -18,7 +18,16 @@ from leasesim.core import (
     advance_virtual_queue,
     builder,
 )
-from leasesim.environment import MarketObservation, Realization, ScenarioConfig, draw_realization, with_seed
+from leasesim.environment import (
+    MARKET_FIELDS,
+    MarketObservation,
+    Realization,
+    ScenarioConfig,
+    check_market_slot,
+    check_value,
+    draw_realization,
+    with_seed,
+)
 from leasesim.policies import POLICY_KINDS, PolicySpec, parse_policy
 from leasesim.simulator import (
     INT_TRACE_COLUMNS,
@@ -113,25 +122,21 @@ def test_step_masking_is_atomic():
 
 
 @pytest.mark.parametrize("avail_ris,avail_spectrum", [(2, 1), (1, 2), (2, 2)])
-def test_step_flag_other_than_one_blocks_the_lease(avail_ris, avail_spectrum):
-    """Only a flag equal to 1 counts as available, whatever else it holds."""
+def test_step_rejects_a_flag_other_than_zero_or_one(avail_ris, avail_spectrum):
+    """A flag is 0 or 1, as in COLUMN_RULES; step names the first bad one,
+    in MARKET_FIELDS order, with the oracle's words."""
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     obs = MarketObservation(
         price_ris=2.0, price_spectrum=3.0, avail_ris=avail_ris, avail_spectrum=avail_spectrum, arrival=1
     )
-    state, record = step(QueueState(4.0, 2.0), obs, GREEDY, params, t=3)
-    assert (record.avail_ris, record.avail_spectrum) == (avail_ris, avail_spectrum)
-    assert (record.x_desired, record.y_desired) == (1, 1)
-    assert (record.x_effective, record.y_effective, record.r) == (0, 0, 0)
-    assert record.cost == 0.0
-    assert (record.q_before, record.q_after) == (5.0, 5.0)
-    assert (record.z_before, record.z_after) == (2.0, 3.0)
-    assert state == QueueState(5.0, 3.0)
+    field = "avail_ris" if avail_ris == 2 else "avail_spectrum"
+    with pytest.raises(ConfigError, match=f"^observation: {field} must be <= 1, got 2$"):
+        step(QueueState(4.0, 2.0), obs, GREEDY, params, t=3)
 
 
 def test_run_treats_only_flag_one_as_available():
-    """A market with flags other than 0 and 1 runs as a step chain does,
-    from any starting state and slot."""
+    """_run_loop, which takes its market as drawn, leases only where both
+    flags equal 1, from any starting state and slot."""
     avail_ris = [2, 1, 0, 1, 2, 1]
     avail_spectrum = [1, 2, 1, 1, 2, 1]
     realization = Realization(
@@ -144,11 +149,9 @@ def test_run_treats_only_flag_one_as_available():
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     market = _market_columns(realization)
     columns = _run_loop(_kernels.get_loop(("greedy", False)), market, realization, 4.0, 1.5, 3, False, GREEDY, params)
+    assert columns["x_desired"].tolist() == [1] * 6
     assert columns["r"].tolist() == [0, 0, 0, 1, 0, 1]
-    state = QueueState(4.0, 1.5)
-    for i in range(len(realization)):
-        state, record = step(state, realization.observation(i), GREEDY, params, t=i + 3)
-        assert record == Trace(columns).record(i), i
+    assert columns["cost"].tolist() == [0.0, 0.0, 0.0, 4.5, 0.0, 3.0]
 
 
 @pytest.mark.parametrize(
@@ -215,42 +218,50 @@ def test_step_rejects_a_bad_avail_flag(field, value, message):
 
 
 def _fields_checked_by_step():
-    integers = st.integers(-2, 3)
-    floats = st.floats()  # NaN, inf and negatives included
+    integers = st.integers(-1, 3) | st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1])
+    floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])  # negatives included
     numbers = st.one_of(
-        integers, integers.map(np.int64), floats, floats.map(np.float64), st.booleans(),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
+        integers, integers.filter(lambda i: i < 2**63).map(np.int64), floats, floats.map(np.float64),
+        st.booleans(),
     )
-    return {name: numbers for name in ("price_ris", "price_spectrum", "avail_ris", "avail_spectrum", "arrival")}
+    return {name: numbers for name in MARKET_FIELDS}
 
 
-def _is_valid(name, value):
-    if isinstance(value, bool):
-        return False
-    if name.startswith("price"):
-        return isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(value) and value >= 0
-    return isinstance(value, (int, np.integer)) and value >= 0
+def _first_bad_field(values):
+    """The first field in MARKET_FIELDS order whose value COLUMN_RULES rejects."""
+    for name in MARKET_FIELDS:
+        try:
+            check_value("observation", name, values[name])
+        except ConfigError:
+            return name
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(label=st.sampled_from(["dsf", "greedy", "myopic", "price_only:8"]), **_fields_checked_by_step())
 @example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=1.7, avail_spectrum=1, arrival=0)
 @example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=True, avail_spectrum=1, arrival=0)
 @example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=math.nan, avail_spectrum=1, arrival=0)
 @example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=1, avail_spectrum=-1, arrival=0)
 @example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=2, avail_spectrum=1, arrival=1)
+@example(label="greedy", price_ris=2.0, price_spectrum=3.0, avail_ris=1, avail_spectrum=1, arrival=2**63)
+@example(label="greedy", price_ris=-1.0, price_spectrum=3.0, avail_ris=2, avail_spectrum=1, arrival=2**63)
+@example(label="greedy", price_ris=2, price_spectrum=np.float64(-0.0), avail_ris=np.int64(1), avail_spectrum=1,
+         arrival=2**63 - 1)
 def test_step_checks_each_observation_field(label, **values):
-    """step either names a bad field or gives the record that a one-slot
-    run gives on the market converted to ints and floats."""
+    """step accepts exactly the observations check_market_slot accepts. On
+    a bad one it raises check_market_slot's text, which names the first bad
+    field in MARKET_FIELDS order; on a good one it gives the record that a
+    one-slot run gives on the market converted to ints and floats."""
     spec = parse_policy(label)
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
     observation = MarketObservation(**values)
     state = QueueState(3.0, 2.0)
-    bad = [name for name, value in values.items() if not _is_valid(name, value)]
-    if bad:
-        with pytest.raises(ConfigError) as error:
+    try:
+        check_market_slot("observation", *(values[name] for name in MARKET_FIELDS))
+    except ConfigError as want:
+        assert str(want).startswith(f"observation: {_first_bad_field(values)} must be ")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(want))}$"):
             step(state, observation, spec, params, t=4)
-        assert any(str(error.value).startswith(f"observation: {name} must be ") for name in bad)
         return
     realization = Realization(**{
         name: np.array([float(value) if name.startswith("price") else int(value)]) for name, value in values.items()
@@ -281,7 +292,10 @@ def test_step_rejects_bad_slot_index():
 
 @pytest.mark.parametrize(
     "bad, message",
-    [(0, ">= 1, got 0"), (1.5, "an integer, got 1.5"), (True, "an integer, got True"), ("2", "an integer, got '2'")],
+    [
+        (0, ">= 1, got 0"), (1.5, "an integer, got 1.5"), (True, "an integer, got True"), ("2", "an integer, got '2'"),
+        (2**63, f"<= {2**63 - 1}, got {2**63}"),
+    ],
 )
 def test_step_checks_the_slot_index_as_an_integer(bad, message):
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
