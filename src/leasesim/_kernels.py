@@ -1,4 +1,4 @@
-"""The slot loop: one rule table, one template, a loop per policy kind.
+"""The slot loop: one template, filled with each policy kind's wish.
 
 The recurrence over (q, z) cannot be vectorized, so the loop is the hot
 kernel of every run, and it does nothing else. It reads three market
@@ -20,44 +20,34 @@ and z gains eps_d > 0 or nothing, so from q0, z0 >= 0 and arrivals >= 0
 neither can go negative. The threshold of both dsf rules comes in as
 ControlParams.threshold.
 
-RULES holds each policy kind's decision as one expression; _TEMPLATE is
-the loop around it. get_loop((kind, freeze_z)), the one lookup, fills
-the template with the kind's rule and the pair's accrual of z on first
-use, generates the loop with exec and keeps it, so no slot tests the
-kind or freeze_z. A loop takes the kind's one parameter,
-PolicySpec.param, as `param`, None for a kind that takes none.
-The rules must stay in sync with policies.decide, which is written out
-on its own; tests enforce agreement on randomized inputs.
+Each policy kind's wish is one expression, the second item of its row
+in policies.POLICY_KINDS; _TEMPLATE is the loop around it.
+get_loop((kind, freeze_z)), the one lookup, fills the template with the
+kind's wish and the pair's accrual of z on first use, generates the loop
+with exec and keeps it, so no slot tests the kind or freeze_z. A loop
+takes the kind's one parameter, PolicySpec.param, as `param`, None for a
+kind that takes none. policies.decide, written out below the table, is
+the reference; tests hold every loop to it on randomized inputs.
 
 The loop reads its columns as lists, since indexing a list is far
 cheaper than reading a numpy scalar; it stores the wish into a zeroed
 bytearray and the clamp operands through memoryviews of float64 arrays,
 which the caller reads back after the loop. Only the PRICE_READING_KINDS,
-whose rule names joint_price, read it, so where no cell of a market has
-one of them, the loop is handed that array, unread, instead of a list.
+derived from those rows as the kinds whose wish names joint_price, read
+it, so where no cell of a market has one of them, the loop is handed
+that array, unread, instead of a list.
 """
 from __future__ import annotations
+
+from .policies import POLICY_KINDS
 
 HAVE_NUMBA = False  # perfbench records it as numba_importable; leasesim never uses numba
 ENV_VAR = "LEASESIM_BACKEND"  # perfbench records this variable; nothing in leasesim reads it
 
-# one decision rule per policy kind: the wish, as an expression in the
-# template's names (q is the backlog after the slot's arrival, i the
-# slot's offset from t0); each must agree with policies.decide
-RULES = {
-    "dsf": "q + z > threshold",  # threshold rule on expected prices
-    "dsf_exact_argmin": "q + eps_d * z > threshold",  # exact argmin, expected prices
-    "periodic": "(t0 + i) % param == 0 and q > 0.0",  # periodic cadence
-    "greedy": "q > 0.0",
-    "price_only": "joint_price[i] <= param and q > 0.0",
-    "queue_threshold": "q >= param",
-    "myopic": "q + eps_d * z > v * joint_price[i]",  # exact argmin, realized prices
-}
+# the kinds whose wish reads joint_price; the others never index it
+PRICE_READING_KINDS = frozenset(kind for kind, (_, want) in POLICY_KINDS.items() if "joint_price" in want)
 
-# the kinds whose rule reads joint_price; the others never index it
-PRICE_READING_KINDS = frozenset(kind for kind, want in RULES.items() if "joint_price" in want)
-
-# the loop of one (kind, freeze_z) pair; {want} is the kind's rule and
+# the loop of one (kind, freeze_z) pair; {want} is the kind's wish and
 # {accrual} what z gains in a slot without a lease. Split on r, core's
 # z - r + eps * (1 - r) is z - 1.0 with a lease and z + eps without one,
 # the same IEEE results for any finite eps, which ControlParams guarantees.
@@ -100,9 +90,9 @@ _LOOPS: dict = {}
 
 def loop_source(kind: str, freeze_z: bool) -> tuple[str, str]:
     """The name and source of the loop of `kind`, with z frozen on an empty
-    queue when `freeze_z` is True: _TEMPLATE filled with the kind's rule."""
+    queue when `freeze_z` is True: _TEMPLATE filled with the kind's wish."""
     name = f"{kind}_loop_frozen" if freeze_z else f"{kind}_loop"
-    return name, _TEMPLATE.format(name=name, want=RULES[kind], accrual=_ACCRUAL[freeze_z])
+    return name, _TEMPLATE.format(name=name, want=POLICY_KINDS[kind][1], accrual=_ACCRUAL[freeze_z])
 
 
 def get_loop(key):

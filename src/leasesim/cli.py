@@ -108,13 +108,25 @@ def _load_scenario(path: str | None) -> ScenarioConfig:
     return scenario_from_dict(_load_json(path))
 
 
+def _output_path(text: str) -> str:
+    """An output flag's value: any path but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def _check_outputs(*paths: str | Path | None) -> None:
     """Fail before the first write when an output path is an existing
-    directory, so a command that writes two files leaves neither; None
-    stands for an output not asked for."""
-    for path in paths:
-        if path and os.path.isdir(path):
+    directory or names the same file as an earlier one, so a command that
+    writes two files leaves neither; None stands for an output not asked for."""
+    seen = {}
+    for path in filter(None, paths):
+        if os.path.isdir(path):
             raise ConfigError(f"{path}: is a directory, expected a file path")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{path}: names the same file as {seen[real]}, expected one file per output")
+        seen[real] = path
 
 
 def _sibling_path(out: str, suffix: str, sibling_suffix: str) -> str:
@@ -165,6 +177,8 @@ def cmd_compare(args) -> int:
     policies = _parse_list(args.policies, "--policies", parse_policy, policy_label)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
     out_dir = Path(args.out)
+    if os.path.lexists(out_dir) and not out_dir.is_dir():
+        raise ConfigError(f"{out_dir}: is not a directory, expected a directory path")
     series_path = out_dir / "series.csv"
     ranking_path = out_dir / "ranking.json"
     _check_outputs(ranking_path, series_path)
@@ -291,7 +305,7 @@ def _run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v", type=float, default=10.0, help="cost weight (default 10)")
     p.add_argument("--eps", type=float, default=1.0, help="deferral weight (default 1)")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--out", default="trace.csv", help="trace CSV path (default trace.csv)")
+    p.add_argument("--out", type=_output_path, default="trace.csv", help="trace CSV path (default trace.csv)")
 
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
@@ -307,7 +321,7 @@ def _sweep_arguments(p: argparse.ArgumentParser) -> None:
         default=True,
         help="share one realization across cells (default on)",
     )
-    p.add_argument("--out", default="sweep.json", help="table JSON path (default sweep.json)")
+    p.add_argument("--out", type=_output_path, default="sweep.json", help="table JSON path (default sweep.json)")
 
 
 def _compare_arguments(p: argparse.ArgumentParser) -> None:
@@ -319,7 +333,7 @@ def _compare_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--v", type=float, default=10.0, help="cost weight (default 10)")
     p.add_argument("--eps", type=float, default=1.0, help="deferral weight (default 1)")
-    p.add_argument("--out", default="compare", help="output directory (default compare/)")
+    p.add_argument("--out", type=_output_path, default="compare", help="output directory (default compare/)")
 
 
 def _intent_arguments(p: argparse.ArgumentParser) -> None:
@@ -331,8 +345,8 @@ def _intent_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--packet-size", type=float, default=PACKET_SIZE_MB, help="MB per packet (default 10)"
     )
-    p.add_argument("--out", help="translation JSON path (stdout when omitted)")
-    p.add_argument("--scenario-out", help="also write the derived scenario JSON here")
+    p.add_argument("--out", type=_output_path, help="translation JSON path (stdout when omitted)")
+    p.add_argument("--scenario-out", type=_output_path, help="also write the derived scenario JSON here")
     p.add_argument(
         "--streaming",
         action="store_true",
@@ -346,7 +360,7 @@ def _assure_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--translation", required=True, help="translation JSON (as written by the intent command)"
     )
-    p.add_argument("--out", help="assurance report JSON path")
+    p.add_argument("--out", type=_output_path, help="assurance report JSON path")
 
 
 def _oracle_arguments(p: argparse.ArgumentParser) -> None:
@@ -355,7 +369,7 @@ def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--initial-backlog", type=int, required=True, help="packets at slot 1")
     p.add_argument("--deadline", type=int, required=True, help="slots to clear by")
-    p.add_argument("--out", help="result JSON path")
+    p.add_argument("--out", type=_output_path, help="result JSON path")
 
 
 # name: (help line, arguments, handler), in the order --help lists them

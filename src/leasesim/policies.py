@@ -10,27 +10,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import HOLD, LEASE, ConfigError, ControlParams, LeaseDecision, QueueState, check_int, check_positive
-from .environment import check_value
+from .environment import COLUMN_RULES, check_value
 
-# kinds and the name of the one parameter each requires (None = parameter-free)
-POLICY_KINDS: dict[str, str | None] = {
-    "dsf": None,
-    "dsf_exact_argmin": None,
-    "periodic": "period_k",
-    "greedy": None,
-    "price_only": "price_cutoff",
-    "queue_threshold": "queue_cutoff",
-    "myopic": None,
+# per kind, (the name of its one parameter or None, its wish as one expression
+# in the slot loop's names: q is the backlog after the slot's arrival, i the
+# slot's offset from t0); decide, below, is the reference for each loop
+POLICY_KINDS: dict[str, tuple[str | None, str]] = {
+    "dsf": (None, "q + z > threshold"),  # threshold rule on expected prices
+    "dsf_exact_argmin": (None, "q + eps_d * z > threshold"),  # exact argmin, expected prices
+    "periodic": ("period_k", "(t0 + i) % param == 0 and q > 0.0"),  # periodic cadence
+    "greedy": (None, "q > 0.0"),
+    "price_only": ("price_cutoff", "joint_price[i] <= param and q > 0.0"),
+    "queue_threshold": ("queue_cutoff", "q >= param"),
+    "myopic": (None, "q + eps_d * z > v * joint_price[i]"),  # exact argmin, realized prices
 }
+
+
+def decide(spec: PolicySpec, inp: PolicyInput) -> LeaseDecision:
+    """Desired decision of any policy, before availability masking.
+
+    Baselines guard against paying with an empty queue; the threshold rules
+    consult only their objective.
+    """
+    state, params, q = inp.state, inp.params, inp.state.q
+    kind = spec.kind
+    if kind == "dsf":
+        return dsf_decide(state, params)
+    if kind == "dsf_exact_argmin":
+        return dsf_decide_exact_argmin(state, params, params.expected_price_ris, params.expected_price_spectrum)
+    if kind == "periodic":
+        return LEASE if inp.slot_index % spec.param == 0 and q > 0 else HOLD
+    if kind == "greedy":
+        return LEASE if q > 0 else HOLD
+    if kind == "price_only":
+        cheap = inp.realized_price_ris + inp.realized_price_spectrum <= spec.param
+        return LEASE if cheap and q > 0 else HOLD
+    if kind == "queue_threshold":
+        return LEASE if q >= spec.param else HOLD
+    if kind == "myopic":
+        return dsf_decide_exact_argmin(state, params, inp.realized_price_ris, inp.realized_price_spectrum)
+    raise ConfigError(f"unknown policy kind {kind!r}")  # unreachable after validation
 
 
 @dataclass(frozen=True)
 class PolicyInput:
     """Uniform observation bundle handed to every policy for one slot.
 
-    The slot index is an integer >= 0; the realized prices must hold what
-    COLUMN_RULES allows in the market columns price_ris and price_spectrum.
-    A bad value raises a ConfigError naming the field.
+    The slot index and the realized prices must hold what COLUMN_RULES
+    allows in the columns t, price_ris and price_spectrum. A bad value
+    raises a ConfigError naming the field.
     """
 
     state: QueueState
@@ -40,7 +68,7 @@ class PolicyInput:
     params: ControlParams
 
     def __post_init__(self) -> None:
-        check_int("PolicyInput: slot_index", self.slot_index, 0)
+        check_int("PolicyInput: slot_index", self.slot_index, *COLUMN_RULES["t"])
         check_value("PolicyInput", "price_ris", self.realized_price_ris)
         check_value("PolicyInput", "price_spectrum", self.realized_price_spectrum)
 
@@ -59,7 +87,7 @@ class PolicySpec:
             raise ConfigError(
                 f"unknown policy kind {self.kind!r}; valid kinds: {', '.join(POLICY_KINDS)}"
             )
-        name = POLICY_KINDS[self.kind]
+        name, _ = POLICY_KINDS[self.kind]
         if name is None:
             if self.param is not None:
                 raise ConfigError(f"policy {self.kind!r} takes no parameter, got {self.param!r}")
@@ -122,32 +150,6 @@ def dsf_decide_exact_argmin(
     return LEASE if state.q + params.eps_d * state.z > params.v * (price_ris + price_spectrum) else HOLD
 
 
-def decide(spec: PolicySpec, inp: PolicyInput) -> LeaseDecision:
-    """Desired decision of any policy, before availability masking.
-
-    Baselines guard against paying with an empty queue; the threshold rules
-    consult only their objective.
-    """
-    state, params, q = inp.state, inp.params, inp.state.q
-    kind = spec.kind
-    if kind == "dsf":
-        return dsf_decide(state, params)
-    if kind == "dsf_exact_argmin":
-        return dsf_decide_exact_argmin(state, params, params.expected_price_ris, params.expected_price_spectrum)
-    if kind == "periodic":
-        return LEASE if inp.slot_index % spec.param == 0 and q > 0 else HOLD
-    if kind == "greedy":
-        return LEASE if q > 0 else HOLD
-    if kind == "price_only":
-        cheap = inp.realized_price_ris + inp.realized_price_spectrum <= spec.param
-        return LEASE if cheap and q > 0 else HOLD
-    if kind == "queue_threshold":
-        return LEASE if q >= spec.param else HOLD
-    if kind == "myopic":
-        return dsf_decide_exact_argmin(state, params, inp.realized_price_ris, inp.realized_price_spectrum)
-    raise ConfigError(f"unknown policy kind {kind!r}")  # unreachable after validation
-
-
 def parse_policy(text: str) -> PolicySpec:
     """Parse the policy-string grammar: `name` or `name:param`.
 
@@ -163,7 +165,7 @@ def parse_policy(text: str) -> PolicySpec:
         raise ConfigError("empty policy string")
     name, sep, raw = text.partition(":")
     name = name.strip()
-    required = POLICY_KINDS.get(name)
+    required = POLICY_KINDS.get(name, (None,))[0]
     if required is None or not sep:  # PolicySpec builds it or names what is wrong
         return PolicySpec(name, raw if sep else None)
     raw = raw.strip()

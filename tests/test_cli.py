@@ -308,6 +308,58 @@ def test_an_output_path_that_is_a_directory_leaves_no_file(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+ASSURE_INPUTS = ["--trace", "bulk.csv", "--intent", "intent.json", "--translation", "translation.json"]
+ORACLE_INPUTS = ["--realization", "real.csv", "--initial-backlog", "1", "--deadline", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--scenario", "base.json", "--out", ""], "argument --out: expected a path, got ''"),
+        (["sweep", "--scenario", "base.json", "--v", "1", "--eps", "1", "--out", ""],
+         "argument --out: expected a path, got ''"),
+        (["compare", "--scenario", "base.json", "--policies", "greedy", "--out", ""],
+         "argument --out: expected a path, got ''"),
+        (["intent", "--file", "intent.json", "--out", ""], "argument --out: expected a path, got ''"),
+        (["intent", "--file", "intent.json", "--scenario-out", ""], "argument --scenario-out: expected a path, got ''"),
+        (["assure", *ASSURE_INPUTS, "--out", ""], "argument --out: expected a path, got ''"),
+        (["oracle", *ORACLE_INPUTS, "--out", ""], "argument --out: expected a path, got ''"),
+        (["intent", "--file", "intent.json", "--out", "x.json", "--scenario-out", "x.json"],
+         "error: x.json: names the same file as x.json, expected one file per output"),
+        (["intent", "--file", "intent.json", "--out", "x.json", "--scenario-out", "./x.json"],
+         "error: ./x.json: names the same file as x.json, expected one file per output"),
+        (["compare", "--scenario", "base.json", "--policies", "greedy", "--out", "afile"],
+         "error: afile: is not a directory, expected a directory path"),
+    ],
+    ids=["run_empty", "sweep_empty", "compare_empty", "intent_out_empty", "intent_scenario_out_empty",
+         "assure_empty", "oracle_empty", "intent_same_file", "intent_same_file_other_spelling",
+         "compare_out_is_a_file"],
+)
+def test_a_bad_output_path_exits_one_before_any_work(tmp_path, assured_pipeline, monkeypatch, capsys, argv, named):
+    """An empty output path, two outputs that name one file, or a compare
+    directory that is an existing file exits 1 naming the flag or the path,
+    before any simulation, comparison, assurance or oracle runs, and leaves
+    the working directory as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real.csv").write_text(WORKED_CSV)
+    (tmp_path / "afile").write_text("kept\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command did its work before rejecting an output path")
+
+    for name in ("run", "sweep", "compare", "assure", "offline_min_cost"):
+        monkeypatch.setattr(cli, name, refuse)
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 # --- sweep -------------------------------------------------------------
 
 

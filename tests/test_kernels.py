@@ -37,14 +37,8 @@ def test_get_loop_python_is_uncompiled(monkeypatch):
     assert len(calls) == 1
 
 
-def test_rules_cover_exactly_the_policy_kinds():
-    """One rule per kind: the table and the policy grammar name the same
-    kinds."""
-    assert set(_kernels.RULES) == set(POLICY_KINDS)
-
-
 @pytest.mark.parametrize("freeze", [False, True])
-@pytest.mark.parametrize("kind", sorted(_kernels.RULES))
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
 def test_each_kind_loop_is_generated_once(monkeypatch, kind, freeze):
     """The first lookup of a (kind, freeze_z) pair generates its loop; a
     second lookup and a run get the same function object."""
@@ -59,7 +53,7 @@ def test_each_kind_loop_is_generated_once(monkeypatch, kind, freeze):
 
 
 @pytest.mark.parametrize("freeze", [False, True])
-@pytest.mark.parametrize("kind", sorted(_kernels.RULES))
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
 def test_generated_loops_do_not_dispatch(kind, freeze):
     """A generated loop, dsf's among them, never reads the policy kind or
     freeze_z, so it cannot compare either on any slot: both are settled
@@ -94,7 +88,7 @@ def _branch_stores(tree):
 
 
 @pytest.mark.parametrize("freeze", [False, True])
-@pytest.mark.parametrize("kind", sorted(_kernels.RULES))
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
 def test_generated_loops_store_only_wishes_and_clamps(kind, freeze):
     """A generated loop stores into a buffer only under the wish branch (the
     wish itself) or a clamp branch (the operand that replays the clamp), so
@@ -102,7 +96,7 @@ def test_generated_loops_store_only_wishes_and_clamps(kind, freeze):
     so no per-slot append can stand in for a store either."""
     name, source = _kernels.loop_source(kind, freeze)
     tree = ast.parse(source)
-    want = ast.unparse(ast.parse(_kernels.RULES[kind]))
+    want = ast.unparse(ast.parse(POLICY_KINDS[kind][1]))
     assert _branch_stores(tree) == [
         ("x_desired[i]", "True", want),
         ("q_ops[i]", "-q", "q < 1.0"),

@@ -138,7 +138,7 @@ def test_parse_policy_round_trip():
 
 
 specs = st.one_of(
-    st.sampled_from([kind for kind, required in POLICY_KINDS.items() if required is None]).map(PolicySpec),
+    st.sampled_from([kind for kind, (required, _) in POLICY_KINDS.items() if required is None]).map(PolicySpec),
     st.integers(1, 10**12).map(lambda k: PolicySpec("periodic", param=k)),
     st.builds(
         lambda kind, cutoff: PolicySpec(kind, param=cutoff),
@@ -159,7 +159,7 @@ def test_policy_label_parses_back_to_its_spec(spec):
     distinct labels; a cutoff `:g` writes exactly keeps its short form."""
     label = policy_label(spec)
     assert parse_policy(label) == spec
-    if POLICY_KINDS[spec.kind] in ("price_cutoff", "queue_cutoff"):
+    if POLICY_KINDS[spec.kind][0] in ("price_cutoff", "queue_cutoff"):
         short = f"{spec.param:g}"
         assert label.endswith(":" + short) == (float(short) == spec.param)
 
@@ -216,6 +216,8 @@ def test_policy_input_validation():
         ("price_spectrum", {"s": math.nan}),
         ("price_spectrum", {"s": math.inf}),
         ("slot_index", {"t": -1}),
+        ("slot_index", {"t": 0}),
+        ("slot_index", {"t": 2**63}),
         ("slot_index", {"t": 1.5}),
         ("slot_index", {"t": True}),
     ]:

@@ -471,7 +471,7 @@ def conserving_runs(draw):
         "price_cutoff": st.floats(0.5, 80.0),
         "queue_cutoff": st.floats(0.5, 2.0**54),
     }
-    specs = [PolicySpec(kind, None if name is None else draw(param_of[name])) for kind, name in POLICY_KINDS.items()]
+    specs = [PolicySpec(kind, None if name is None else draw(param_of[name])) for kind, (name, _) in POLICY_KINDS.items()]
     return scenario, [(spec, params) for spec in specs]
 
 
