@@ -117,16 +117,32 @@ def _output_path(text: str) -> str:
 
 def _check_outputs(*paths: str | Path | None) -> None:
     """Fail before the first write when an output path is an existing
-    directory or names the same file as an earlier one, so a command that
-    writes two files leaves neither; None stands for an output not asked for."""
+    directory, has no directory to go in, or names the same file as an
+    earlier one, so a command that writes two files leaves neither; None
+    stands for an output not asked for."""
     seen = {}
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise ConfigError(f"{path}: is a directory, expected a file path")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            problem = "is not a directory" if os.path.lexists(parent) else "does not exist"
+            raise ConfigError(f"{path}: parent directory {parent} {problem}")
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(f"{path}: names the same file as {seen[real]}, expected one file per output")
         seen[real] = path
+
+
+def _check_output_dir(out_dir: Path) -> None:
+    """Fail before any work when `out_dir`, or the nearest of its ancestors
+    that exists, is not a directory, so the directory cannot be made."""
+    for path in (out_dir, *out_dir.parents):
+        if os.path.lexists(path):
+            if not path.is_dir():
+                holding = "" if path == out_dir else f" to hold {out_dir}"
+                raise ConfigError(f"{path}: is not a directory, expected a directory path{holding}")
+            return
 
 
 def _sibling_path(out: str, suffix: str, sibling_suffix: str) -> str:
@@ -177,11 +193,11 @@ def cmd_compare(args) -> int:
     policies = _parse_list(args.policies, "--policies", parse_policy, policy_label)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
     out_dir = Path(args.out)
-    if os.path.lexists(out_dir) and not out_dir.is_dir():
-        raise ConfigError(f"{out_dir}: is not a directory, expected a directory path")
+    _check_output_dir(out_dir)
     series_path = out_dir / "series.csv"
     ranking_path = out_dir / "ranking.json"
-    _check_outputs(ranking_path, series_path)
+    if out_dir.is_dir():  # in a directory still to be made, neither file exists
+        _check_outputs(ranking_path, series_path)
     results = compare(scenario, policies, params)
     out_dir.mkdir(parents=True, exist_ok=True)
     ranking = comparison_ranking(results)

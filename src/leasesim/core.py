@@ -1,9 +1,18 @@
-"""Scalar building blocks of the leasing control loop.
+"""Scalar building blocks of the leasing control loop, and the record
+rules every module shares.
 
-Queue recurrences, the joint-lease departure rule, per-slot cost, and the
-quadratic potential used by the drift-plus-penalty controller, each a pure
-function of plain numbers. They are the paper's equations as written; the
-simulator does not call them. Tests check the slot loop against them.
+- ConfigError and the input checks (check_int, check_bool, check_price,
+  check_positive), which name the field a bad value was given for.
+- builder, the fast constructor of frozen dataclass records, and
+  record_dict / record_from_dict, the one serialization rule for records
+  and its inverse.
+- QueueState, the (q, z) pair a policy observes, and ControlParams, the
+  controller's knobs and its lease threshold.
+- Queue recurrences, the joint-lease departure rule, per-slot cost, and
+  the quadratic potential used by the drift-plus-penalty controller, each
+  a pure function of plain numbers. They are the paper's equations as
+  written; the simulator does not call them. Tests check the slot loop
+  against them.
 """
 from __future__ import annotations
 

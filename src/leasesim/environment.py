@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -116,18 +116,18 @@ class Realization:
 
 
 # one slot's market values, in Realization's column order
-MARKET_FIELDS = ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_spectrum")
+MARKET_FIELDS = tuple(f.name for f in fields(Realization))
 
-# the values each market and trace column may hold: an integer column's
-# (low, high) range, or None for a float column of finite numbers >= 0;
-# the oracle, step, the CSV readers and check_market_slot all apply this table
+# the trace schema, one entry per trace column in trace order: an integer
+# column's (low, high) range, or None for a float column of finite numbers
+# >= 0; simulator builds SlotRecord from it, and the oracle, step, the CSV
+# readers and check_market_slot all apply it
 COLUMN_RULES = {
-    "t": (1, 2**63 - 1),
-    "arrival": (0, 2**63 - 1),
-    **dict.fromkeys(
-        ("avail_ris", "avail_spectrum", "x_desired", "y_desired", "x_effective", "y_effective", "r"), (0, 1)
-    ),
-    **dict.fromkeys(("q_before", "z_before", "price_ris", "price_spectrum", "cost", "q_after", "z_after")),
+    "t": (1, 2**63 - 1), "q_before": None, "z_before": None,
+    "arrival": (0, 2**63 - 1), "avail_ris": (0, 1), "avail_spectrum": (0, 1),
+    "price_ris": None, "price_spectrum": None,
+    "x_desired": (0, 1), "y_desired": (0, 1), "x_effective": (0, 1), "y_effective": (0, 1), "r": (0, 1),
+    "cost": None, "q_after": None, "z_after": None,
 }
 
 

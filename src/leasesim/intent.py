@@ -197,6 +197,11 @@ def assure(trace, intent: IntentSpec, translation: TranslationResult) -> Assuran
     queue moves nothing) within the deadline window. Checkpoints every
     tenth of the deadline linearly extrapolate the service rate and warn
     when the projection falls short.
+
+    Before judging, every slot's departure is checked by the loop's own
+    rule: q_after is q_before where r is 0 and max(q_before - 1, 0) where
+    r is 1, exactly. The first row that breaks it is a ConfigError naming
+    the 1-based row and q_after.
     """
     horizon = len(trace)
     if horizon == 0:
@@ -206,6 +211,16 @@ def assure(trace, intent: IntentSpec, translation: TranslationResult) -> Assuran
     q_before = trace.column("q_before")
     q_after = trace.column("q_after")
     arrival = trace.column("arrival")
+    r = trace.column("r")
+
+    departed = np.where(r == 0, q_before, np.maximum(q_before - 1.0, 0.0))
+    broken = (q_after != departed).nonzero()[0]
+    if len(broken):
+        i = int(broken[0])
+        raise ConfigError(
+            f"trace row {i + 1}: q_after must be {float(departed[i])!r} after q_before "
+            f"{float(q_before[i])!r} with r {int(r[i])}, got {float(q_after[i])!r}"
+        )
 
     initial_backlog = float(q_before[0]) - float(arrival[0])
     if initial_backlog > 0 and initial_backlog != translation.n_packets:

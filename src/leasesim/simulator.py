@@ -7,13 +7,14 @@ advance. A run logs every stage so traces can be audited after the fact.
 runs() draws one market for many cells;
 run() is its one-cell case; runs() and step() share one record rule.
 The oracle and step check the market slots they read against
-environment.COLUMN_RULES, the rule the CSV readers apply too.
+environment.COLUMN_RULES, the rule the CSV readers apply too; that table
+is also the trace schema, from which SlotRecord and TRACE_COLUMNS are built.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,40 +35,28 @@ from .environment import (
 from .policies import PolicySpec
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """Everything observed and decided during one slot.
+TRACE_COLUMNS = tuple(COLUMN_RULES)
 
-    r is the joint lease (both resources leased and available), not a
-    departure: it is 1 on an empty queue too, where the lease serves
-    nothing. The packets served are q_before - q_after.
-    """
-
-    t: int
-    q_before: float
-    z_before: float
-    arrival: int
-    avail_ris: int
-    avail_spectrum: int
-    price_ris: float
-    price_spectrum: float
-    x_desired: int
-    y_desired: int
-    x_effective: int
-    y_effective: int
-    r: int
-    cost: float
-    q_after: float
-    z_after: float
-
-
-TRACE_COLUMNS = tuple(f.name for f in fields(SlotRecord))
-
-# the trace columns held as int64, SlotRecord's int fields; the rest are float64
-INT_TRACE_COLUMNS = frozenset(f.name for f in fields(SlotRecord) if f.type in ("int", int))
+# the trace columns held as int64, those COLUMN_RULES gives a range; the rest are float64
+INT_TRACE_COLUMNS = frozenset(name for name, rule in COLUMN_RULES.items() if rule is not None)
 
 # per trace column, the Python type a SlotRecord field holds
 _RECORD_TYPES = tuple(int if name in INT_TRACE_COLUMNS else float for name in TRACE_COLUMNS)
+
+SlotRecord = make_dataclass(
+    "SlotRecord",
+    [(name, cast.__name__) for name, cast in zip(TRACE_COLUMNS, _RECORD_TYPES)],
+    frozen=True,
+    namespace={
+        "__module__": __name__,  # before Python 3.12, make_dataclass would give "types"
+        "__doc__": """Everything observed and decided during one slot.
+
+        r is the joint lease (both resources leased and available), not a
+        departure: it is 1 on an empty queue too, where the lease serves
+        nothing. The packets served are q_before - q_after.
+        """,
+    },
+)
 
 # the record and state constructors, looked up once
 _build_record, _build_state = builder(SlotRecord), builder(QueueState)

@@ -330,16 +330,33 @@ ORACLE_INPUTS = ["--realization", "real.csv", "--initial-backlog", "1", "--deadl
          "error: ./x.json: names the same file as x.json, expected one file per output"),
         (["compare", "--scenario", "base.json", "--policies", "greedy", "--out", "afile"],
          "error: afile: is not a directory, expected a directory path"),
+        (["run", "--scenario", "base.json", "--out", "afile/t.csv"],
+         "error: afile/t.summary.json: parent directory afile is not a directory"),
+        (["run", "--scenario", "base.json", "--out", "nodir/t.csv"],
+         "error: nodir/t.summary.json: parent directory nodir does not exist"),
+        (["sweep", "--scenario", "base.json", "--v", "1", "--eps", "1", "--out", "nodir/s.json"],
+         "error: nodir/s.json: parent directory nodir does not exist"),
+        (["compare", "--scenario", "base.json", "--policies", "greedy", "--out", "afile/sub/deeper"],
+         "error: afile: is not a directory, expected a directory path to hold afile/sub/deeper"),
+        (["intent", "--file", "intent.json", "--out", "nodir/x.json"],
+         "error: nodir/x.json: parent directory nodir does not exist"),
+        (["assure", *ASSURE_INPUTS, "--out", "afile/r.json"],
+         "error: afile/r.json: parent directory afile is not a directory"),
+        (["oracle", *ORACLE_INPUTS, "--out", "nodir/o.json"],
+         "error: nodir/o.json: parent directory nodir does not exist"),
     ],
     ids=["run_empty", "sweep_empty", "compare_empty", "intent_out_empty", "intent_scenario_out_empty",
          "assure_empty", "oracle_empty", "intent_same_file", "intent_same_file_other_spelling",
-         "compare_out_is_a_file"],
+         "compare_out_is_a_file", "run_parent_is_a_file", "run_parent_missing", "sweep_parent_missing",
+         "compare_ancestor_is_a_file", "intent_parent_missing", "assure_parent_is_a_file",
+         "oracle_parent_missing"],
 )
 def test_a_bad_output_path_exits_one_before_any_work(tmp_path, assured_pipeline, monkeypatch, capsys, argv, named):
-    """An empty output path, two outputs that name one file, or a compare
-    directory that is an existing file exits 1 naming the flag or the path,
-    before any simulation, comparison, assurance or oracle runs, and leaves
-    the working directory as it was."""
+    """An empty output path, two outputs that name one file, a compare
+    directory that is or lies under an existing file, or a file whose
+    parent directory is missing or a file exits 1 naming the flag or the
+    path, before any simulation, comparison, assurance or oracle runs, and
+    leaves the working directory as it was."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "real.csv").write_text(WORKED_CSV)
     (tmp_path / "afile").write_text("kept\n")
@@ -753,6 +770,33 @@ def test_assure_rejects_bad_trace_cell(tmp_path, assured_pipeline, capsys, colum
     assert code == 1
     assert f"bad.csv: row 3: {column} {text}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "damage, got",
+    [(lambda q_after: 0.0, "0.0"), (lambda q_after: q_after / 2, "2.0")],
+    ids=["zeroed", "halved"],
+)
+def test_assure_rejects_a_q_after_its_slot_did_not_give(tmp_path, assured_pipeline, capsys, damage, got):
+    """A q_after column the slots' departures do not give would count
+    packets never served as delivered; the first slot that breaks the
+    loop's rule is named, before any verdict."""
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    with open(trace_path, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    column = lines[0].split(",").index("q_after")
+    for i, line in enumerate(lines[1:-1], start=1):
+        cells = line.split(",")
+        cells[column] = repr(damage(float(cells[column])))
+        lines[i] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    capsys.readouterr()
+    code = main(["assure", "--trace", str(bad), "--intent", intent_path, "--translation", translation_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: trace row 1: q_after must be 4.0 after q_before 5.0 with r 1, got {got}\n"
+    assert captured.out == ""
 
 
 def test_assure_rejects_a_trace_that_names_a_column_twice(tmp_path, assured_pipeline, capsys):

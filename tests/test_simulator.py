@@ -1,6 +1,7 @@
 """Slot engine tests: full runs, single steps, and trace bookkeeping."""
 import dataclasses
 import math
+import pickle
 import re
 from dataclasses import FrozenInstanceError, fields
 
@@ -425,6 +426,25 @@ def test_trace_schema_is_slot_record():
         "t", "arrival", "avail_ris", "avail_spectrum",
         "x_desired", "y_desired", "x_effective", "y_effective", "r",
     }
+
+
+def test_slot_record_keeps_its_class_contract():
+    """SlotRecord is made from COLUMN_RULES, not by a class statement, yet
+    it names its module and itself, is documented, pickles by reference and
+    stays frozen."""
+    assert (SlotRecord.__module__, SlotRecord.__qualname__) == ("leasesim.simulator", "SlotRecord")
+    assert SlotRecord.__doc__.strip()
+    scenario = ScenarioConfig(horizon_slots=30, initial_backlog=2, seed=4)
+    params = default_params(scenario, v=10.0, eps_d=1.0)
+    from_run = run(scenario, DSF, params).record(5)
+    _, from_step = step(QueueState(2.0, 1.0), flat_market(), DSF, params, t=3)
+    for record in (from_run, from_step):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is SlotRecord
+        assert copy == record and hash(copy) == hash(record)
+        assert list(vars(copy).items()) == list(vars(record).items())
+        with pytest.raises(FrozenInstanceError):
+            record.q_after = 0.0
 
 
 def test_conservation_of_packets():
