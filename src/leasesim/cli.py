@@ -115,13 +115,22 @@ def _output_path(text: str) -> str:
     return text
 
 
-def _check_outputs(*paths: str | Path | None) -> None:
+# the argparse names of the flags that name a file a command reads
+_INPUT_FLAGS = ("scenario", "file", "trace", "intent", "translation", "realization")
+
+
+def _check_outputs(args, *outputs: tuple[str, str | Path | None]) -> None:
     """Fail before the first write when an output path is an existing
-    directory, has no directory to go in, or names the same file as an
-    earlier one, so a command that writes two files leaves neither; None
-    stands for an output not asked for."""
+    directory, has no directory to go in, names a file the command reads
+    (`args`' _INPUT_FLAGS) or names the same file as an earlier output, so
+    a command that writes two files leaves neither and no input is
+    overwritten. Each output comes with its flag; None stands for an
+    output not asked for."""
+    inputs = {os.path.realpath(path): flag for flag in _INPUT_FLAGS if (path := getattr(args, flag, None))}
     seen = {}
-    for path in filter(None, paths):
+    for flag, path in outputs:
+        if not path:
+            continue
         if os.path.isdir(path):
             raise ConfigError(f"{path}: is a directory, expected a file path")
         parent = os.path.dirname(path) or "."
@@ -129,6 +138,10 @@ def _check_outputs(*paths: str | Path | None) -> None:
             problem = "is not a directory" if os.path.lexists(parent) else "does not exist"
             raise ConfigError(f"{path}: parent directory {parent} {problem}")
         real = os.path.realpath(path)
+        if real in inputs:
+            raise ConfigError(
+                f"{path}: {flag} would overwrite the input of --{inputs[real]}, expected an output that is not an input"
+            )
         if real in seen:
             raise ConfigError(f"{path}: names the same file as {seen[real]}, expected one file per output")
         seen[real] = path
@@ -160,7 +173,7 @@ def cmd_run(args) -> int:
     policy = parse_policy(args.policy)
     params = default_params(scenario, v=args.v, eps_d=args.eps)
     summary_path = _sibling_path(args.out, ".csv", ".summary.json")
-    _check_outputs(summary_path, args.out)
+    _check_outputs(args, ("--out", summary_path), ("--out", args.out))
     trace = run(scenario, policy, params)
     # the summary first: a value JSON cannot hold then leaves no file behind
     summary = write_summary_json(trace, summary_path)
@@ -180,7 +193,7 @@ def cmd_sweep(args) -> int:
     v_grid = _parse_float_list(args.v, "--v")
     eps_grid = _parse_float_list(args.eps, "--eps")
     csv_path = _sibling_path(args.out, ".json", ".csv")
-    _check_outputs(args.out, csv_path)
+    _check_outputs(args, ("--out", args.out), ("--out", csv_path))
     table = sweep(scenario, policy, v_grid, eps_grid, common_random_numbers=args.crn)
     write_json(sweep_to_dict(table, scenario), args.out)
     write_sweep_csv(table, csv_path)
@@ -197,7 +210,7 @@ def cmd_compare(args) -> int:
     series_path = out_dir / "series.csv"
     ranking_path = out_dir / "ranking.json"
     if out_dir.is_dir():  # in a directory still to be made, neither file exists
-        _check_outputs(ranking_path, series_path)
+        _check_outputs(args, ("--out", ranking_path), ("--out", series_path))
     results = compare(scenario, policies, params)
     out_dir.mkdir(parents=True, exist_ok=True)
     ranking = comparison_ranking(results)
@@ -236,7 +249,7 @@ def cmd_intent(args) -> int:
     if args.scenario_out:
         derived = derive_scenario(translation, scenario, streaming=args.streaming)
         derived_text = json_text(record_dict(derived), args.scenario_out)
-    _check_outputs(args.out, args.scenario_out)
+    _check_outputs(args, ("--out", args.out), ("--scenario-out", args.scenario_out))
     if args.out:
         Path(args.out).write_text(text)
         print(
@@ -256,7 +269,7 @@ def cmd_intent(args) -> int:
 
 
 def cmd_assure(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args, ("--out", args.out))
     trace = read_trace_csv(args.trace)
     intent = intent_from_dict(_load_json(args.intent))
     translation_doc = _load_json(args.translation)
@@ -286,7 +299,7 @@ def cmd_assure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args, ("--out", args.out))
     realization = read_realization_csv(args.realization)
     min_cost, decisions, feasible = offline_min_cost(
         realization, args.initial_backlog, args.deadline

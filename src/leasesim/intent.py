@@ -198,10 +198,12 @@ def assure(trace, intent: IntentSpec, translation: TranslationResult) -> Assuran
     tenth of the deadline linearly extrapolate the service rate and warn
     when the projection falls short.
 
-    Before judging, every slot's departure is checked by the loop's own
-    rule: q_after is q_before where r is 0 and max(q_before - 1, 0) where
-    r is 1, exactly. The first row that breaks it is a ConfigError naming
-    the 1-based row and q_after.
+    Before judging, every slot's queue is checked by the loop's own rules,
+    exactly: q_after is q_before where r is 0 and max(q_before - 1, 0)
+    where r is 1, and each later slot's q_before is the slot before's
+    q_after plus its arrival. The first row that breaks the first rule is
+    a ConfigError naming the 1-based row and q_after; after the backlog
+    check, the first that breaks the second, naming q_before.
     """
     horizon = len(trace)
     if horizon == 0:
@@ -227,6 +229,15 @@ def assure(trace, intent: IntentSpec, translation: TranslationResult) -> Assuran
         raise ConfigError(
             f"translation expects {translation.n_packets} packets but the trace "
             f"starts with a backlog of {initial_backlog:g}"
+        )
+
+    chained = q_after[:-1] + arrival[1:]  # the loop's own float add
+    broken = (q_before[1:] != chained).nonzero()[0]
+    if len(broken):
+        i = int(broken[0]) + 1
+        raise ConfigError(
+            f"trace row {i + 1}: q_before must be {float(chained[i - 1])!r} after q_after "
+            f"{float(q_after[i - 1])!r} and arrival {int(arrival[i])}, got {float(q_before[i])!r}"
         )
 
     window = min(horizon, deadline)

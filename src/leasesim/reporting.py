@@ -32,7 +32,7 @@ from .environment import (
     with_seed,
 )
 from .policies import PolicySpec, policy_label
-from .simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS, Trace, default_params, run, runs
+from .simulator import TRACE_COLUMNS, TRACE_DTYPES, Trace, default_params, run, runs
 
 
 @dataclass(frozen=True)
@@ -221,26 +221,18 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
     Integer columns print as str(int), float columns as repr(float), rows
     end in CRLF (see `_write_csv`).
     """
-    _write_csv(
-        path,
-        TRACE_COLUMNS,
-        [
-            trace.column(name).astype(np.int64 if name in INT_TRACE_COLUMNS else np.float64, copy=False)
-            for name in TRACE_COLUMNS
-        ],
-    )
+    _write_csv(path, TRACE_COLUMNS, [trace.column(name) for name in TRACE_COLUMNS])
 
 
 def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
-    """One CSV column as an int64 or float64 array, parsed cell by cell.
+    """One CSV column as its TRACE_DTYPES array, parsed cell by cell with
+    the Python type of that dtype.
 
     The first cell that does not parse or breaks COLUMN_RULES is a
     ConfigError naming the field and its 1-based data row.
     """
-    if name in INT_TRACE_COLUMNS:
-        parse, dtype = int, np.int64
-    else:
-        parse, dtype = float, np.float64
+    dtype = TRACE_DTYPES[name]
+    parse = type(dtype.type().item())
     values = []
     for row, cell in enumerate(cells, start=1):
         try:
@@ -257,15 +249,13 @@ def _loadtxt_columns(
 ) -> dict[str, np.ndarray] | None:
     """The named columns of the body `lines`, parsed by numpy's C reader.
 
-    Every header column is one positional field, int64 for the integer
-    trace columns and float64 otherwise. None, to fall back to the csv
-    module, when loadtxt rejects the body (a quoted cell, `1_0`, text in
-    any column, a ragged row, no data rows) or a named column breaks
-    COLUMN_RULES.
+    Every header column is one positional field of its TRACE_DTYPES
+    dtype, float64 for a column outside the trace. None, to fall back to
+    the csv module, when loadtxt rejects the body (a quoted cell, `1_0`,
+    text in any column, a ragged row, no data rows) or a named column
+    breaks COLUMN_RULES.
     """
-    dtype = np.dtype(
-        [(f"f{i}", np.int64 if name in INT_TRACE_COLUMNS else np.float64) for i, name in enumerate(header)]
-    )
+    dtype = np.dtype([(f"f{i}", TRACE_DTYPES.get(name, np.float64)) for i, name in enumerate(header)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data" on an empty body

@@ -8,7 +8,8 @@ runs() draws one market for many cells;
 run() is its one-cell case; runs() and step() share one record rule.
 The oracle and step check the market slots they read against
 environment.COLUMN_RULES, the rule the CSV readers apply too; that table
-is also the trace schema, from which SlotRecord and TRACE_COLUMNS are built.
+is also the trace schema, from which SlotRecord, TRACE_COLUMNS and
+TRACE_DTYPES are built.
 """
 from __future__ import annotations
 
@@ -37,15 +38,12 @@ from .policies import PolicySpec
 
 TRACE_COLUMNS = tuple(COLUMN_RULES)
 
-# the trace columns held as int64, those COLUMN_RULES gives a range; the rest are float64
-INT_TRACE_COLUMNS = frozenset(name for name, rule in COLUMN_RULES.items() if rule is not None)
-
-# per trace column, the Python type a SlotRecord field holds
-_RECORD_TYPES = tuple(int if name in INT_TRACE_COLUMNS else float for name in TRACE_COLUMNS)
+# each trace column's dtype: int64 where COLUMN_RULES gives a range, float64 elsewhere
+TRACE_DTYPES = {name: np.dtype(np.int64 if rule is not None else np.float64) for name, rule in COLUMN_RULES.items()}
 
 SlotRecord = make_dataclass(
     "SlotRecord",
-    [(name, cast.__name__) for name, cast in zip(TRACE_COLUMNS, _RECORD_TYPES)],
+    [(name, type(dtype.type().item()).__name__) for name, dtype in TRACE_DTYPES.items()],  # "int" or "float"
     frozen=True,
     namespace={
         "__module__": __name__,  # before Python 3.12, make_dataclass would give "types"
@@ -69,7 +67,10 @@ _SPECTRUM_LOW, _SPECTRUM_HIGH = COLUMN_RULES["avail_spectrum"]
 
 
 class Trace:
-    """Column-oriented log of a run; iterates as SlotRecord rows."""
+    """Column-oriented log of a run; iterates as SlotRecord rows.
+
+    Each column is stored as its TRACE_DTYPES dtype, copied only where
+    it is not already an array of that dtype."""
 
     def __init__(
         self,
@@ -84,7 +85,7 @@ class Trace:
         lengths = {len(columns[name]) for name in TRACE_COLUMNS}
         if len(lengths) > 1:
             raise ConfigError("trace columns have unequal lengths")
-        self._columns = {name: np.asarray(columns[name]) for name in TRACE_COLUMNS}
+        self._columns = {name: np.asarray(columns[name], dtype=TRACE_DTYPES[name]) for name in TRACE_COLUMNS}
         self.scenario = scenario
         self.policy = policy
         self.params = params
@@ -98,11 +99,10 @@ class Trace:
         return self._columns[name]
 
     def record(self, i: int) -> SlotRecord:
-        return _build_record([cast(column[i]) for cast, column in zip(_RECORD_TYPES, self._columns.values())])
+        return _build_record([column.item(i) for column in self._columns.values()])
 
     def __iter__(self) -> Iterator[SlotRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
+        return map(_build_record, zip(*(column.tolist() for column in self._columns.values())))
 
 
 def default_params(scenario: ScenarioConfig, v: float, eps_d: float) -> ControlParams:

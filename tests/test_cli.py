@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from leasesim import cli, reporting
 from leasesim.cli import SUBCOMMANDS, build_parser, main
 from leasesim.environment import scenario_from_dict
 from leasesim.reporting import read_trace_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -344,22 +347,48 @@ ORACLE_INPUTS = ["--realization", "real.csv", "--initial-backlog", "1", "--deadl
          "error: afile/r.json: parent directory afile is not a directory"),
         (["oracle", *ORACLE_INPUTS, "--out", "nodir/o.json"],
          "error: nodir/o.json: parent directory nodir does not exist"),
+        (["run", "--scenario", "base.json", "--out", "base.json"],
+         "error: base.json: --out would overwrite the input of --scenario"),
+        (["run", "--scenario", "base.summary.json", "--out", "base.csv"],
+         "error: base.summary.json: --out would overwrite the input of --scenario"),
+        (["sweep", "--scenario", "base.json", "--v", "1", "--eps", "1", "--out", "base.json"],
+         "error: base.json: --out would overwrite the input of --scenario"),
+        (["compare", "--scenario", "cmp/ranking.json", "--policies", "greedy", "--out", "cmp"],
+         "error: cmp/ranking.json: --out would overwrite the input of --scenario"),
+        (["intent", "--file", "intent.json", "--out", "intent.json"],
+         "error: intent.json: --out would overwrite the input of --file"),
+        (["intent", "--file", "intent.json", "--scenario", "base.json", "--scenario-out", "./base.json"],
+         "error: ./base.json: --scenario-out would overwrite the input of --scenario"),
+        (["assure", *ASSURE_INPUTS, "--out", "bulk.csv"],
+         "error: bulk.csv: --out would overwrite the input of --trace"),
+        (["assure", *ASSURE_INPUTS, "--out", "intent.json"],
+         "error: intent.json: --out would overwrite the input of --intent"),
+        (["assure", *ASSURE_INPUTS, "--out", "translation.json"],
+         "error: translation.json: --out would overwrite the input of --translation"),
+        (["oracle", *ORACLE_INPUTS, "--out", "real.csv"],
+         "error: real.csv: --out would overwrite the input of --realization"),
     ],
     ids=["run_empty", "sweep_empty", "compare_empty", "intent_out_empty", "intent_scenario_out_empty",
          "assure_empty", "oracle_empty", "intent_same_file", "intent_same_file_other_spelling",
          "compare_out_is_a_file", "run_parent_is_a_file", "run_parent_missing", "sweep_parent_missing",
          "compare_ancestor_is_a_file", "intent_parent_missing", "assure_parent_is_a_file",
-         "oracle_parent_missing"],
+         "oracle_parent_missing", "run_over_input", "run_summary_over_input", "sweep_over_input",
+         "compare_over_input", "intent_out_over_input", "intent_scenario_out_over_input",
+         "assure_over_trace", "assure_over_intent", "assure_over_translation", "oracle_over_input"],
 )
 def test_a_bad_output_path_exits_one_before_any_work(tmp_path, assured_pipeline, monkeypatch, capsys, argv, named):
     """An empty output path, two outputs that name one file, a compare
-    directory that is or lies under an existing file, or a file whose
-    parent directory is missing or a file exits 1 naming the flag or the
-    path, before any simulation, comparison, assurance or oracle runs, and
-    leaves the working directory as it was."""
+    directory that is or lies under an existing file, a file whose parent
+    directory is missing or a file, or an output that names one of the
+    command's own inputs exits 1 naming the flag or the path, before any
+    simulation, comparison, assurance or oracle runs, and leaves the
+    working directory and every file in it as they were."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "real.csv").write_text(WORKED_CSV)
     (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "cmp").mkdir()
+    for copy in ("base.summary.json", "cmp/ranking.json"):
+        (tmp_path / copy).write_bytes((tmp_path / "base.json").read_bytes())
 
     def refuse(*args, **kwargs):
         raise AssertionError("the command did its work before rejecting an output path")
@@ -367,6 +396,7 @@ def test_a_bad_output_path_exits_one_before_any_work(tmp_path, assured_pipeline,
     for name in ("run", "sweep", "compare", "assure", "offline_min_cost"):
         monkeypatch.setattr(cli, name, refuse)
     before = sorted(os.listdir(tmp_path))
+    contents = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -374,7 +404,25 @@ def test_a_bad_output_path_exits_one_before_any_work(tmp_path, assured_pipeline,
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == before
-    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == contents
+
+
+def test_the_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    """The README's intent JSON saved as intent.json, then every leasesim
+    line of its command block, in order, in one directory: each exits 0,
+    and assure passes."""
+    section = README.read_text().split("## Command line\n", 1)[1]
+    intent = section.split("```json\n", 1)[1].split("```", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("leasesim ")]
+    assert [argv[0] for argv in commands] == ["intent", "run", "assure", "sweep", "compare", "oracle"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "intent.json").write_text(intent)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        if argv[0] == "assure":
+            assert capsys.readouterr().out.startswith("verdict: pass (delivered 100 of required 99 ")
 
 
 # --- sweep -------------------------------------------------------------
@@ -796,6 +844,45 @@ def test_assure_rejects_a_q_after_its_slot_did_not_give(tmp_path, assured_pipeli
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: trace row 1: q_after must be 4.0 after q_before 5.0 with r 1, got {got}\n"
+    assert captured.out == ""
+
+
+def test_assure_rejects_a_q_before_the_slot_before_did_not_leave(tmp_path, capsys):
+    """Rows rewritten to lease (r and its four decisions 1, q_after one
+    below q_before) each keep the departure rule, but the next slot's
+    q_before no longer follows: without the chain check, a failing run of
+    39 deliveries would pass with 50."""
+    intent_path = write_json(tmp_path, "intent.json", {"payload_mb": 450, "deadline_s": 50, "reliability_pct": 99})
+    translation_path, derived_path = str(tmp_path / "translation.json"), str(tmp_path / "derived.json")
+    assert main(["intent", "--file", intent_path, "--out", translation_path, "--scenario-out", derived_path]) == 0
+    params = json.loads((tmp_path / "translation.json").read_text())["translation"]["params"]
+    trace_path = str(tmp_path / "t.csv")
+    run_argv = ["run", "--scenario", derived_path, "--v", repr(params["v"]), "--eps", repr(params["eps_d"])]
+    assert main(run_argv + ["--out", trace_path]) == 0
+    assure_argv = ["assure", "--intent", intent_path, "--translation", translation_path, "--trace"]
+    capsys.readouterr()
+    assert main(assure_argv + [trace_path]) == 2
+    assert capsys.readouterr().out.startswith("verdict: fail (delivered 39 of required 45 ")
+
+    with open(trace_path, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    header = lines[0].split(",")
+    rewritten = 0
+    for i, line in enumerate(lines[1:-1], start=1):
+        cells = line.split(",")
+        q_before = float(cells[header.index("q_before")])
+        if cells[header.index("r")] == "0" and q_before >= 1:
+            for name in ("x_desired", "y_desired", "x_effective", "y_effective", "r"):
+                cells[header.index(name)] = "1"
+            cells[header.index("q_after")] = repr(q_before - 1)
+            lines[i] = ",".join(cells)
+            rewritten += 1
+    assert rewritten == 11
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\r\n".join(lines), newline="")
+    assert main(assure_argv + [str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: trace row 21: q_before must be 25.0 after q_after 25.0 and arrival 0, got 26.0\n"
     assert captured.out == ""
 
 

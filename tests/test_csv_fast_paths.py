@@ -34,7 +34,9 @@ from leasesim.reporting import (
     write_sweep_csv,
     write_trace_csv,
 )
-from leasesim.simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS, Trace
+from leasesim.simulator import TRACE_COLUMNS, TRACE_DTYPES, Trace
+
+INT_TRACE_COLUMNS = frozenset(name for name, dtype in TRACE_DTYPES.items() if dtype == np.int64)
 
 # ---------------------------------------------------------------------------
 # references

@@ -24,7 +24,7 @@ from leasesim.environment import (
     scenario_from_dict,
     with_seed,
 )
-from leasesim.simulator import INT_TRACE_COLUMNS, TRACE_COLUMNS
+from leasesim.simulator import TRACE_COLUMNS, TRACE_DTYPES
 
 
 def test_defaults_match_contract():
@@ -224,7 +224,9 @@ def test_with_seed_changes_only_the_seed():
 
 def test_column_rules_cover_the_trace_schema():
     assert set(COLUMN_RULES) == set(TRACE_COLUMNS) >= set(MARKET_FIELDS)
-    assert {name for name, rule in COLUMN_RULES.items() if rule is not None} == INT_TRACE_COLUMNS
+    assert {name for name, rule in COLUMN_RULES.items() if rule is not None} == {
+        name for name, dtype in TRACE_DTYPES.items() if dtype == np.int64
+    }
 
 
 @pytest.mark.parametrize(

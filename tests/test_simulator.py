@@ -30,9 +30,10 @@ from leasesim.environment import (
     with_seed,
 )
 from leasesim.policies import POLICY_KINDS, PolicySpec, parse_policy
+from leasesim.reporting import write_trace_csv
 from leasesim.simulator import (
-    INT_TRACE_COLUMNS,
     TRACE_COLUMNS,
+    TRACE_DTYPES,
     SlotRecord,
     Trace,
     _market_columns,
@@ -421,11 +422,15 @@ def test_frozen_generates_one_builder_per_class(monkeypatch):
 
 
 def test_trace_schema_is_slot_record():
-    assert TRACE_COLUMNS == tuple(vars(SlotRecord(*range(16))))
-    assert INT_TRACE_COLUMNS == {
+    assert TRACE_COLUMNS == tuple(vars(SlotRecord(*range(16)))) == tuple(TRACE_DTYPES)
+    assert {name for name, dtype in TRACE_DTYPES.items() if dtype == np.int64} == {
         "t", "arrival", "avail_ris", "avail_spectrum",
         "x_desired", "y_desired", "x_effective", "y_effective", "r",
     }
+    assert set(TRACE_DTYPES.values()) == {np.dtype(np.int64), np.dtype(np.float64)}
+    assert [field.type for field in fields(SlotRecord)] == [
+        "int" if dtype == np.int64 else "float" for dtype in TRACE_DTYPES.values()
+    ]
 
 
 def test_slot_record_keeps_its_class_contract():
@@ -597,6 +602,42 @@ def test_trace_records_round_trip():
     assert len(rows) == 25
     assert rows[3] == trace.record(3)
     assert isinstance(rows[0].t, int) and isinstance(rows[0].cost, float)
+
+
+def test_a_trace_stores_each_column_as_its_schema_dtype(tmp_path):
+    """Columns given as bool, uint8, int32 or float32 are stored as their
+    TRACE_DTYPES dtype, so records hold ints and floats and the CSV bytes
+    are those of the same trace built from int64 and float64 columns."""
+    n = 6
+    narrow = {}
+    for name, dtype in TRACE_DTYPES.items():
+        if name == "t":
+            narrow[name] = np.arange(1, n + 1, dtype=np.int32)
+        elif name == "arrival":
+            narrow[name] = np.arange(n, dtype=np.uint8)
+        elif dtype == np.int64:
+            narrow[name] = np.arange(n) % 2 == 1
+        else:
+            narrow[name] = np.linspace(0.1, 2.6, n, dtype=np.float32)
+    trace = Trace(narrow)
+    assert [trace.column(name).dtype for name in TRACE_COLUMNS] == list(TRACE_DTYPES.values())
+    wide = Trace({name: column.astype(TRACE_DTYPES[name]) for name, column in narrow.items()})
+    python_types = [int if dtype == np.int64 else float for dtype in TRACE_DTYPES.values()]
+    for i in range(n):
+        record = trace.record(i)
+        assert [type(value) for value in vars(record).values()] == python_types
+        assert record == wide.record(i)
+    write_trace_csv(trace, tmp_path / "narrow.csv")
+    write_trace_csv(wide, tmp_path / "wide.csv")
+    assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["ticking", "frozen"])
+@pytest.mark.parametrize("label", ALL_POLICIES)
+def test_iterating_a_trace_gives_its_records(label, freeze):
+    scenario = ScenarioConfig(horizon_slots=60, initial_backlog=3, seed=9, freeze_z_when_empty=freeze)
+    trace = run(scenario, parse_policy(label), default_params(scenario, v=2.0, eps_d=0.5))
+    assert list(trace) == [trace.record(i) for i in range(len(trace))]
 
 
 @pytest.mark.parametrize("freeze", [False, True])
