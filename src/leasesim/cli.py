@@ -119,14 +119,25 @@ def _output_path(text: str) -> str:
 _INPUT_FLAGS = ("scenario", "file", "trace", "intent", "translation", "realization")
 
 
+def _file_key(path: str | Path) -> tuple[int, int] | str:
+    """What names the file at `path`: (st_dev, st_ino), the pair
+    os.path.samefile compares, where it exists, so every link to one file
+    has one key; its realpath where it does not exist yet."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
 def _check_outputs(args, *outputs: tuple[str, str | Path | None]) -> None:
     """Fail before the first write when an output path is an existing
     directory, has no directory to go in, names a file the command reads
     (`args`' _INPUT_FLAGS) or names the same file as an earlier output, so
     a command that writes two files leaves neither and no input is
     overwritten. Each output comes with its flag; None stands for an
-    output not asked for."""
-    inputs = {os.path.realpath(path): flag for flag in _INPUT_FLAGS if (path := getattr(args, flag, None))}
+    output not asked for. Paths are compared by _file_key."""
+    inputs = {_file_key(path): flag for flag in _INPUT_FLAGS if (path := getattr(args, flag, None))}
     seen = {}
     for flag, path in outputs:
         if not path:
@@ -137,14 +148,14 @@ def _check_outputs(args, *outputs: tuple[str, str | Path | None]) -> None:
         if not os.path.isdir(parent):
             problem = "is not a directory" if os.path.lexists(parent) else "does not exist"
             raise ConfigError(f"{path}: parent directory {parent} {problem}")
-        real = os.path.realpath(path)
-        if real in inputs:
+        key = _file_key(path)
+        if key in inputs:
             raise ConfigError(
-                f"{path}: {flag} would overwrite the input of --{inputs[real]}, expected an output that is not an input"
+                f"{path}: {flag} would overwrite the input of --{inputs[key]}, expected an output that is not an input"
             )
-        if real in seen:
-            raise ConfigError(f"{path}: names the same file as {seen[real]}, expected one file per output")
-        seen[real] = path
+        if key in seen:
+            raise ConfigError(f"{path}: names the same file as {seen[key]}, expected one file per output")
+        seen[key] = path
 
 
 def _check_output_dir(out_dir: Path) -> None:

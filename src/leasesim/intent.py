@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ConfigError, ControlParams, check_bool, check_int, check_positive, record_dict, record_from_dict
 from .environment import MAX_HORIZON_SLOTS, ScenarioConfig
-from .simulator import default_params
+from .simulator import audit, default_params
 
 PRIORITIES = ("cost_saver", "balanced", "delay_critical")
 
@@ -198,46 +198,21 @@ def assure(trace, intent: IntentSpec, translation: TranslationResult) -> Assuran
     tenth of the deadline linearly extrapolate the service rate and warn
     when the projection falls short.
 
-    Before judging, every slot's queue is checked by the loop's own rules,
-    exactly: q_after is q_before where r is 0 and max(q_before - 1, 0)
-    where r is 1, and each later slot's q_before is the slot before's
-    q_after plus its arrival. The first row that breaks the first rule is
-    a ConfigError naming the 1-based row and q_after; after the backlog
-    check, the first that breaks the second, naming q_before.
+    Before judging, simulator.audit rebuilds the trace by the slot rule,
+    and a row it does not give is a ConfigError naming the row and column.
     """
     horizon = len(trace)
     if horizon == 0:
         raise ConfigError("cannot assure an empty trace")
+    audit(trace)
     deadline = translation.deadline_slots
-
-    q_before = trace.column("q_before")
-    q_after = trace.column("q_after")
-    arrival = trace.column("arrival")
-    r = trace.column("r")
-
-    departed = np.where(r == 0, q_before, np.maximum(q_before - 1.0, 0.0))
-    broken = (q_after != departed).nonzero()[0]
-    if len(broken):
-        i = int(broken[0])
-        raise ConfigError(
-            f"trace row {i + 1}: q_after must be {float(departed[i])!r} after q_before "
-            f"{float(q_before[i])!r} with r {int(r[i])}, got {float(q_after[i])!r}"
-        )
+    q_before, q_after, arrival = map(trace.column, ("q_before", "q_after", "arrival"))
 
     initial_backlog = float(q_before[0]) - float(arrival[0])
     if initial_backlog > 0 and initial_backlog != translation.n_packets:
         raise ConfigError(
             f"translation expects {translation.n_packets} packets but the trace "
             f"starts with a backlog of {initial_backlog:g}"
-        )
-
-    chained = q_after[:-1] + arrival[1:]  # the loop's own float add
-    broken = (q_before[1:] != chained).nonzero()[0]
-    if len(broken):
-        i = int(broken[0]) + 1
-        raise ConfigError(
-            f"trace row {i + 1}: q_before must be {float(chained[i - 1])!r} after q_after "
-            f"{float(q_after[i - 1])!r} and arrival {int(arrival[i])}, got {float(q_before[i])!r}"
         )
 
     window = min(horizon, deadline)

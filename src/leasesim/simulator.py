@@ -3,9 +3,9 @@
 Each slot proceeds through the same stages regardless of policy:
 arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
-advance. A run logs every stage so traces can be audited after the fact.
-runs() draws one market for many cells;
-run() is its one-cell case; runs() and step() share one record rule.
+advance. A run logs every stage, and audit() rebuilds a trace by the
+same rule. runs() draws one market for many cells; run() is its
+one-cell case; runs() and step() share one record rule.
 The oracle and step check the market slots they read against
 environment.COLUMN_RULES, the rule the CSV readers apply too; that table
 is also the trace schema, from which SlotRecord, TRACE_COLUMNS and
@@ -29,6 +29,7 @@ from .environment import (
     Realization,
     ScenarioConfig,
     check_market_slot,
+    check_value,
     draw_realization,
     expected_price,
     first_bad_row,
@@ -70,7 +71,10 @@ class Trace:
     """Column-oriented log of a run; iterates as SlotRecord rows.
 
     Each column is stored as its TRACE_DTYPES dtype, copied only where
-    it is not already an array of that dtype."""
+    it is not already an array of that dtype. An integer column of another
+    dtype is first checked value by value, through check_value: a value
+    the cast would change (a fraction, NaN, inf) or that COLUMN_RULES
+    rejects raises a ConfigError naming its 1-based row."""
 
     def __init__(
         self,
@@ -85,7 +89,17 @@ class Trace:
         lengths = {len(columns[name]) for name in TRACE_COLUMNS}
         if len(lengths) > 1:
             raise ConfigError("trace columns have unequal lengths")
-        self._columns = {name: np.asarray(columns[name], dtype=TRACE_DTYPES[name]) for name in TRACE_COLUMNS}
+        self._columns = {}
+        for name, dtype in TRACE_DTYPES.items():
+            column = np.asarray(columns[name])
+            if column.dtype != dtype:
+                if dtype == np.int64:
+                    for i, value in enumerate(column.tolist(), start=1):
+                        if isinstance(value, bool) or isinstance(value, float) and value.is_integer():
+                            value = int(value)  # the cast keeps it
+                        check_value(f"trace row {i}", name, value)
+                column = column.astype(dtype)
+            self._columns[name] = column
         self.scenario = scenario
         self.policy = policy
         self.params = params
@@ -134,6 +148,18 @@ def _shifted(first: float, column: np.ndarray) -> np.ndarray:
     out[:1] = first
     out[1:] = column[:-1]
     return out
+
+
+def _replay_q(q_first, arrival, q_ops, r) -> np.ndarray:
+    """q_before and q_after of every slot, the loop's q replayed from slot
+    1's q_before: np.cumsum adds each slot's q_ops * r (-1.0, a clamp
+    operand, or ±0.0 without a lease) and then the next slot's arrival, so
+    its partial sums alternate q_before and q_after."""
+    q_steps = np.empty((len(arrival), 2))
+    q_steps[:, 0] = arrival
+    np.multiply(q_ops, r, out=q_steps[:, 1])
+    q_steps[:1, 0] = q_first
+    return np.cumsum(q_steps).reshape(-1, 2).T.copy()
 
 
 def _slot_values(
@@ -186,11 +212,9 @@ def _run_loop(
     operand -x of each lease that clamps a queue x, through memoryviews
     into q_ops or z_ops, prefilled with -1.0, the operand of a lease that
     does not clamp. np.cumsum, which adds left to right, then
-    replays both queues with the loop's own adds in the loop's order: q
-    over each slot's arrival and then q_ops * r (-1.0, a clamp operand, or
-    ±0.0 without a lease), so its partial sums alternate q_before and
-    q_after; z over z_ops where r is 1 and the accrual elsewhere. Overflow
-    is left to the JSON writers to name.
+    replays both queues with the loop's own adds in the loop's order: q by
+    _replay_q, z over z_ops where r is 1 and the accrual elsewhere.
+    Overflow is left to the JSON writers to name.
     """
     n = len(realization)
     market, joint_avail = market
@@ -200,11 +224,7 @@ def _run_loop(
     x_desired = np.frombuffer(wishes, np.bool_).astype(np.int64)
     r = x_desired & joint_avail
     with np.errstate(over="ignore"):
-        q_steps = np.empty((n, 2))
-        q_steps[:, 0] = realization.arrival
-        np.multiply(q_ops, r, out=q_steps[:, 1])
-        q_steps[:1, 0] += q0
-        q_before, q_after = np.cumsum(q_steps).reshape(n, 2).T.copy()
+        q_before, q_after = _replay_q(q0 + realization.arrival[0], realization.arrival, q_ops, r)
         accrual = np.where(q_after == 0.0, 0.0, params.eps_d) if freeze_z else params.eps_d
         z_steps = np.where(r, z_ops, accrual)
         z_steps[:1] += z0
@@ -298,6 +318,30 @@ def step(
     # queues stay >= 0 (it clamps them after a lease) and the builder skips
     # QueueState's check, which every step would pay
     return _build_state((q_after, z_after)), record
+
+
+def audit(trace: Trace) -> None:
+    """Rebuild `trace` by runs()' slot rule from t[0], q_before[0],
+    z_before[0], the market, x_desired, z_after and the clamp operands the
+    loop stores, and raise a ConfigError naming the first row that differs
+    and its first differing column. The z step needs eps_d and the freeze
+    flag, which a trace does not hold, so only the z_before chain is judged."""
+    column = trace.column
+    q_before, x_desired, z_after = column("q_before"), column("x_desired"), column("z_after")
+    market = [column(name) for name in ("arrival", "avail_ris", "avail_spectrum", "price_ris", "price_spectrum")]
+    joint_avail = ((market[1] == 1) & (market[2] == 1)).astype(np.int64)  # as _market_columns
+    clamps = np.where(q_before < 1.0, -q_before, -1.0)  # -q where a lease takes q below zero
+    with np.errstate(over="ignore"):
+        q_replayed = _replay_q(q_before[:1], market[0], clamps, x_desired & joint_avail)
+        values = _slot_values(
+            column("t")[:1] + np.arange(len(trace)), q_replayed[0], _shifted(column("z_before")[:1], z_after),
+            *market, joint_avail, x_desired, q_replayed[1], z_after,
+        )
+    differs = np.array([value != column(name) for name, value in zip(TRACE_COLUMNS, values)]).T
+    if differs.any():
+        i, j = divmod(int(differs.argmax()), len(TRACE_COLUMNS))  # the first differing row, then column
+        raise ConfigError(f"trace row {i + 1}: {TRACE_COLUMNS[j]} must be {values[j][i].item()!r} by the slot rule, "
+                          f"got {column(TRACE_COLUMNS[j])[i].item()!r}")
 
 
 def _market_slots(

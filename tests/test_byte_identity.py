@@ -18,8 +18,8 @@ import pytest
 from leasesim.cli import main
 from leasesim.environment import MarketObservation, ScenarioConfig, draw_realization
 from leasesim.policies import parse_policy
-from leasesim.reporting import sweep, sweep_to_dict, write_trace_csv
-from leasesim.simulator import default_params, run
+from leasesim.reporting import read_trace_csv, sweep, sweep_to_dict, write_trace_csv
+from leasesim.simulator import audit, default_params, run
 
 SCENARIOS = {
     "max_seed": ScenarioConfig(seed=2**64 - 1),
@@ -52,6 +52,7 @@ def test_trace_csv_digest(tmp_path, scenario_name, label):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(scenario, parse_policy(label), params), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(scenario_name, label)]
+    audit(read_trace_csv(path))  # the golden trace, read back, is a trace by the slot rule
 
 
 SWEEP_SCENARIOS = {

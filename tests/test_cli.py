@@ -367,6 +367,8 @@ ORACLE_INPUTS = ["--realization", "real.csv", "--initial-backlog", "1", "--deadl
          "error: translation.json: --out would overwrite the input of --translation"),
         (["oracle", *ORACLE_INPUTS, "--out", "real.csv"],
          "error: real.csv: --out would overwrite the input of --realization"),
+        (["sweep", "--scenario", "base.json", "--v", "1", "--eps", "1", "--out", "h.json"],
+         "error: h.json: --out would overwrite the input of --scenario"),
     ],
     ids=["run_empty", "sweep_empty", "compare_empty", "intent_out_empty", "intent_scenario_out_empty",
          "assure_empty", "oracle_empty", "intent_same_file", "intent_same_file_other_spelling",
@@ -374,16 +376,19 @@ ORACLE_INPUTS = ["--realization", "real.csv", "--initial-backlog", "1", "--deadl
          "compare_ancestor_is_a_file", "intent_parent_missing", "assure_parent_is_a_file",
          "oracle_parent_missing", "run_over_input", "run_summary_over_input", "sweep_over_input",
          "compare_over_input", "intent_out_over_input", "intent_scenario_out_over_input",
-         "assure_over_trace", "assure_over_intent", "assure_over_translation", "oracle_over_input"],
+         "assure_over_trace", "assure_over_intent", "assure_over_translation", "oracle_over_input",
+         "sweep_over_hard_link"],
 )
 def test_a_bad_output_path_exits_one_before_any_work(tmp_path, assured_pipeline, monkeypatch, capsys, argv, named):
     """An empty output path, two outputs that name one file, a compare
     directory that is or lies under an existing file, a file whose parent
     directory is missing or a file, or an output that names one of the
-    command's own inputs exits 1 naming the flag or the path, before any
-    simulation, comparison, assurance or oracle runs, and leaves the
-    working directory and every file in it as they were."""
+    command's own inputs, or a hard link to one, exits 1 naming the flag
+    or the path, before any simulation, comparison, assurance or oracle
+    runs, and leaves the working directory and every file in it as they
+    were."""
     monkeypatch.chdir(tmp_path)
+    os.link(tmp_path / "base.json", tmp_path / "h.json")
     (tmp_path / "real.csv").write_text(WORKED_CSV)
     (tmp_path / "afile").write_text("kept\n")
     (tmp_path / "cmp").mkdir()
@@ -843,7 +848,7 @@ def test_assure_rejects_a_q_after_its_slot_did_not_give(tmp_path, assured_pipeli
     code = main(["assure", "--trace", str(bad), "--intent", intent_path, "--translation", translation_path])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"error: trace row 1: q_after must be 4.0 after q_before 5.0 with r 1, got {got}\n"
+    assert captured.err == f"error: trace row 1: q_after must be 4.0 by the slot rule, got {got}\n"
     assert captured.out == ""
 
 
@@ -882,7 +887,29 @@ def test_assure_rejects_a_q_before_the_slot_before_did_not_leave(tmp_path, capsy
     bad.write_text("\r\n".join(lines), newline="")
     assert main(assure_argv + [str(bad)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: trace row 21: q_before must be 25.0 after q_after 25.0 and arrival 0, got 26.0\n"
+    assert captured.err == "error: trace row 20: x_effective must be 0 by the slot rule, got 1\n"
+    assert captured.out == ""
+
+
+def test_assure_rejects_a_lease_whose_cost_was_zeroed(tmp_path, assured_pipeline, capsys):
+    """A lease row whose cost reads 0.0 is not what the slot rule gives,
+    so the audit names that row and cost before any verdict."""
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    with open(trace_path, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    assert cells[header.index("r")] == "1"
+    cost = cells[header.index("cost")]
+    cells[header.index("cost")] = "0.0"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\r\n".join(lines), newline="")
+    capsys.readouterr()
+    code = main(["assure", "--trace", str(bad), "--intent", intent_path, "--translation", translation_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: trace row 3: cost must be {cost} by the slot rule, got 0.0\n"
     assert captured.out == ""
 
 

@@ -20,6 +20,7 @@ from leasesim.core import (
     builder,
 )
 from leasesim.environment import (
+    COLUMN_RULES,
     MARKET_FIELDS,
     MarketObservation,
     Realization,
@@ -38,6 +39,7 @@ from leasesim.simulator import (
     Trace,
     _market_columns,
     _run_loop,
+    audit,
     default_params,
     run,
     runs,
@@ -594,6 +596,25 @@ def test_trace_validation():
     with pytest.raises(KeyError):
         trace.column("nonsense")
 
+    # an integer column of another dtype is judged before the cast, which
+    # would store 1.5 as 1 and NaN as -2**63, and no numpy warning escapes
+    for arrival, message in [
+        ([1.5, np.nan], "trace row 1: arrival must be an integer, got 1.5"),
+        ([1.0, np.nan], "trace row 2: arrival must be an integer, got nan"),
+        ([0.0, np.inf], "trace row 2: arrival must be an integer, got inf"),
+        ([0.0, 1e19], "trace row 2: arrival must be <= 9223372036854775807, got 10000000000000000000"),
+        ([-1.0, 0.0], "trace row 1: arrival must be >= 0, got -1"),
+        (np.array([0, 2**64 - 1], dtype=np.uint64), "trace row 2: arrival must be <= 9223372036854775807, got"),
+    ]:
+        short = {name: column[:2] for name, column in columns.items()}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            Trace({**short, "arrival": np.asarray(arrival)})
+    with pytest.raises(ConfigError, match=re.escape("trace row 3: r must be <= 1, got 2")):
+        Trace({**columns, "r": np.array([0, 1, 2] + [0] * 7, dtype=np.int32)})
+    integral = Trace({**columns, "arrival": columns["arrival"].astype(np.float64)})
+    assert integral.column("arrival").dtype == np.int64
+    assert np.array_equal(integral.column("arrival"), columns["arrival"])
+
 
 def test_trace_records_round_trip():
     scenario = ScenarioConfig(horizon_slots=25, seed=4)
@@ -758,3 +779,80 @@ def test_python_loop_gets_a_price_list_only_for_price_reading_kinds(monkeypatch,
         arrival, joint_price = args[4], args[5]
         assert type(arrival) is list
         assert type(joint_price) is (list if list_built else np.ndarray)
+
+
+def allowed_value(name):
+    """Any value COLUMN_RULES allows in column `name`."""
+    rule = COLUMN_RULES[name]
+    return st.floats(0.0, allow_nan=False, allow_infinity=False) if rule is None else st.integers(*rule)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    label=st.sampled_from(ALL_POLICIES),
+    freeze=st.booleans(),
+    horizon=st.integers(2, 12),
+    backlog=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    v=st.floats(0.1, 20.0),
+    eps_d=st.floats(0.1, 2.0),
+    data=st.data(),
+)
+def test_audit_names_the_row_of_a_changed_cell(label, freeze, horizon, backlog, seed, v, eps_d, data):
+    """A run's trace passes the audit. One cell of a column the market does
+    not give, set to another value COLUMN_RULES allows, is named at its row
+    or the next, except in the cells the rebuild takes as given."""
+    scenario = ScenarioConfig(
+        horizon_slots=horizon, initial_backlog=backlog, seed=seed, freeze_z_when_empty=freeze
+    )
+    trace = run(scenario, parse_policy(label), default_params(scenario, v=v, eps_d=eps_d))
+    audit(trace)
+    # the cells the audit takes as given and no later row repeats: the
+    # start state, and the last z_after
+    unjudged = {("q_before", 0), ("z_before", 0), ("z_after", horizon - 1)}
+    name, row = data.draw(st.sampled_from([
+        (name, row) for name in TRACE_COLUMNS if name not in MARKET_FIELDS for row in range(horizon)
+        if (name, row) not in unjudged
+    ]))
+    old = trace.column(name)[row].item()
+    new = data.draw(allowed_value(name).filter(lambda value: value != old))
+    columns = {column: trace.column(column).copy() for column in TRACE_COLUMNS}
+    columns[name][row] = new
+    with pytest.raises(ConfigError) as caught:
+        audit(Trace(columns))
+    assert re.match(rf"trace row ({row + 1}|{row + 2}): \w+ must be .+ by the slot rule, got ", str(caught.value))
+
+
+def test_audit_passes_a_step_chain_from_slot_5():
+    """Records of step() from t = 5 on, stacked into a Trace, are a trace
+    by the slot rule."""
+    scenario = ScenarioConfig(horizon_slots=40, initial_backlog=3, seed=5)
+    realization = draw_realization(scenario)
+    params = default_params(scenario, v=4.0, eps_d=0.5)
+    state, records = QueueState(3.0, 0.0), []
+    for i in range(len(realization)):
+        state, record = step(state, realization.observation(i), DSF, params, t=5 + i)
+        records.append(record)
+    trace = Trace({name: [getattr(record, name) for record in records] for name in TRACE_COLUMNS})
+    assert trace.column("t")[0] == 5
+    audit(trace)
+
+
+def test_audit_names_the_first_row_and_column_that_differ():
+    """Of two changed cells the earlier row's is named, with the value the
+    slot rule gives there; an empty trace has nothing to judge."""
+    scenario = ScenarioConfig(horizon_slots=30, initial_backlog=2, seed=3)
+    trace = run(scenario, GREEDY, default_params(scenario, v=1.0, eps_d=1.0))
+    columns = {name: trace.column(name).copy() for name in TRACE_COLUMNS}
+    columns["cost"][7] += 1.0
+    columns["t"][9] = 1
+    with pytest.raises(ConfigError, match=re.escape(
+        f"trace row 8: cost must be {trace.column('cost')[7].item()!r} by the slot rule, "
+        f"got {columns['cost'][7].item()!r}"
+    )):
+        audit(Trace(columns))
+    columns = {name: trace.column(name).copy() for name in TRACE_COLUMNS}
+    columns["t"][9] = 1
+    with pytest.raises(ConfigError, match=re.escape("trace row 10: t must be 10 by the slot rule, got 1")):
+        audit(Trace(columns))
+    audit(Trace({name: column[:0] for name, column in columns.items()}))  # nothing to judge
