@@ -11,7 +11,7 @@ columns, all computed by the caller before the loop:
 and returns the final (q, z). It stores nothing on an ordinary slot: a
 wish to lease sets x_desired[i] (a bool), and a lease that takes a queue
 x below zero stores -x, the operand that clamps it, into q_ops or z_ops.
-From these simulator._run_loop replays q_after and z_after with
+From these simulator._cell_columns replays q_after and z_after with
 np.cumsum. With float arrivals every queue update is float with float,
 which CPython specializes; q + float(a) equals q + a bit for bit for any
 int64 a, so step's int arrival gives the same queues. Both queues are
@@ -74,10 +74,8 @@ def {name}(q0, z0, t0, param, arrival, joint_price, joint_avail, v, eps_d, thres
                     z = 0.0
                 else:
                     z = z - 1.0
-            else:
-                z = z + {accrual}
-        else:
-            z = z + {accrual}
+                continue
+        z = z + {accrual}  # no lease: a wish that was blocked, or none
     return q, z
 """
 

@@ -71,10 +71,11 @@ class Trace:
     """Column-oriented log of a run; iterates as SlotRecord rows.
 
     Each column is stored as its TRACE_DTYPES dtype, copied only where
-    it is not already an array of that dtype. An integer column of another
-    dtype is first checked value by value, through check_value: a value
-    the cast would change (a fraction, NaN, inf) or that COLUMN_RULES
-    rejects raises a ConfigError naming its 1-based row."""
+    it is not already an array of that dtype. A column of another dtype is
+    first checked value by value, through check_value: a value that
+    COLUMN_RULES rejects, or that the cast to an integer column would
+    change (a fraction, NaN, inf), raises a ConfigError naming its 1-based
+    row."""
 
     def __init__(
         self,
@@ -93,11 +94,10 @@ class Trace:
         for name, dtype in TRACE_DTYPES.items():
             column = np.asarray(columns[name])
             if column.dtype != dtype:
-                if dtype == np.int64:
-                    for i, value in enumerate(column.tolist(), start=1):
-                        if isinstance(value, bool) or isinstance(value, float) and value.is_integer():
-                            value = int(value)  # the cast keeps it
-                        check_value(f"trace row {i}", name, value)
+                for i, value in enumerate(column.tolist(), start=1):
+                    if dtype == np.int64 and isinstance(value, (bool, float)) and float(value).is_integer():
+                        value = int(value)  # the cast to an integer column keeps it
+                    check_value(f"trace row {i}", name, value)
                 column = column.astype(dtype)
             self._columns[name] = column
         self.scenario = scenario
@@ -179,62 +179,56 @@ def _slot_values(
     )
 
 
-def _market_columns(realization: Realization, read_prices: bool = True) -> tuple:
-    """The loop's three market columns as lists (arrival as floats,
-    joint_price, joint_avail), and joint_avail as an int64 array, from
-    which r is derived.
-
-    Float arrivals keep the loop's queue updates float with float. Without
-    `read_prices` (no cell's kind is in PRICE_READING_KINDS), the loop gets
-    joint_price as the array, which it never indexes, and the list is not
-    built."""
-    joint_avail = ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64)
-    joint_price = realization.price_ris + realization.price_spectrum
-    prices = joint_price.tolist() if read_prices else joint_price
-    return (realization.arrival.astype(np.float64).tolist(), prices, joint_avail.tolist()), joint_avail
-
-
-def _run_loop(
-    loop,
-    market: tuple,
+def _cell_columns(
     realization: Realization,
     q0: float,
     z0: float,
     t0: int,
     freeze_z: bool,
-    policy: PolicySpec,
-    params: ControlParams,
-) -> dict[str, np.ndarray]:
-    """All trace columns of `loop` run on `market`, the realization's
-    _market_columns.
+    cells: Sequence[tuple[PolicySpec, ControlParams]],
+) -> Iterator[dict[str, np.ndarray]]:
+    """All trace columns of each (policy, params) cell, run on
+    `realization` from q0, z0 and slot t0, each with its own copy of the
+    market columns.
 
-    The loop stores only True wishes, into a zeroed bytearray, and the
-    operand -x of each lease that clamps a queue x, through memoryviews
+    The loop's three market columns are built once as lists: arrival as
+    floats, which keep its queue updates float with float, joint_price and
+    joint_avail. Where no cell's kind is in PRICE_READING_KINDS, the loop
+    gets joint_price as the array, which it never indexes, and the list is
+    not built. joint_avail is kept as an int64 array, from which r is derived.
+
+    Each cell's loop stores only True wishes, into a zeroed bytearray, and
+    the operand -x of each lease that clamps a queue x, through memoryviews
     into q_ops or z_ops, prefilled with -1.0, the operand of a lease that
-    does not clamp. np.cumsum, which adds left to right, then
-    replays both queues with the loop's own adds in the loop's order: q by
-    _replay_q, z over z_ops where r is 1 and the accrual elsewhere.
-    Overflow is left to the JSON writers to name.
+    does not clamp. np.cumsum, which adds left to right, then replays both
+    queues with the loop's own adds in the loop's order: q by _replay_q, z
+    over z_ops where r is 1 and the accrual elsewhere. Overflow is left to
+    the JSON writers to name.
     """
     n = len(realization)
-    market, joint_avail = market
-    wishes, q_ops, z_ops = bytearray(n), np.full(n, -1.0), np.full(n, -1.0)
-    loop(q0, z0, t0, policy.param, *market, params.v, params.eps_d, params.threshold,
-         wishes, memoryview(q_ops), memoryview(z_ops))
-    x_desired = np.frombuffer(wishes, np.bool_).astype(np.int64)
-    r = x_desired & joint_avail
-    with np.errstate(over="ignore"):
-        q_before, q_after = _replay_q(q0 + realization.arrival[0], realization.arrival, q_ops, r)
-        accrual = np.where(q_after == 0.0, 0.0, params.eps_d) if freeze_z else params.eps_d
-        z_steps = np.where(r, z_ops, accrual)
-        z_steps[:1] += z0
-        z_after = np.cumsum(z_steps)
-    return dict(zip(TRACE_COLUMNS, _slot_values(
-        np.arange(t0, t0 + n, dtype=np.int64), q_before, _shifted(z0, z_after),
-        realization.arrival, realization.avail_ris, realization.avail_spectrum,
-        realization.price_ris, realization.price_spectrum,
-        joint_avail, x_desired, q_after, z_after,
-    )))
+    joint_avail = ((realization.avail_ris == 1) & (realization.avail_spectrum == 1)).astype(np.int64)
+    joint_price = realization.price_ris + realization.price_spectrum
+    if any(policy.kind in PRICE_READING_KINDS for policy, _ in cells):
+        joint_price = joint_price.tolist()
+    market = (realization.arrival.astype(np.float64).tolist(), joint_price, joint_avail.tolist())
+    for policy, params in cells:
+        wishes, q_ops, z_ops = bytearray(n), np.full(n, -1.0), np.full(n, -1.0)
+        get_loop((policy.kind, freeze_z))(q0, z0, t0, policy.param, *market, params.v, params.eps_d, params.threshold,
+                                          wishes, memoryview(q_ops), memoryview(z_ops))
+        x_desired = np.frombuffer(wishes, np.bool_).astype(np.int64)
+        r = x_desired & joint_avail
+        with np.errstate(over="ignore"):
+            q_before, q_after = _replay_q(q0 + realization.arrival[0], realization.arrival, q_ops, r)
+            accrual = np.where(q_after == 0.0, 0.0, params.eps_d) if freeze_z else params.eps_d
+            z_steps = np.where(r, z_ops, accrual)
+            z_steps[:1] += z0
+            z_after = np.cumsum(z_steps)
+        yield dict(zip(TRACE_COLUMNS, _slot_values(
+            np.arange(t0, t0 + n, dtype=np.int64), q_before, _shifted(z0, z_after),
+            realization.arrival.copy(), realization.avail_ris.copy(), realization.avail_spectrum.copy(),
+            realization.price_ris.copy(), realization.price_spectrum.copy(),
+            joint_avail, x_desired, q_after, z_after,
+        )))
 
 
 def runs(
@@ -245,20 +239,14 @@ def runs(
 
     The market is drawn and prepared once however many cells follow, and
     each cell runs its kind's loop; each trace is the one run() gives for
-    its cell, and holds its own copy of the market columns. The joint-price
-    list is built only when a cell's kind reads it (PRICE_READING_KINDS).
-    Traces are yielded one at a time, so only the caller keeps them alive.
+    its cell. Traces are yielded one at a time, so only the caller keeps
+    them alive.
     """
     cells = list(cells)
     realization = draw_realization(scenario)
-    read_prices = any(policy.kind in PRICE_READING_KINDS for policy, _ in cells)
-    market = _market_columns(realization, read_prices)
-    q0, freeze_z = float(scenario.initial_backlog), scenario.freeze_z_when_empty
-    for policy, params in cells:
-        loop = get_loop((policy.kind, freeze_z))
-        columns = _run_loop(loop, market, realization, q0, 0.0, 1, freeze_z, policy, params)
-        columns.update({name: columns[name].copy() for name in MARKET_FIELDS})
-        yield Trace(columns, scenario=scenario, policy=policy, params=params)
+    columns = _cell_columns(realization, float(scenario.initial_backlog), 0.0, 1, scenario.freeze_z_when_empty, cells)
+    for (policy, params), cell_columns in zip(cells, columns):
+        yield Trace(cell_columns, scenario=scenario, policy=policy, params=params)
 
 
 def run(
@@ -325,11 +313,17 @@ def audit(trace: Trace) -> None:
     z_before[0], the market, x_desired, z_after and the clamp operands the
     loop stores, and raise a ConfigError naming the first row that differs
     and its first differing column. The z step needs eps_d and the freeze
-    flag, which a trace does not hold, so only the z_before chain is judged."""
+    flag, which a trace does not hold, so only the z_before chain is judged.
+    Every column is first judged by COLUMN_RULES, in TRACE_COLUMNS order,
+    so a value no slot could hold is named as such."""
     column = trace.column
+    for name in TRACE_COLUMNS:
+        i = first_bad_row(name, column(name))
+        if i is not None:
+            check_value(f"trace row {i + 1}", name, column(name)[i].item())
     q_before, x_desired, z_after = column("q_before"), column("x_desired"), column("z_after")
     market = [column(name) for name in ("arrival", "avail_ris", "avail_spectrum", "price_ris", "price_spectrum")]
-    joint_avail = ((market[1] == 1) & (market[2] == 1)).astype(np.int64)  # as _market_columns
+    joint_avail = ((market[1] == 1) & (market[2] == 1)).astype(np.int64)  # as _cell_columns
     clamps = np.where(q_before < 1.0, -q_before, -1.0)  # -q where a lease takes q below zero
     with np.errstate(over="ignore"):
         q_replayed = _replay_q(q_before[:1], market[0], clamps, x_desired & joint_avail)

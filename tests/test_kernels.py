@@ -14,7 +14,7 @@ from leasesim import _kernels, simulator
 from leasesim.core import ControlParams, QueueState, advance_virtual_queue
 from leasesim.environment import Realization, ScenarioConfig, draw_realization
 from leasesim.policies import POLICY_KINDS, PolicyInput, decide, parse_policy
-from leasesim.simulator import Trace, _market_columns, _run_loop, default_params, run, step
+from leasesim.simulator import Trace, _cell_columns, default_params, run, step
 
 ALL_POLICIES = [
     "dsf",
@@ -136,11 +136,25 @@ def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
     assert not any(any(wish) for wish in wishes)
 
 
-def test_python_market_columns_hold_only_floats():
+def test_python_market_columns_hold_only_floats(monkeypatch):
     """The loop adds arrivals to the float q and compares joint prices
-    with floats, so both lists hold floats, never ints."""
+    with floats, so both lists it is handed hold floats, never ints."""
+    calls = []
+
+    def get_loop(key):
+        def loop(*args):
+            calls.append(args)
+            return _kernels.get_loop(key)(*args)
+
+        return loop
+
+    monkeypatch.setattr(simulator, "get_loop", get_loop)
     realization = draw_realization(ScenarioConfig(horizon_slots=300, arrival_prob=0.5, seed=4))
-    (arrival, joint_price, _), _ = _market_columns(realization)
+    spec = parse_policy("myopic")  # a kind in PRICE_READING_KINDS, so the joint-price list is built
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    list(_cell_columns(realization, 0.0, 0.0, 1, False, [(spec, params)]))
+    [args] = calls
+    arrival, joint_price, _ = args[4:7]
     assert type(arrival) is list and type(joint_price) is list
     assert {type(value) for value in arrival} == {float}
     assert {type(value) for value in joint_price} == {float}
@@ -197,8 +211,7 @@ def test_huge_arrivals_give_the_same_bytes_on_every_path(arrival):
     )
     spec = parse_policy("greedy")
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
-    loop_args = (realization, 0.5, 0.0, 1, False, spec, params)
-    columns = _run_loop(_kernels.get_loop((spec.kind, False)), _market_columns(realization), *loop_args)
+    [columns] = _cell_columns(realization, 0.5, 0.0, 1, False, [(spec, params)])
     trace = Trace(columns)
     state = QueueState(0.5, 0.0)
     for i in range(n):
@@ -346,8 +359,7 @@ def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
     )
     spec = parse_policy(label)
     params = ControlParams(v=v, eps_d=eps_d, expected_price_ris=5.5, expected_price_spectrum=5.5)
-    loop_args = (realization, q0, z0, t0, freeze, spec, params)
-    columns = _run_loop(_kernels.get_loop((spec.kind, freeze)), _market_columns(realization), *loop_args)
+    [columns] = _cell_columns(realization, q0, z0, t0, freeze, [(spec, params)])
 
     joint = (realization.avail_ris == 1) & (realization.avail_spectrum == 1)
     assert columns["r"].dtype == columns["x_desired"].dtype == np.int64

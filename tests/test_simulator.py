@@ -37,8 +37,7 @@ from leasesim.simulator import (
     TRACE_DTYPES,
     SlotRecord,
     Trace,
-    _market_columns,
-    _run_loop,
+    _cell_columns,
     audit,
     default_params,
     run,
@@ -139,7 +138,7 @@ def test_step_rejects_a_flag_other_than_zero_or_one(avail_ris, avail_spectrum):
 
 
 def test_run_treats_only_flag_one_as_available():
-    """_run_loop, which takes its market as drawn, leases only where both
+    """_cell_columns, which takes its market as drawn, leases only where both
     flags equal 1, from any starting state and slot."""
     avail_ris = [2, 1, 0, 1, 2, 1]
     avail_spectrum = [1, 2, 1, 1, 2, 1]
@@ -151,8 +150,7 @@ def test_run_treats_only_flag_one_as_available():
         avail_spectrum=np.array(avail_spectrum),
     )
     params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
-    market = _market_columns(realization)
-    columns = _run_loop(_kernels.get_loop(("greedy", False)), market, realization, 4.0, 1.5, 3, False, GREEDY, params)
+    [columns] = _cell_columns(realization, 4.0, 1.5, 3, False, [(GREEDY, params)])
     assert columns["x_desired"].tolist() == [1] * 6
     assert columns["r"].tolist() == [0, 0, 0, 1, 0, 1]
     assert columns["cost"].tolist() == [0.0, 0.0, 0.0, 4.5, 0.0, 3.0]
@@ -271,8 +269,7 @@ def test_step_checks_each_observation_field(label, **values):
         name: np.array([float(value) if name.startswith("price") else int(value)]) for name, value in values.items()
     })
     with np.errstate(over="ignore"):  # two huge prices sum to inf, as in step
-        market = _market_columns(realization)
-    columns = _run_loop(_kernels.get_loop((spec.kind, False)), market, realization, 3.0, 2.0, 4, False, spec, params)
+        [columns] = _cell_columns(realization, 3.0, 2.0, 4, False, [(spec, params)])
     want = Trace(columns).record(0)
     got_state, got = step(state, observation, spec, params, t=4)
     assert got == want
@@ -611,6 +608,9 @@ def test_trace_validation():
             Trace({**short, "arrival": np.asarray(arrival)})
     with pytest.raises(ConfigError, match=re.escape("trace row 3: r must be <= 1, got 2")):
         Trace({**columns, "r": np.array([0, 1, 2] + [0] * 7, dtype=np.int32)})
+    # so is a float column, which astype would meet with a bare ValueError
+    with pytest.raises(ConfigError, match=re.escape("trace row 1: cost must be a finite number >= 0, got 'a'")):
+        Trace({**columns, "cost": np.array(["a"] * 10)})
     integral = Trace({**columns, "arrival": columns["arrival"].astype(np.float64)})
     assert integral.column("arrival").dtype == np.int64
     assert np.array_equal(integral.column("arrival"), columns["arrival"])
@@ -856,3 +856,29 @@ def test_audit_names_the_first_row_and_column_that_differ():
     with pytest.raises(ConfigError, match=re.escape("trace row 10: t must be 10 by the slot rule, got 1")):
         audit(Trace(columns))
     audit(Trace({name: column[:0] for name, column in columns.items()}))  # nothing to judge
+
+
+@pytest.mark.parametrize(
+    "name, row, value, message",
+    [
+        ("price_ris", 1, -2.0, "trace row 2: price_ris must be a finite number >= 0, got -2.0"),
+        ("z_after", 5, -1.0, "trace row 6: z_after must be a finite number >= 0, got -1.0"),
+        ("q_before", 0, math.nan, "trace row 1: q_before must be a finite number >= 0, got nan"),
+        ("price_ris", 0, math.inf, "trace row 1: price_ris must be a finite number >= 0, got inf"),
+    ],
+    ids=["lease_price_below_zero", "last_z_after_below_zero", "first_q_before_nan", "idle_price_inf"],
+)
+def test_audit_judges_every_value_by_column_rules_first(name, row, value, message):
+    """A value COLUMN_RULES rejects is named as such before the rebuild,
+    which would pass it (a negative lease price with its cost to match, a
+    negative last z_after), misname it (NaN, unequal to itself) or meet it
+    with a numpy warning (0 * inf in the cost of a slot without a lease)."""
+    scenario = ScenarioConfig(horizon_slots=6, initial_backlog=3, seed=1)
+    trace = run(scenario, GREEDY, default_params(scenario, v=1.0, eps_d=1.0))
+    assert trace.column("r").tolist()[:2] == [0, 1]  # no lease in row 1, a lease in row 2
+    columns = {column: trace.column(column).copy() for column in TRACE_COLUMNS}
+    columns[name][row] = value
+    leased = columns["r"] == 1
+    columns["cost"][leased] = columns["price_ris"][leased] + columns["price_spectrum"][leased]  # the slot rule's cost
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        audit(Trace(columns))
