@@ -29,6 +29,12 @@ takes the kind's one parameter, PolicySpec.param, as `param`, None for a
 kind that takes none. policies.decide, written out below the table, is
 the reference; tests hold every loop to it on randomized inputs.
 
+step runs one slot through the pair's one-slot kernel, get_loop((kind,
+freeze_z, True)): _SLOT_TEMPLATE filled with the same wish and accrual.
+It takes the loop's first ten arguments, its columns as 1-tuples, and
+returns (q_after, z_after, wish), the wish 1 or 0, so a slot of step
+builds no buffer and stores nothing.
+
 The loop reads its columns as lists, since indexing a list is far
 cheaper than reading a numpy scalar; it stores the wish into a zeroed
 bytearray and the clamp operands through memoryviews of float64 arrays,
@@ -79,23 +85,40 @@ def {name}(q0, z0, t0, param, arrival, joint_price, joint_avail, v, eps_d, thres
     return q, z
 """
 
+# the one-slot kernel of one (kind, freeze_z) pair: the loop's body on slot 0,
+# by the loop's own float operations, returning what the loop would store
+_SLOT_TEMPLATE = """\
+def {name}(q0, z0, t0, param, arrival, joint_price, joint_avail, v, eps_d, threshold):
+    i = 0  # the slot's offset from t0, as the wish reads it
+    q = q0 + arrival[0]
+    z = z0
+    if {want}:
+        if joint_avail[0]:
+            return (0.0 if q < 1.0 else q - 1.0), (0.0 if z < 1.0 else z - 1.0), 1
+        return q, z + {accrual}, 1
+    return q, z + {accrual}, 0
+"""
+
 # per freeze_z, z's accrual without a lease; frozen, z + 0.0 on an empty queue
 _ACCRUAL = {False: "eps_d", True: "(0.0 if q == 0.0 else eps_d)"}
 
-# per (kind, freeze_z) key, the loop get_loop generated
+# per get_loop key, the loop or one-slot kernel it generated
 _LOOPS: dict = {}
 
 
-def loop_source(kind: str, freeze_z: bool) -> tuple[str, str]:
-    """The name and source of the loop of `kind`, with z frozen on an empty
-    queue when `freeze_z` is True: _TEMPLATE filled with the kind's wish."""
-    name = f"{kind}_loop_frozen" if freeze_z else f"{kind}_loop"
-    return name, _TEMPLATE.format(name=name, want=POLICY_KINDS[kind][1], accrual=_ACCRUAL[freeze_z])
+def loop_source(kind: str, freeze_z: bool, one_slot: bool = False) -> tuple[str, str]:
+    """The name and source of the loop of `kind`, or with `one_slot` its
+    one-slot kernel, with z frozen on an empty queue when `freeze_z` is
+    True: _TEMPLATE or _SLOT_TEMPLATE filled with the kind's wish."""
+    template, name = (_SLOT_TEMPLATE, f"{kind}_slot") if one_slot else (_TEMPLATE, f"{kind}_loop")
+    name = f"{name}_frozen" if freeze_z else name
+    return name, template.format(name=name, want=POLICY_KINDS[kind][1], accrual=_ACCRUAL[freeze_z])
 
 
 def get_loop(key):
     """The loop of `key`, a (policy kind, freeze_z) pair with freeze_z a
-    bool, made once: z is frozen on an empty queue when freeze_z is True."""
+    bool, made once: z is frozen on an empty queue when freeze_z is True.
+    A key (kind, freeze_z, True) gives the pair's one-slot kernel."""
     loop = _LOOPS.get(key)
     if loop is None:
         name, source = loop_source(*key)

@@ -91,6 +91,9 @@ class MarketObservation:
     arrival: int
 
 
+_build_observation = builder(MarketObservation)
+
+
 @dataclass
 class Realization:
     """A fully drawn observation sequence as columns, one entry per slot;
@@ -106,12 +109,13 @@ class Realization:
         return len(self.arrival)
 
     def observation(self, i: int) -> MarketObservation:
-        return builder(MarketObservation)((
-            float(self.price_ris[i]),
-            float(self.price_spectrum[i]),
-            int(self.avail_ris[i]),
-            int(self.avail_spectrum[i]),
-            int(self.arrival[i]),
+        """Slot i's values as its columns hold them, unchecked: step judges them."""
+        return _build_observation((
+            self.price_ris.item(i),
+            self.price_spectrum.item(i),
+            self.avail_ris.item(i),
+            self.avail_spectrum.item(i),
+            self.arrival.item(i),
         ))
 
 

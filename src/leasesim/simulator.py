@@ -5,7 +5,8 @@ arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage, and audit() rebuilds a trace by the
 same rule. runs() draws one market for many cells; run() is its
-one-cell case; runs() and step() share one record rule.
+one-cell case; step() runs a kind's one-slot kernel; runs() and step()
+share one record rule.
 The oracle and step check the market slots they read against
 environment.COLUMN_RULES, the rule the CSV readers apply too; that table
 is also the trace schema, from which SlotRecord, TRACE_COLUMNS and
@@ -269,8 +270,10 @@ def step(
 ) -> tuple[QueueState, SlotRecord]:
     """Advance one slot; returns the new state and the slot's record.
 
-    Runs the slot loop on one-slot columns and builds the record by
-    run()'s rule, so a chain of step() calls reproduces a full run exactly.
+    Runs the kind's one-slot kernel, which applies the slot loop's
+    operations to 1-tuple columns and returns the queues and the wish, and
+    builds the record by run()'s rule, so a chain of step() calls
+    reproduces a full run exactly.
     A slot index or observation that breaks COLUMN_RULES raises a ConfigError naming it.
     """
     if type(freeze_z_when_empty) is not bool:
@@ -293,16 +296,15 @@ def step(
         arrival, avail_ris, avail_spectrum = int(arrival), int(avail_ris), int(avail_spectrum)
         price_ris, price_spectrum = float(price_ris), float(price_spectrum)
     joint_avail = avail_ris & avail_spectrum
-    x_desired, ops = [False], [0.0]  # step reads the loop's (q, z), not its clamp operands
-    q_after, z_after = get_loop((policy.kind, freeze_z_when_empty))(
-        q, z, t, policy.param, [arrival], [price_ris + price_spectrum], [joint_avail],
-        params.v, params.eps_d, params.threshold, x_desired, ops, ops
+    q_after, z_after, x_desired = get_loop((policy.kind, freeze_z_when_empty, True))(
+        q, z, t, policy.param, (arrival,), (price_ris + price_spectrum,), (joint_avail,),
+        params.v, params.eps_d, params.threshold
     )
     record = _build_record(_slot_values(
         t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
-        joint_avail, int(x_desired[0]), q_after, z_after  # the wish is a bool; records hold ints
+        joint_avail, x_desired, q_after, z_after
     ))
-    # the state came in checked and the arrival is >= 0, so the loop's
+    # the state came in checked and the arrival is >= 0, so the kernel's
     # queues stay >= 0 (it clamps them after a lease) and the builder skips
     # QueueState's check, which every step would pay
     return _build_state((q_after, z_after)), record

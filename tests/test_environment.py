@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leasesim.core import ConfigError
+from leasesim.core import ConfigError, ControlParams, QueueState
 from leasesim.environment import (
     COLUMN_RULES,
     DEFAULT_SEED,
     MARKET_FIELDS,
     MAX_HORIZON_SLOTS,
     MarketObservation,
+    Realization,
     ScenarioConfig,
     check_value,
     derive_seed,
@@ -24,7 +25,8 @@ from leasesim.environment import (
     scenario_from_dict,
     with_seed,
 )
-from leasesim.simulator import TRACE_COLUMNS, TRACE_DTYPES
+from leasesim.policies import parse_policy
+from leasesim.simulator import TRACE_COLUMNS, TRACE_DTYPES, offline_min_cost, step
 
 
 def test_defaults_match_contract():
@@ -108,6 +110,30 @@ def test_observation_accessor():
     assert obs.price_ris == real.price_ris[3]
     assert obs.arrival == real.arrival[3]
     assert len(real) == 10
+    assert [type(getattr(obs, name)) for name in MARKET_FIELDS] == [int, float, float, int, int]
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("arrival", 1.5), ("arrival", 1.0), ("avail_ris", 0.7)],
+    ids=["arrival-1.5", "arrival-1.0", "flag-0.7"],
+)
+def test_observation_hands_each_value_over_as_its_column_holds_it(column, value):
+    """observation(i) casts nothing, so step names a float in an integer
+    column as the oracle does on the same realization; an int() cast
+    would have run the slot on 1 or 0 without complaint."""
+    market = {"arrival": [0, 0], "price_ris": [2.0, 2.0], "price_spectrum": [3.0, 3.0],
+              "avail_ris": [1, 1], "avail_spectrum": [1, 1]}
+    market[column] = [value, 1]
+    realization = Realization(**{name: np.array(values) for name, values in market.items()})
+    observation = realization.observation(0)
+    assert type(getattr(observation, column)) is float and getattr(observation, column) == value
+    message = f"{column} must be an integer, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^slot 1: {message}$"):
+        offline_min_cost(realization, 0, 2)
+    params = ControlParams(v=1.0, eps_d=1.0, expected_price_ris=5.5, expected_price_spectrum=5.5)
+    with pytest.raises(ConfigError, match=f"^observation: {message}$"):
+        step(QueueState(0.0, 0.0), observation, parse_policy("greedy"), params)
 
 
 def test_validation():

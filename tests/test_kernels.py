@@ -55,11 +55,24 @@ def test_each_kind_loop_is_generated_once(monkeypatch, kind, freeze):
 @pytest.mark.parametrize("freeze", [False, True])
 @pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
 def test_generated_loops_do_not_dispatch(kind, freeze):
-    """A generated loop, dsf's among them, never reads the policy kind or
-    freeze_z, so it cannot compare either on any slot: both are settled
-    when the loop is chosen."""
-    code = _kernels.get_loop((kind, freeze)).__code__
-    assert {"kind", "freeze_z"}.isdisjoint(code.co_varnames + code.co_names)
+    """A generated loop or one-slot kernel, dsf's among them, never reads
+    the policy kind or freeze_z, so it cannot compare either on any slot:
+    both are settled when the loop is chosen."""
+    for key in ((kind, freeze), (kind, freeze, True)):
+        code = _kernels.get_loop(key).__code__
+        assert {"kind", "freeze_z"}.isdisjoint(code.co_varnames + code.co_names), key
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_every_one_slot_kernel_takes_the_arrival_column_fifth(kind, freeze):
+    """perfbench counts a loop call's slots from args[4], so step's one-slot
+    kernel takes `arrival` fifth, as every loop does, and the loop's other
+    inputs in the loop's order, without its three buffers."""
+    names = list(inspect.signature(simulator.get_loop((kind, freeze, True))).parameters)
+    loop_names = list(inspect.signature(simulator.get_loop((kind, freeze))).parameters)
+    assert names[4] == "arrival"
+    assert names == loop_names[:-3]
 
 
 def _branch_stores(tree):
@@ -106,34 +119,56 @@ def test_generated_loops_store_only_wishes_and_clamps(kind, freeze):
     assert calls == {"range", "len"}
     assert _kernels.get_loop((kind, freeze)).__name__ == name
 
+    # step's one-slot kernel returns its wish: no loop, no store, no call
+    name, source = _kernels.loop_source(kind, freeze, one_slot=True)
+    tree = ast.parse(source)
+    assert _branch_stores(tree) == []
+    assert not any(isinstance(node, (ast.For, ast.While, ast.Call)) for node in ast.walk(tree))
+    assert _kernels.get_loop((kind, freeze, True)).__name__ == name
+
 
 @pytest.mark.parametrize("path", ["list", "step"])
 def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
-    """The loop stores only the wishes that are True, so every caller hands
-    it a wish buffer that holds False in every slot: a bytearray in runs,
-    a list in step."""
-    wishes = []
+    """The loop stores only the wishes that are True, so runs hands it a
+    wish buffer that holds False in every slot, a zeroed bytearray. step
+    hands no buffer: the one-slot kernel it fetches through
+    simulator.get_loop, which perfbench counts, gets 1-tuple columns with
+    `arrival` fifth and returns the wish."""
+    wishes, kernel_calls = [], []
 
-    def loop(*args):
-        wish = args[10]
-        assert type(wish) is {"list": bytearray, "step": list}[path]
-        wishes.append(list(wish))
-        return _kernels.get_loop(("dsf", False))(*args)
+    def get_loop(key):
+        def loop(*args):
+            if path == "step":
+                kernel_calls.append((key, args))
+                return _kernels.get_loop(key)(*args)
+            wish = args[10]
+            assert type(wish) is bytearray
+            wishes.append(list(wish))
+            return _kernels.get_loop(("dsf", False))(*args)
 
-    monkeypatch.setattr(simulator, "get_loop", lambda key: loop)
+        return loop
+
+    monkeypatch.setattr(simulator, "get_loop", get_loop)
     scenario = ScenarioConfig(horizon_slots=100, initial_backlog=3, seed=6)
     dsf, params = parse_policy("dsf"), default_params(scenario, v=1.0, eps_d=1.0)
     if path == "step":
-        state = QueueState(3.0, 0.0)
+        realization, state = draw_realization(scenario), QueueState(3.0, 0.0)
         for i in range(3):
-            state, _ = step(state, draw_realization(scenario).observation(i), dsf, params, t=1 + i)
-        assert len(wishes) == 3
+            state, _ = step(state, realization.observation(i), dsf, params, t=1 + i)
+        assert len(kernel_calls) == 3
+        for i, (key, args) in enumerate(kernel_calls):
+            assert key == ("dsf", False, True) and len(args) == 10
+            assert args[4:7] == (
+                (realization.arrival.item(i),),
+                (realization.price_ris.item(i) + realization.price_spectrum.item(i),),
+                (realization.avail_ris.item(i) & realization.avail_spectrum.item(i),),
+            )
     else:
         trace = run(scenario, dsf, params)
         assert trace.column("x_desired").any()
         [wish] = wishes
         assert len(wish) == len(trace)
-    assert not any(any(wish) for wish in wishes)
+        assert not any(any(wish) for wish in wishes)
 
 
 def test_python_market_columns_hold_only_floats(monkeypatch):
@@ -375,3 +410,68 @@ def test_kernel_contract(label, freeze, slots, q0, z0, t0, v, eps_d):
         )
         assert record == trace.record(i), i
         assert state == QueueState(record.q_after, record.z_after), i
+
+
+# each kind's one parameter, as PolicySpec holds it
+KIND_PARAMS = {
+    "periodic": st.integers(1, 5),
+    "price_only": st.floats(0.0, 40.0),
+    "queue_threshold": st.floats(0.0, 5.0),
+}
+
+
+@st.composite
+def one_slot_calls(draw):
+    """A (kind, freeze_z) key and the loop's inputs for one slot."""
+    kind = draw(st.sampled_from(sorted(POLICY_KINDS)))
+    param = draw(KIND_PARAMS[kind]) if kind in KIND_PARAMS else None
+    arrival = draw(st.integers(0, 2) | st.sampled_from([2**53 + 1, 2**62]))
+    inputs = dict(
+        q0=draw(st.floats(0.0, 4.0)), z0=draw(st.floats(0.0, 40.0)), t0=draw(st.integers(1, 10**6)),
+        param=param, arrival=arrival, joint_price=draw(st.floats(0.0, 40.0)), joint_avail=draw(flags),
+        v=draw(st.floats(0.1, 4.0)), eps_d=draw(st.floats(0.1, 3.0)), threshold=draw(st.floats(0.0, 50.0)),
+    )
+    return kind, draw(st.booleans()), inputs
+
+
+def _slot(kind, freeze, q0=0.0, z0=0.0, t0=1, param=None, arrival=0, joint_price=2.0, joint_avail=1,
+          v=1.0, eps_d=1.0, threshold=10.0):
+    return kind, freeze, dict(q0=q0, z0=z0, t0=t0, param=param, arrival=arrival, joint_price=joint_price,
+                              joint_avail=joint_avail, v=v, eps_d=eps_d, threshold=threshold)
+
+
+@settings(max_examples=500, deadline=None)
+@given(call=one_slot_calls())
+# a lease that takes both queues below zero: q + arrival < 1.0 and z < 1.0
+@example(call=_slot("greedy", False, q0=0.25, z0=0.5))
+@example(call=_slot("dsf", True, q0=0.25, z0=0.5, threshold=0.5))
+# an empty queue with z frozen: no wish or a blocked one keeps z, a lease
+# on it clamps q at 0.0
+@example(call=_slot("dsf", True, z0=3.0))
+@example(call=_slot("dsf", True, z0=30.0, joint_avail=0))
+@example(call=_slot("dsf", True, z0=30.0))
+# arrivals that a float cannot hold exactly
+@example(call=_slot("greedy", False, q0=0.5, arrival=2**53 + 1))
+@example(call=_slot("queue_threshold", True, q0=0.5, arrival=2**62, param=5.0, joint_avail=0))
+# a price exactly at the price_only cutoff
+@example(call=_slot("price_only", False, q0=1.0, joint_price=8.0, param=8.0))
+# periodic on its period, with and without a backlog
+@example(call=_slot("periodic", False, q0=1.0, t0=6, param=3))
+@example(call=_slot("periodic", True, t0=6, param=3))
+# a dsf state exactly at the threshold, and just past it
+@example(call=_slot("dsf", False, q0=2.0, arrival=1, z0=3.0, threshold=6.0))
+@example(call=_slot("dsf", False, q0=2.0, arrival=1, z0=3.5, threshold=6.0))
+def test_one_slot_kernel_matches_the_loop_bit_for_bit(call):
+    """On one slot, the one-slot kernel's (q_after, z_after, wish) are the
+    loop's final (q, z), bit for bit, and the wish it stores, as an int."""
+    kind, freeze, inputs = call
+    head = [inputs[name] for name in ("q0", "z0", "t0", "param")]
+    market = [inputs[name] for name in ("arrival", "joint_price", "joint_avail")]
+    tail = [inputs[name] for name in ("v", "eps_d", "threshold")]
+    x_desired = bytearray(1)
+    q, z = _kernels.get_loop((kind, freeze))(*head, *([value] for value in market), *tail,
+                                             x_desired, [-1.0], [-1.0])
+    q_after, z_after, wish = _kernels.get_loop((kind, freeze, True))(*head, *((value,) for value in market), *tail)
+    assert float.hex(q_after) == float.hex(q) and float.hex(z_after) == float.hex(z)
+    assert type(q_after) is float and type(z_after) is float
+    assert type(wish) is int and wish == x_desired[0]
