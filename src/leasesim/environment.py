@@ -124,8 +124,8 @@ MARKET_FIELDS = tuple(f.name for f in fields(Realization))
 
 # the trace schema, one entry per trace column in trace order: an integer
 # column's (low, high) range, or None for a float column of finite numbers
-# >= 0; simulator builds SlotRecord from it, and the oracle, step, the CSV
-# readers and check_market_slot all apply it
+# >= 0; simulator builds SlotRecord from it, and the oracle, step, audit
+# and the CSV readers all apply it through check_value
 COLUMN_RULES = {
     "t": (1, 2**63 - 1), "q_before": None, "z_before": None,
     "arrival": (0, 2**63 - 1), "avail_ris": (0, 1), "avail_spectrum": (0, 1),
@@ -145,31 +145,29 @@ def check_value(where: str, name: str, value) -> None:
         check_int(f"{where}: {name}", value, *rule)
 
 
-def first_bad_row(name: str, column: np.ndarray) -> int | None:
-    """Index of the first value of `column` that breaks COLUMN_RULES[name],
-    or None. Only 1-D integer (or, under a float rule, float) columns at
-    most 8 bytes wide are judged, where numpy agrees with check_value on
-    their tolist() values; any other column is bad from row 0, for its
-    caller to check value by value.
+# a float rule's (low, high); a float64 high, so a NaN or inf of any float
+# dtype fails `<= high`, where a Python float would be cast to that dtype
+_FLOAT_RANGE = (0, np.finfo(np.float64).max)
 
-    A column whose min and max obey the rule is accepted by those two
-    reductions; a NaN makes both NaN and fails them. Only a column that
-    fails is scanned, by a boolean mask, for its first bad row."""
+
+def check_column(where: str, name: str, column: np.ndarray) -> None:
+    """Raise check_value's ConfigError, as "{where} {row}: {name} must be
+    ...", for the first row of `column` that breaks COLUMN_RULES[name].
+
+    A 1-D integer (or, under a float rule, float) column at most 8 bytes
+    wide, where numpy agrees with check_value, is accepted when its min and
+    max lie in the rule's range (a NaN fails both); only a column that
+    fails is scanned, by a mask. Any other column goes value by value."""
     rule = COLUMN_RULES[name]
-    kinds = "iuf" if rule is None else "iu"
-    if column.ndim != 1 or column.dtype.kind not in kinds or column.dtype.itemsize > 8:
-        return 0
-    if not len(column):
-        return None
-    if rule is None:
-        if column.min() >= 0 and column.max() < math.inf:
-            return None
-        bad = ~(np.isfinite(column) & (column >= 0))
-    else:
-        if column.min() >= rule[0] and column.max() <= rule[1]:
-            return None
-        bad = (column < rule[0]) | (column > rule[1])
-    return int(bad.nonzero()[0][0])
+    low, high = rule or _FLOAT_RANGE
+    start = 0
+    if column.ndim == 1 and column.dtype.kind in ("iu" if rule else "iuf") and column.dtype.itemsize <= 8:
+        if not len(column) or column.min() >= low and column.max() <= high:
+            return
+        start = int((~((column >= low) & (column <= high))).argmax())
+        column = column[start:start + 1]
+    for row, value in enumerate(column.tolist(), start=start + 1):
+        check_value(f"{where} {row}", name, value)
 
 
 def check_market_slot(where: str, arrival, price_ris, price_spectrum, avail_ris, avail_spectrum) -> None:

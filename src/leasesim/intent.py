@@ -163,9 +163,15 @@ def derive_scenario(
     Bulk (default): the payload already exists, so it becomes the initial
     backlog, no further arrivals, horizon = deadline, and the virtual queue
     freezes once the backlog clears so a finished upload stops leasing.
-    Streaming: arrivals spread over the window as Bernoulli draws instead.
+    Streaming: arrivals spread over the window as Bernoulli draws instead,
+    at most one a slot, so n_packets may not exceed deadline_slots.
     """
     if streaming:
+        if translation.n_packets > translation.deadline_slots:
+            raise ConfigError(
+                f"streaming needs n_packets <= deadline_slots, one arrival a slot at most; "
+                f"got n_packets={translation.n_packets}, deadline_slots={translation.deadline_slots}"
+            )
         return replace(
             base,
             initial_backlog=0,

@@ -5,8 +5,8 @@ comparisons run every policy against the identical market realization,
 and files are written with round-trip float precision so repeated runs
 diff clean. Every CSV is written by `_write_csv`; trace and realization
 CSVs are read by numpy's loadtxt, with the csv module as the fallback
-that names a bad cell (`_read_csv_columns`). The values a cell may hold
-are environment.COLUMN_RULES, the rule the oracle applies too.
+for a body loadtxt cannot parse (`_read_csv_columns`). The values a cell
+may hold are environment.COLUMN_RULES, the rule the oracle applies too.
 """
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ from .environment import (
     MARKET_FIELDS,
     Realization,
     ScenarioConfig,
+    check_column,
     check_value,
     derive_seed,
-    first_bad_row,
     scenario_fingerprint,
     with_seed,
 )
@@ -245,15 +245,15 @@ def _parse_column(path, name: str, cells: tuple[str, ...]) -> np.ndarray:
 
 
 def _loadtxt_columns(
-    lines: list[str], header: list[str], names: tuple[str, ...]
+    path, lines: list[str], header: list[str], names: tuple[str, ...]
 ) -> dict[str, np.ndarray] | None:
-    """The named columns of the body `lines`, parsed by numpy's C reader.
+    """The named columns of the body `lines`, parsed by numpy's C reader
+    and judged by check_column in `names` order, rows named "{path}: row".
 
     Every header column is one positional field of its TRACE_DTYPES
     dtype, float64 for a column outside the trace. None, to fall back to
     the csv module, when loadtxt rejects the body (a quoted cell, `1_0`,
-    text in any column, a ragged row, no data rows) or a named column
-    breaks COLUMN_RULES.
+    text in any column, a ragged row, no data rows).
     """
     dtype = np.dtype([(f"f{i}", TRACE_DTYPES.get(name, np.float64)) for i, name in enumerate(header)])
     try:
@@ -263,19 +263,22 @@ def _loadtxt_columns(
     except (ValueError, Warning):
         return None
     columns = {name: np.ascontiguousarray(table[f"f{header.index(name)}"]) for name in names}
-    return columns if all(first_bad_row(name, values) is None for name, values in columns.items()) else None
+    for name, values in columns.items():
+        check_column(f"{path}: row", name, values)
+    return columns
 
 
 def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
     """The named columns of a CSV, matched by header and checked. A header
     that names a column twice is a ConfigError naming it.
 
-    The body lines go to numpy's loadtxt first. When that rejects them or
-    a value fails the check, the csv module splits the same lines into
-    rows and `_parse_column` parses them cell by cell, which returns the
-    values or raises a ConfigError naming the first bad row or cell. Text
-    that is not UTF-8, or a cell over the csv module's field size limit, is
-    a ConfigError naming the file.
+    The body lines go to `_loadtxt_columns` first, which returns the values
+    or raises a ConfigError naming the first bad value. Only when loadtxt
+    rejects the body does the csv module split the same lines into rows,
+    and `_parse_column` parses them cell by cell, which returns the values
+    or raises a ConfigError naming the first bad row or cell. Text that is
+    not UTF-8, or a cell over the csv module's field size limit, is a
+    ConfigError naming the file.
     """
     try:
         with open(path, newline="") as fh:
@@ -292,7 +295,7 @@ def _read_csv_columns(path, names: tuple[str, ...], what: str) -> dict[str, np.n
                     raise ConfigError(f"{path}: {what} CSV header repeats column {name}")
                 seen.add(name)
             lines = fh.readlines()  # kept for the fallback: the file may be a pipe
-        columns = _loadtxt_columns(lines, header, names)
+        columns = _loadtxt_columns(path, lines, header, names)
         if columns is not None:
             return columns
         rows = [row for row in csv.reader(lines) if row]  # blank lines are skipped

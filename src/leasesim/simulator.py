@@ -29,11 +29,11 @@ from .environment import (
     MarketObservation,
     Realization,
     ScenarioConfig,
+    check_column,
     check_market_slot,
     check_value,
     draw_realization,
     expected_price,
-    first_bad_row,
 )
 from .policies import PolicySpec
 
@@ -316,13 +316,11 @@ def audit(trace: Trace) -> None:
     loop stores, and raise a ConfigError naming the first row that differs
     and its first differing column. The z step needs eps_d and the freeze
     flag, which a trace does not hold, so only the z_before chain is judged.
-    Every column is first judged by COLUMN_RULES, in TRACE_COLUMNS order,
+    Every column is first judged by check_column, in TRACE_COLUMNS order,
     so a value no slot could hold is named as such."""
     column = trace.column
     for name in TRACE_COLUMNS:
-        i = first_bad_row(name, column(name))
-        if i is not None:
-            check_value(f"trace row {i + 1}", name, column(name)[i].item())
+        check_column("trace row", name, column(name))
     q_before, x_desired, z_after = column("q_before"), column("x_desired"), column("z_after")
     market = [column(name) for name in ("arrival", "avail_ris", "avail_spectrum", "price_ris", "price_spectrum")]
     joint_avail = ((market[1] == 1) & (market[2] == 1)).astype(np.int64)  # as _cell_columns
@@ -345,9 +343,9 @@ def _market_slots(
 ) -> list[tuple]:
     """The first `deadline` slots as MARKET_FIELDS tuples, checked.
 
-    Observations become object columns. A column that first_bad_row
-    rejects, or cannot check, sends the slots to check_market_slot one by
-    one, to name the first bad slot.
+    Observations become object columns. Each column is judged by
+    check_column in MARKET_FIELDS order, so a bad market is named by its
+    first bad column and that column's first bad slot.
     """
     if not isinstance(realization, Realization):
         observations = list(realization)
@@ -365,11 +363,9 @@ def _market_slots(
     if n < deadline:
         raise ConfigError(f"realization has {n} slots but the deadline needs {deadline}")
     columns = [getattr(realization, name)[:deadline] for name in MARKET_FIELDS]
-    slots = list(zip(*(column.tolist() for column in columns)))
-    if any(first_bad_row(name, column) is not None for name, column in zip(MARKET_FIELDS, columns)):
-        for t, slot in enumerate(slots, start=1):
-            check_market_slot(f"slot {t}", *slot)
-    return slots
+    for name, column in zip(MARKET_FIELDS, columns):
+        check_column("slot", name, column)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def offline_min_cost(

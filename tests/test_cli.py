@@ -547,17 +547,18 @@ def test_compare_single_policy(tmp_path, scenario_path):
         (["sweep", "--v", "1,2,1.0"], "--v: '1.0' repeats the earlier entry '1' in list '1,2,1.0'"),
         (["sweep", "--eps", "0.5,-0.0,0"], "--eps: '0' repeats the earlier entry '-0.0' in list '0.5,-0.0,0'"),
         (["sweep", "--v", "1,,2"], "--v: empty entry in list '1,,2'"),
+        (["sweep", "--v", "1,abc"], "--v: 'abc' is not a number"),
     ],
     ids=["policy", "policy_spaced", "policy_label", "policy_empty", "policy_trailing", "policy_none",
-         "v", "v_float", "eps_signed_zero", "v_empty"],
+         "v", "v_float", "eps_signed_zero", "v_empty", "v_text"],
 )
 def test_repeated_or_empty_list_entries_exit_one_before_any_run(
     tmp_path, scenario_path, capsys, monkeypatch, argv, message
 ):
     """A repeated entry would run twice under one name: compare would rank
     one policy twice, sweep write two identical rows. It exits 1 naming the
-    flag and the entry, as an empty entry does, before anything runs or is
-    written."""
+    flag and the entry, as an empty entry or one that is not a number does,
+    before anything runs or is written."""
     ran = []
     monkeypatch.setattr(cli, "compare", lambda *args, **kwargs: ran.append(args))
     monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: ran.append(args))
@@ -704,6 +705,21 @@ def test_intent_derivation_failure_leaves_no_file(tmp_path, capsys, out):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["big.json"]
 
 
+def test_intent_streaming_with_more_packets_than_slots_leaves_no_file(tmp_path, capsys):
+    """100 packets cannot stream in at one a slot over 50 slots; intent
+    exits 1 naming n_packets and deadline_slots, not the arrival_prob it
+    would derive, and writes nothing."""
+    intent_path = write_json(tmp_path, "crowded.json", {"payload_mb": 1000, "deadline_s": 50, "reliability_pct": 99})
+    argv = ["intent", "--file", intent_path, "--streaming", "--scenario-out", str(tmp_path / "d.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: streaming needs n_packets <= deadline_slots" in captured.err
+    assert "got n_packets=100, deadline_slots=50" in captured.err
+    assert "arrival_prob" not in captured.err and "Traceback" not in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["crowded.json"]
+
+
 def test_intent_deadline_past_the_horizon_cap_leaves_no_file(tmp_path, capsys):
     """A deadline of 2 * 10**6 one-second slots is past the 10**6-slot
     horizon cap; intent exits 1 naming deadline_slots, with or without
@@ -781,6 +797,18 @@ def test_assure_rejects_an_output_directory_before_reading(tmp_path, assured_pip
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {out}: is a directory, expected a file path\n"
+    assert captured.out == ""
+
+
+def test_assure_rejects_a_header_only_trace(tmp_path, assured_pipeline, capsys):
+    intent_path, translation_path, _, trace_path = assured_pipeline
+    empty = tmp_path / "empty.csv"
+    with open(trace_path, newline="") as fh:
+        empty.write_text(fh.readline())
+    code = main(["assure", "--trace", str(empty), "--intent", intent_path, "--translation", translation_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: cannot assure an empty trace\n"
     assert captured.out == ""
 
 
@@ -1024,6 +1052,8 @@ def test_an_integer_too_long_to_read_names_the_file(tmp_path, capsys):
         ("--file", "0xff"),
         ("--realization", "huge cell"),
         ("--trace", "huge cell"),
+        ("--realization", "empty"),
+        ("--trace", "empty"),
     ],
 )
 def test_unreadable_input_file_names_the_path(tmp_path, assured_pipeline, capsys, flag, damage):
@@ -1042,6 +1072,8 @@ def test_unreadable_input_file_names_the_path(tmp_path, assured_pipeline, capsys
         text = fh.read()
     if damage == "0xff":
         text = text[:-3] + b"\xff" + text[-3:]
+    elif damage == "empty":
+        text = b""
     else:
         lines = text.split(b"\r\n")
         lines[2] = b",".join([b"x" * 140_000] + lines[2].split(b",")[1:])  # over the csv module's limit
@@ -1054,6 +1086,8 @@ def test_unreadable_input_file_names_the_path(tmp_path, assured_pipeline, capsys
     assert code == 1
     assert f"{bad}: " in err
     assert "Traceback" not in err
+    if damage == "empty":
+        assert err == f"error: {bad}: empty file, expected a {flag.removeprefix('--')} CSV header\n"
 
 
 # --- oracle ------------------------------------------------------------

@@ -461,13 +461,9 @@ def test_a_repeated_header_column_is_rejected_before_the_body(tmp_path, monkeypa
         (",".join(TRACE_COLUMNS) + "\r\n", None),
         (",".join(TRACE_COLUMNS) + "\r\n\r\n\n", None),
         (trace_text() + " \r\n", "row 4: expected 16 cells, got 1"),
-        (trace_text(q_before="nan"), "row 1: q_before must be a finite number >= 0, got nan"),
-        (trace_text(price_ris="-2.5"), "row 1: price_ris must be a finite number >= 0, got -2.5"),
-        (trace_text(r="2"), "row 1: r must be <= 1, got 2"),
         (trace_text(t=str(2**63)), f"row 1: t must be <= {2**63 - 1}, got {2**63}"),
     ],
-    ids=["quoted", "underscore", "text_column", "header_only", "blank_body", "whitespace_line", "nan",
-         "negative_price", "flag_2", "t_2_63"],
+    ids=["quoted", "underscore", "text_column", "header_only", "blank_body", "whitespace_line", "t_2_63"],
 )
 def test_other_bodies_fall_back_to_the_csv_module(tmp_path, monkeypatch, text, message):
     path = write_text(tmp_path, text)
@@ -481,6 +477,25 @@ def test_other_bodies_fall_back_to_the_csv_module(tmp_path, monkeypatch, text, m
     else:
         assert expected[0] == "error" and expected[2] == f"{path}: {message}"
     assert parsed or message and "cells, got" in message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (trace_text(q_before="nan"), "row 1: q_before must be a finite number >= 0, got nan"),
+        (trace_text(price_ris="-2.5"), "row 1: price_ris must be a finite number >= 0, got -2.5"),
+        (trace_text(r="2"), "row 1: r must be <= 1, got 2"),
+    ],
+    ids=["nan", "negative_price", "flag_2"],
+)
+def test_the_loadtxt_path_names_a_bad_value(tmp_path, monkeypatch, text, message):
+    """A body loadtxt parses is judged there, with the csv-module reader's message."""
+    path = write_text(tmp_path, text)
+    expected = outcome(lambda p: reference_read_columns(p, TRACE_COLUMNS, "trace"), path)
+    assert expected[0] == "error" and expected[2] == f"{path}: {message}"
+    monkeypatch.setattr(reporting, "_parse_column", None)  # the csv-module path cannot run
+    assert outcome(fast_trace_columns, path) == expected
 
 
 @pytest.mark.parametrize("body", ["", "\r\n", "\n\r\n\r"], ids=["none", "crlf", "blank_lines"])

@@ -16,11 +16,11 @@ from leasesim.environment import (
     MarketObservation,
     Realization,
     ScenarioConfig,
+    check_column,
     check_value,
     derive_seed,
     draw_realization,
     expected_price,
-    first_bad_row,
     scenario_fingerprint,
     scenario_from_dict,
     with_seed,
@@ -268,29 +268,40 @@ def test_column_rules_cover_the_trace_schema():
         ("cost", np.array([0.5, np.inf, np.nan]), 1),
         ("q_after", np.array([0.5, np.nan], dtype=np.float16), 1),
         ("r", np.empty(0, dtype=np.int64), None),
+        # columns min and max do not judge, which go value by value
         ("r", np.array([True, False]), 0),
         ("arrival", np.array([0.0, 1.0]), 0),
         ("price_ris", np.array([[1.0, 2.0]]), 0),
         # wider than a float64 on most platforms, where tolist() keeps longdoubles
-        ("price_ris", np.array([1.0], dtype=np.longdouble), 0 if np.dtype(np.longdouble).itemsize > 8 else None),
-        ("price_ris", np.array([1.0], dtype=object), 0),
+        ("price_ris", np.array([1.0], dtype=np.longdouble), None),
+        ("price_ris", np.array([1.0], dtype=object), None),
     ],
 )
 def test_first_bad_row_agrees_with_check_value(name, values, row):
-    """Row 0 also stands for a column the numpy rule does not take; then
-    check_value decides value by value."""
-    assert first_bad_row(name, values) == row
-    if row is None or values.ndim == 1 and values.dtype.kind in "iuf" and values.dtype.itemsize <= 8:
-        assert first_rejected_row(name, values) == row
+    """check_column raises what check_value raises at the column's first
+    bad row, given here 0-based, or nothing."""
+    error = column_error(name, values)
+    assert error == first_rejection(name, values)
+    assert error is None if row is None else error.startswith(f"row {row + 1}: {name} must be ")
 
 
-def first_rejected_row(name, values):
-    """The first row whose tolist() value check_value rejects, or None."""
-    for row, value in enumerate(values.tolist()):
+def column_error(name, values):
+    """check_column's message for a column, or None."""
+    try:
+        check_column("row", name, values)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def first_rejection(name, values):
+    """check_value's message for the first row whose tolist() value it
+    rejects, named "row {1-based row}", or None."""
+    for row, value in enumerate(values.tolist(), start=1):
         try:
-            check_value("row", name, value)
-        except ConfigError:
-            return row
+            check_value(f"row {row}", name, value)
+        except ConfigError as exc:
+            return str(exc)
     return None
 
 
@@ -338,7 +349,7 @@ def judged_columns(draw):
 @example(column=("arrival", np.array([0, 2**64 - 1], dtype=np.uint64)))
 def test_first_bad_row_is_the_first_row_check_value_rejects(column):
     name, values = column
-    assert first_bad_row(name, values) == first_rejected_row(name, values)
+    assert column_error(name, values) == first_rejection(name, values)
 
 
 def test_derive_seed_is_stable_and_spread():

@@ -183,6 +183,22 @@ def test_derive_scenario_streaming():
     assert derived.horizon_slots == 900
 
 
+def test_derive_scenario_streaming_needs_a_slot_per_packet():
+    """Streaming draws at most one arrival a slot: 100 packets in 50 slots
+    are rejected naming both counts, and 50 in 50 give arrival_prob 1.0."""
+    crowded = translate_intent(IntentSpec(payload_mb=1000.0, deadline_s=50.0, reliability_pct=99.0), FULL_AVAIL)
+    with pytest.raises(ConfigError) as info:
+        derive_scenario(crowded, FULL_AVAIL, streaming=True)
+    assert str(info.value) == (
+        "streaming needs n_packets <= deadline_slots, one arrival a slot at most; got n_packets=100, deadline_slots=50"
+    )
+    assert derive_scenario(crowded, FULL_AVAIL).initial_backlog == 100  # bulk has no such limit
+    full = translate_intent(IntentSpec(payload_mb=500.0, deadline_s=50.0, reliability_pct=99.0), FULL_AVAIL)
+    with pytest.warns(UserWarning, match="stability headroom"):
+        derived = derive_scenario(full, FULL_AVAIL, streaming=True)
+    assert (derived.arrival_prob, derived.horizon_slots) == (1.0, 50)
+
+
 def test_required_packet_count():
     assert required_packet_count(99.0, 100) == 99
     assert required_packet_count(99.0, 7) == 7

@@ -1,5 +1,7 @@
 """Offline minimum-cost oracle: worked examples, guards, and cross-checks
 against exhaustive search and a backward DP."""
+import contextlib
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -17,11 +19,12 @@ from leasesim.environment import (
     MarketObservation,
     Realization,
     ScenarioConfig,
-    check_market_slot,
+    check_value,
     draw_realization,
 )
 from leasesim.policies import parse_policy
-from leasesim.simulator import default_params, offline_min_cost, run
+from leasesim.reporting import read_trace_csv, write_trace_csv
+from leasesim.simulator import TRACE_COLUMNS, Trace, audit, default_params, offline_min_cost, run
 
 
 def obs(price_ris, price_spectrum, avail=1, arrival=0):
@@ -220,13 +223,14 @@ def test_rejects_bad_market_values(fields, message):
 
 
 def per_slot_error(realization, deadline):
-    """Reference: what the slot-by-slot check, the oracle's fallback, says
-    of a realization's first `deadline` slots; None when every slot
-    passes."""
-    columns = [getattr(realization, name)[:deadline].tolist() for name in MARKET_FIELDS]
+    """Reference: check_value on each of the first `deadline` slots of
+    each column in MARKET_FIELDS order, so a bad market is named by its
+    first bad column and that column's first bad slot; None when every
+    slot passes."""
     try:
-        for t, slot in enumerate(zip(*columns), start=1):
-            check_market_slot(f"slot {t}", *slot)
+        for name in MARKET_FIELDS:
+            for t, value in enumerate(getattr(realization, name)[:deadline].tolist(), start=1):
+                check_value(f"slot {t}", name, value)
     except ConfigError as exc:
         return str(exc)
     return None
@@ -290,6 +294,99 @@ def test_csv_reader_and_oracle_apply_one_rule(tmp_path, capsys, fields):
     assert csv_error.removeprefix(f"error: {path}: row 2: ").rstrip("\n") == oracle.removeprefix("slot 2: ")
 
 
+# per market column, values a CSV cell can hold that break its COLUMN_RULES entry
+BAD_CELLS = {
+    "arrival": [-1, -7],
+    "price_ris": [-1.0, -0.5, math.nan, math.inf, -math.inf],
+    "price_spectrum": [-2.0, math.nan, math.inf],
+    "avail_ris": [2, -1],
+    "avail_spectrum": [2, 5],
+}
+
+
+@st.composite
+def faulty_markets(draw):
+    """Market columns of 1-12 valid slots with 1-3 cells, in any columns
+    and rows, replaced by bad values, and the set of (column, row) of the
+    bad cells."""
+    n = draw(st.integers(1, 12))
+    cells = {
+        "arrival": st.integers(0, 3),
+        "price_ris": st.floats(0.0, 10.0),
+        "price_spectrum": st.floats(0.0, 10.0),
+        "avail_ris": st.integers(0, 1),
+        "avail_spectrum": st.integers(0, 1),
+    }
+    columns = {
+        name: np.array(draw(st.lists(cells[name], min_size=n, max_size=n)),
+                       dtype=np.float64 if name.startswith("price") else np.int64)
+        for name in MARKET_FIELDS
+    }
+    bad = set()
+    for _ in range(draw(st.integers(1, 3))):
+        name, row = draw(st.sampled_from(MARKET_FIELDS)), draw(st.integers(0, n - 1))
+        columns[name][row] = draw(st.sampled_from(BAD_CELLS[name]))
+        bad.add((name, row))
+    return columns, bad
+
+
+def first_bad_cell(bad, order):
+    """'{1-based row}: {name} must be ' for the first bad cell of the first
+    column in `order` that holds one."""
+    name, row = min(bad, key=lambda cell: (order.index(cell[0]), cell[1]))
+    return f"{row + 1}: {name} must be "
+
+
+def realization_csv_text(columns):
+    return ",".join(columns) + "\n" + "".join(
+        ",".join(map(repr, slot)) + "\n" for slot in zip(*(values.tolist() for values in columns.values()))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(market=faulty_markets())
+def test_every_oracle_input_names_the_first_bad_column_then_its_first_bad_slot(tmp_path_factory, market):
+    """The oracle on a Realization, on the same slots as observations, and
+    `leasesim oracle` on the market's CSV name one bad value, the first in
+    MARKET_FIELDS order, with the same text after their prefixes."""
+    columns, bad = market
+    n = len(columns["arrival"])
+    realization = Realization(**columns)
+    path = tmp_path_factory.getbasetemp() / "faulty_market.csv"
+    path.write_text(realization_csv_text(columns))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert main(["oracle", "--realization", str(path), "--initial-backlog", "1", "--deadline", str(n)]) == 1
+    messages = [
+        oracle_error(realization, n).removeprefix("slot "),
+        oracle_error([realization.observation(i) for i in range(n)], n).removeprefix("slot "),
+        stderr.getvalue().removeprefix(f"error: {path}: row ").rstrip("\n"),
+    ]
+    assert messages[0].startswith(first_bad_cell(bad, MARKET_FIELDS))
+    assert messages == [messages[0]] * 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(market=faulty_markets())
+def test_audit_and_the_trace_reader_name_the_same_bad_value(tmp_path_factory, market):
+    """A run's trace carrying a faulty market: audit and read_trace_csv of
+    its CSV name one bad value, the first in TRACE_COLUMNS order, with the
+    same text after their prefixes."""
+    columns, bad = market
+    scenario = ScenarioConfig(horizon_slots=len(columns["arrival"]))
+    trace = run(scenario, parse_policy("dsf"), default_params(scenario, v=10.0, eps_d=1.0))
+    faulty = Trace({**{name: trace.column(name) for name in TRACE_COLUMNS}, **columns})
+    path = tmp_path_factory.getbasetemp() / "faulty_trace.csv"
+    write_trace_csv(faulty, path)
+    with pytest.raises(ConfigError) as audited:
+        audit(faulty)
+    with pytest.raises(ConfigError) as read:
+        read_trace_csv(path)
+    message = str(audited.value).removeprefix("trace row ")
+    assert message.startswith(first_bad_cell(bad, TRACE_COLUMNS))
+    assert str(read.value).removeprefix(f"{path}: row ") == message
+
+
 # per dtype, values a market column of that dtype can hold; the first two
 # of each are valid everywhere, the rest wrong for some or all columns
 COLUMN_VALUES = {
@@ -307,8 +404,9 @@ COLUMN_VALUES = {
 
 def test_column_pass_agrees_with_the_per_slot_check():
     """Random columns of every dtype: the oracle accepts a Realization, and
-    the same slots as observations, exactly when the per-slot check does,
-    with the same message; an accepted one gives the same answer both ways."""
+    the same slots as observations, exactly when the per-slot check of
+    each column does, with the same message; an accepted one gives the
+    same answer both ways."""
     rng = np.random.default_rng(2)
     dtypes = list(COLUMN_VALUES)
     accepted = 0

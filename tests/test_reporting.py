@@ -80,6 +80,18 @@ def test_series_literal_examples():
     assert cumulative_average_cost_series(hand_trace([2.0], [0.0])) == [2.0]
 
 
+@pytest.mark.parametrize(
+    "reduce,message",
+    [(summarize, "cannot summarize an empty trace"),
+     (cumulative_average_cost_series, "cannot build a series from an empty trace")],
+    ids=["summarize", "series"],
+)
+def test_an_empty_trace_has_no_summary_or_series(reduce, message):
+    with pytest.raises(ConfigError) as info:
+        reduce(hand_trace([], []))
+    assert str(info.value) == message
+
+
 def test_summarize_hand_trace():
     trace = small_trace(horizon=3)
     # recompute every metric from raw columns

@@ -328,11 +328,14 @@ ALL_POLICIES =["dsf", "dsf_exact_argmin", "periodic:3", "greedy", "price_only:8"
 
 
 @pytest.mark.parametrize(
-    "label,freeze",
-    [pytest.param(label, False, id=label) for label in ALL_POLICIES]
-    + [pytest.param(label, True, id=f"{label}-freeze_z") for label in ALL_POLICIES],
+    "label,freeze,start",
+    [pytest.param(label, False, float, id=label) for label in ALL_POLICIES]
+    + [pytest.param(label, True, float, id=f"{label}-freeze_z") for label in ALL_POLICIES]
+    # a first state of ints or numpy scalars gives the records' Python floats too
+    + [pytest.param(label, False, start, id=f"{label}-{start.__name__}_queues")
+       for label in ("dsf", "greedy") for start in (int, np.int64, np.float64)],
 )
-def test_step_chain_reproduces_run(label, freeze):
+def test_step_chain_reproduces_run(label, freeze, start):
     scenario = ScenarioConfig(
         horizon_slots=200, initial_backlog=3, seed=17, freeze_z_when_empty=freeze
     )
@@ -341,7 +344,7 @@ def test_step_chain_reproduces_run(label, freeze):
     trace = run(scenario, spec, params)
     realization = draw_realization(scenario)
 
-    state = QueueState(float(scenario.initial_backlog), 0.0)
+    state = QueueState(start(scenario.initial_backlog), start(0))
     for i in range(len(realization)):
         state, record = step(
             state, realization.observation(i), spec, params, t=i + 1, freeze_z_when_empty=freeze
