@@ -31,9 +31,13 @@ the reference; tests hold every loop to it on randomized inputs.
 
 step runs one slot through the pair's one-slot kernel, get_loop((kind,
 freeze_z, True)): _SLOT_TEMPLATE filled with the same wish and accrual.
-It takes the loop's first ten arguments, its columns as 1-tuples, and
-returns (q_after, z_after, wish), the wish 1 or 0, so a slot of step
-builds no buffer and stores nothing.
+It takes the loop's first five arguments, `arrival` as a column of one
+slot, then the slot's prices and flags and the loop's v, eps_d and
+threshold, and returns step's result, the new QueueState and the slot's
+SlotRecord, each stored into a new instance's __dict__ as core.builder
+does. RECORD_RULE, the one record rule, is written once as source text:
+the kernel runs it inline, and slot_values, which builds a trace's
+columns, is generated from it.
 
 The loop reads its columns as lists, since indexing a list is far
 cheaper than reading a numpy scalar; it stores the wish into a zeroed
@@ -45,6 +49,10 @@ that array, unread, instead of a list.
 """
 from __future__ import annotations
 
+from textwrap import indent
+
+from .core import QueueState
+from .environment import COLUMN_RULES
 from .policies import POLICY_KINDS
 
 HAVE_NUMBA = False  # perfbench records it as numba_importable; leasesim never uses numba
@@ -85,18 +93,54 @@ def {name}(q0, z0, t0, param, arrival, joint_price, joint_avail, v, eps_d, thres
     return q, z
 """
 
+# the one record rule: from a slot's index t, q_before (q after the
+# arrival), z_before, its market values, joint_avail, and the wish
+# x_desired (an int) and queues q_after, z_after the loop gave, it binds
+# every other trace column's name to the column's value. Python numbers
+# give one record's values, numpy columns a trace's, each value bit for
+# bit the slot's own
+RECORD_RULE = """\
+y_desired = x_desired
+x_effective = y_effective = r = x_desired & joint_avail
+cost = r * price_ris + r * price_spectrum
+"""
+
+# a slot's values in trace column order, by RECORD_RULE
+_SLOT_VALUES = f"""\
+def slot_values(t, q_before, z_before, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
+                joint_avail, x_desired, q_after, z_after):
+{indent(RECORD_RULE, "    ")}    return {", ".join(COLUMN_RULES)}
+"""
+
 # the one-slot kernel of one (kind, freeze_z) pair: the loop's body on slot 0,
-# by the loop's own float operations, returning what the loop would store
+# by the loop's own float operations, then RECORD_RULE; it returns the new
+# QueueState and the slot's SlotRecord. The state came into step checked and
+# the arrival is >= 0, so the queues stay >= 0 and QueueState's check, which
+# every step would pay, is skipped
 _SLOT_TEMPLATE = """\
-def {name}(q0, z0, t0, param, arrival, joint_price, joint_avail, v, eps_d, threshold):
+def {name}(q0, z0, t0, param, arrival, price_ris, price_spectrum, avail_ris, avail_spectrum, v, eps_d, threshold):
+    arrival = arrival[0]  # a column of one slot, as every loop takes it
     i = 0  # the slot's offset from t0, as the wish reads it
-    q = q0 + arrival[0]
-    z = z0
-    if {want}:
-        if joint_avail[0]:
-            return (0.0 if q < 1.0 else q - 1.0), (0.0 if z < 1.0 else z - 1.0), 1
-        return q, z + {accrual}, 1
-    return q, z + {accrual}, 0
+    joint_price = (price_ris + price_spectrum,)
+    joint_avail = avail_ris & avail_spectrum
+    t = t0
+    q_before = q = q0 + arrival
+    z_before = z = z0
+    x_desired = 1 if {want} else 0
+    if x_desired and joint_avail:
+        q_after = 0.0 if q < 1.0 else q - 1.0
+        z_after = 0.0 if z < 1.0 else z - 1.0
+    else:
+        q_after, z_after = q, z + {accrual}
+{record_rule}
+    state = new(QueueState)
+    d = state.__dict__
+    d["q"] = q_after
+    d["z"] = z_after
+    record = new(SlotRecord)
+    d = record.__dict__
+{stores}
+    return state, record
 """
 
 # per freeze_z, z's accrual without a lease; frozen, z + 0.0 on an empty queue
@@ -112,7 +156,20 @@ def loop_source(kind: str, freeze_z: bool, one_slot: bool = False) -> tuple[str,
     True: _TEMPLATE or _SLOT_TEMPLATE filled with the kind's wish."""
     template, name = (_SLOT_TEMPLATE, f"{kind}_slot") if one_slot else (_TEMPLATE, f"{kind}_loop")
     name = f"{name}_frozen" if freeze_z else name
-    return name, template.format(name=name, want=POLICY_KINDS[kind][1], accrual=_ACCRUAL[freeze_z])
+    return name, template.format(
+        name=name, want=POLICY_KINDS[kind][1], accrual=_ACCRUAL[freeze_z],
+        record_rule=indent(RECORD_RULE.rstrip(), "    "),
+        stores="\n".join(f'    d["{column}"] = {column}' for column in COLUMN_RULES),
+    )
+
+
+def _generate(name: str, source: str, **namespace):
+    """The function `name` that `source` defines, run with exec in `namespace`."""
+    exec(source, namespace)
+    return namespace[name]
+
+
+slot_values = _generate("slot_values", _SLOT_VALUES)
 
 
 def get_loop(key):
@@ -121,10 +178,9 @@ def get_loop(key):
     A key (kind, freeze_z, True) gives the pair's one-slot kernel."""
     loop = _LOOPS.get(key)
     if loop is None:
+        from .simulator import SlotRecord  # built from the trace schema by simulator, which imports this module
         name, source = loop_source(*key)
-        namespace = {}
-        exec(source, namespace)
-        loop = _LOOPS[key] = namespace[name]
+        loop = _LOOPS[key] = _generate(name, source, new=object.__new__, QueueState=QueueState, SlotRecord=SlotRecord)
     return loop
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -150,19 +151,47 @@ def check_value(where: str, name: str, value) -> None:
 _FLOAT_RANGE = (0, np.finfo(np.float64).max)
 
 
+@cache
+def _accept_bound(dtype: np.dtype, rule) -> tuple | None:
+    """(the unsigned dtype of dtype's width and byte order, the bound) such
+    that a 1-D column of `dtype` whose unsigned view, less the rule's low,
+    has its max within the bound holds only values the rule accepts; None
+    for a dtype numpy does not judge as check_value does.
+
+    For an integer dtype the view less low wraps every value below low
+    past the bound, min(high, dtype max) - low. For a float dtype under
+    the float rule, low is 0 and the bound is finfo(dtype).max's bit
+    pattern: a finite float >= 0 has a pattern at most that, while inf,
+    NaN and every negative float, -0.0 too, have a greater one."""
+    if dtype.kind not in ("iu" if rule else "iuf") or dtype.itemsize > 8:
+        return None
+    unsigned = np.dtype(f"{dtype.byteorder}u{dtype.itemsize}")
+    if dtype.kind == "f":
+        bound = np.array(np.finfo(dtype).max, dtype).view(unsigned).item()
+    else:
+        low, high = rule or _FLOAT_RANGE
+        bound = min(high, np.iinfo(dtype).max) - low
+    return unsigned, unsigned.type(bound)
+
+
 def check_column(where: str, name: str, column: np.ndarray) -> None:
     """Raise check_value's ConfigError, as "{where} {row}: {name} must be
     ...", for the first row of `column` that breaks COLUMN_RULES[name].
 
     A 1-D integer (or, under a float rule, float) column at most 8 bytes
-    wide, where numpy agrees with check_value, is accepted when its min and
-    max lie in the rule's range (a NaN fails both); only a column that
-    fails is scanned, by a mask. Any other column goes value by value."""
+    wide, where numpy agrees with check_value, is accepted by one
+    reduction: the max of its unsigned view, less the rule's low where
+    that is not 0, within _accept_bound's bound. Only a column that fails
+    it, one holding -0.0 among them, is scanned, by a mask. Any other
+    column goes value by value."""
     rule = COLUMN_RULES[name]
     low, high = rule or _FLOAT_RANGE
+    accept = _accept_bound(column.dtype, rule) if column.ndim == 1 else None
     start = 0
-    if column.ndim == 1 and column.dtype.kind in ("iu" if rule else "iuf") and column.dtype.itemsize <= 8:
-        if not len(column) or column.min() >= low and column.max() <= high:
+    if accept is not None:
+        unsigned, bound = accept
+        view = column.view(unsigned)
+        if not len(column) or (view - low if low else view).max() <= bound:
             return
         start = int((~((column >= low) & (column <= high))).argmax())
         column = column[start:start + 1]

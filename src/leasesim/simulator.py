@@ -5,8 +5,10 @@ arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage, and audit() rebuilds a trace by the
 same rule. runs() draws one market for many cells; run() is its
-one-cell case; step() runs a kind's one-slot kernel; runs() and step()
-share one record rule.
+one-cell case; step() checks a slot and returns what a kind's one-slot
+kernel builds, its state and record. runs(), audit() and the kernels
+share one record rule, _kernels.RECORD_RULE: _slot_values is generated
+from it, and each kernel runs it inline.
 The oracle and step check the market slots they read against
 environment.COLUMN_RULES, the rule the CSV readers apply too; that table
 is also the trace schema, from which SlotRecord, TRACE_COLUMNS and
@@ -17,11 +19,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import make_dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import PRICE_READING_KINDS, get_loop
+from ._kernels import PRICE_READING_KINDS, get_loop, slot_values as _slot_values
 from .core import ConfigError, ControlParams, QueueState, builder, check_bool, check_int
 from .environment import (
     COLUMN_RULES,
@@ -58,8 +61,8 @@ SlotRecord = make_dataclass(
     },
 )
 
-# the record and state constructors, looked up once
-_build_record, _build_state = builder(SlotRecord), builder(QueueState)
+# the record constructor, looked up once
+_build_record = builder(SlotRecord)
 
 # the COLUMN_RULES bounds of step's integer inputs, read once for its fast accept
 _T_LOW, _T_HIGH = COLUMN_RULES["t"]
@@ -163,23 +166,6 @@ def _replay_q(q_first, arrival, q_ops, r) -> np.ndarray:
     return np.cumsum(q_steps).reshape(-1, 2).T.copy()
 
 
-def _slot_values(
-    t, q_before, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
-    joint_avail, x_desired, q_after, z_after,
-) -> tuple:
-    """A slot's values in TRACE_COLUMNS order, the one record rule, from the
-    slot index, q after the arrival and z before the slot, the market, and
-    the wish x_desired (as an int) and queues the loop gave. Python numbers
-    give one SlotRecord, numpy columns a trace, each value bit for bit the
-    slot's own.
-    """
-    r = x_desired & joint_avail
-    return (
-        t, q_before, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
-        x_desired, x_desired, r, r, r, r * price_ris + r * price_spectrum, q_after, z_after,
-    )
-
-
 def _cell_columns(
     realization: Realization,
     q0: float,
@@ -270,10 +256,10 @@ def step(
 ) -> tuple[QueueState, SlotRecord]:
     """Advance one slot; returns the new state and the slot's record.
 
-    Runs the kind's one-slot kernel, which applies the slot loop's
-    operations to 1-tuple columns and returns the queues and the wish, and
-    builds the record by run()'s rule, so a chain of step() calls
-    reproduces a full run exactly.
+    Checks the slot, then returns what the kind's one-slot kernel returns:
+    it applies the slot loop's operations and builds the record by the
+    record rule runs() applies too, so a chain of step() calls reproduces
+    a full run exactly.
     A slot index or observation that breaks COLUMN_RULES raises a ConfigError naming it.
     """
     if type(freeze_z_when_empty) is not bool:
@@ -295,19 +281,10 @@ def step(
         check_market_slot("observation", arrival, price_ris, price_spectrum, avail_ris, avail_spectrum)
         arrival, avail_ris, avail_spectrum = int(arrival), int(avail_ris), int(avail_spectrum)
         price_ris, price_spectrum = float(price_ris), float(price_spectrum)
-    joint_avail = avail_ris & avail_spectrum
-    q_after, z_after, x_desired = get_loop((policy.kind, freeze_z_when_empty, True))(
-        q, z, t, policy.param, (arrival,), (price_ris + price_spectrum,), (joint_avail,),
-        params.v, params.eps_d, params.threshold
+    return get_loop((policy.kind, freeze_z_when_empty, True))(
+        q, z, t, policy.param, (arrival,), price_ris, price_spectrum, avail_ris, avail_spectrum,
+        params.v, params.eps_d, params.threshold,
     )
-    record = _build_record(_slot_values(
-        t, q + arrival, z, arrival, avail_ris, avail_spectrum, price_ris, price_spectrum,
-        joint_avail, x_desired, q_after, z_after
-    ))
-    # the state came in checked and the arrival is >= 0, so the kernel's
-    # queues stay >= 0 (it clamps them after a lease) and the builder skips
-    # QueueState's check, which every step would pay
-    return _build_state((q_after, z_after)), record
 
 
 def audit(trace: Trace) -> None:
@@ -343,12 +320,13 @@ def _market_slots(
 ) -> list[tuple]:
     """The first `deadline` slots as MARKET_FIELDS tuples, checked.
 
-    Observations become object columns. Each column is judged by
-    check_column in MARKET_FIELDS order, so a bad market is named by its
-    first bad column and that column's first bad slot.
+    Only the first `deadline` observations are read; they become object
+    columns. Each column is judged by check_column in MARKET_FIELDS order,
+    so a bad market is named by its first bad column and that column's
+    first bad slot.
     """
     if not isinstance(realization, Realization):
-        observations = list(realization)
+        observations = list(islice(realization, deadline))
         realization = Realization(*(
             np.fromiter((getattr(obs, name) for obs in observations), dtype=object, count=len(observations))
             for name in MARKET_FIELDS

@@ -347,6 +347,18 @@ def judged_columns(draw):
 @example(column=("price_ris", np.array([1.0, math.inf], dtype=np.float16)))
 @example(column=("cost", np.array([-0.0, 5e-324, math.inf])))
 @example(column=("arrival", np.array([0, 2**64 - 1], dtype=np.uint64)))
+# edges of the one-reduction accept, the max of the unsigned view less low:
+# a negative int wraps past the bound, and so does a value below low 1
+@example(column=("arrival", np.array([0, -1], dtype=np.int8)))
+@example(column=("t", np.array([0], dtype=np.uint64)))
+@example(column=("t", np.array([1, 0], dtype=np.int64)))
+# -0.0's bit pattern passes the bound, so the scan accepts it
+@example(column=("price_ris", np.array([-0.0, 1.0])))
+# a float dtype's own max is the bound, and inf lies just past it
+@example(column=("price_ris", np.array([np.finfo(np.float32).max], dtype=np.float32)))
+@example(column=("price_ris", np.array([math.inf], dtype=np.float32)))
+@example(column=("arrival", np.array([2**63 - 1], dtype=np.int64)))
+@example(column=("q_before", np.array([-1], dtype=np.int64)))
 def test_first_bad_row_is_the_first_row_check_value_rejects(column):
     name, values = column
     assert column_error(name, values) == first_rejection(name, values)

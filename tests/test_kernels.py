@@ -4,6 +4,7 @@ chain of step() calls, bit for bit.
 """
 import ast
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from leasesim import _kernels, simulator
 from leasesim.core import ControlParams, QueueState, advance_virtual_queue
 from leasesim.environment import Realization, ScenarioConfig, draw_realization
 from leasesim.policies import POLICY_KINDS, PolicyInput, decide, parse_policy
-from leasesim.simulator import Trace, _cell_columns, default_params, run, step
+from leasesim.simulator import TRACE_COLUMNS, SlotRecord, Trace, _cell_columns, default_params, run, step
 
 ALL_POLICIES = [
     "dsf",
@@ -67,12 +68,14 @@ def test_generated_loops_do_not_dispatch(kind, freeze):
 @pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
 def test_every_one_slot_kernel_takes_the_arrival_column_fifth(kind, freeze):
     """perfbench counts a loop call's slots from args[4], so step's one-slot
-    kernel takes `arrival` fifth, as every loop does, and the loop's other
-    inputs in the loop's order, without its three buffers."""
+    kernel takes `arrival` fifth, as every loop does, after the loop's
+    first four inputs; then the slot's prices and flags in place of the
+    loop's joint columns, and the loop's v, eps_d and threshold, without
+    its three buffers."""
     names = list(inspect.signature(simulator.get_loop((kind, freeze, True))).parameters)
     loop_names = list(inspect.signature(simulator.get_loop((kind, freeze))).parameters)
     assert names[4] == "arrival"
-    assert names == loop_names[:-3]
+    assert names == loop_names[:5] + ["price_ris", "price_spectrum", "avail_ris", "avail_spectrum"] + loop_names[7:10]
 
 
 def _branch_stores(tree):
@@ -119,11 +122,16 @@ def test_generated_loops_store_only_wishes_and_clamps(kind, freeze):
     assert calls == {"range", "len"}
     assert _kernels.get_loop((kind, freeze)).__name__ == name
 
-    # step's one-slot kernel returns its wish: no loop, no store, no call
+    # step's one-slot kernel runs no loop; outside every branch, it stores
+    # each field of the new state and then of the record once, each from
+    # the local of the field's name, into an instance made by `new`
     name, source = _kernels.loop_source(kind, freeze, one_slot=True)
     tree = ast.parse(source)
-    assert _branch_stores(tree) == []
-    assert not any(isinstance(node, (ast.For, ast.While, ast.Call)) for node in ast.walk(tree))
+    state_stores = [("d['q']", "q_after", None), ("d['z']", "z_after", None)]
+    assert _branch_stores(tree) == state_stores + [(f"d[{column!r}]", column, None) for column in TRACE_COLUMNS]
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree))
+    calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls == ["new(QueueState)", "new(SlotRecord)"]
     assert _kernels.get_loop((kind, freeze, True)).__name__ == name
 
 
@@ -132,8 +140,9 @@ def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
     """The loop stores only the wishes that are True, so runs hands it a
     wish buffer that holds False in every slot, a zeroed bytearray. step
     hands no buffer: the one-slot kernel it fetches through
-    simulator.get_loop, which perfbench counts, gets 1-tuple columns with
-    `arrival` fifth and returns the wish."""
+    simulator.get_loop, which perfbench counts, gets `arrival` fifth as a
+    1-tuple column, then the slot's prices and flags, and returns step's
+    state and record."""
     wishes, kernel_calls = [], []
 
     def get_loop(key):
@@ -157,11 +166,11 @@ def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
             state, _ = step(state, realization.observation(i), dsf, params, t=1 + i)
         assert len(kernel_calls) == 3
         for i, (key, args) in enumerate(kernel_calls):
-            assert key == ("dsf", False, True) and len(args) == 10
-            assert args[4:7] == (
+            assert key == ("dsf", False, True) and len(args) == 12
+            assert args[4:9] == (
                 (realization.arrival.item(i),),
-                (realization.price_ris.item(i) + realization.price_spectrum.item(i),),
-                (realization.avail_ris.item(i) & realization.avail_spectrum.item(i),),
+                realization.price_ris.item(i), realization.price_spectrum.item(i),
+                realization.avail_ris.item(i), realization.avail_spectrum.item(i),
             )
     else:
         trace = run(scenario, dsf, params)
@@ -422,22 +431,24 @@ KIND_PARAMS = {
 
 @st.composite
 def one_slot_calls(draw):
-    """A (kind, freeze_z) key and the loop's inputs for one slot."""
+    """A (kind, freeze_z) key and the one-slot kernel's inputs for one slot."""
     kind = draw(st.sampled_from(sorted(POLICY_KINDS)))
     param = draw(KIND_PARAMS[kind]) if kind in KIND_PARAMS else None
     arrival = draw(st.integers(0, 2) | st.sampled_from([2**53 + 1, 2**62]))
     inputs = dict(
         q0=draw(st.floats(0.0, 4.0)), z0=draw(st.floats(0.0, 40.0)), t0=draw(st.integers(1, 10**6)),
-        param=param, arrival=arrival, joint_price=draw(st.floats(0.0, 40.0)), joint_avail=draw(flags),
+        param=param, arrival=arrival, price_ris=draw(st.floats(0.0, 20.0)), price_spectrum=draw(st.floats(0.0, 20.0)),
+        avail_ris=draw(flags), avail_spectrum=draw(flags),
         v=draw(st.floats(0.1, 4.0)), eps_d=draw(st.floats(0.1, 3.0)), threshold=draw(st.floats(0.0, 50.0)),
     )
     return kind, draw(st.booleans()), inputs
 
 
-def _slot(kind, freeze, q0=0.0, z0=0.0, t0=1, param=None, arrival=0, joint_price=2.0, joint_avail=1,
-          v=1.0, eps_d=1.0, threshold=10.0):
-    return kind, freeze, dict(q0=q0, z0=z0, t0=t0, param=param, arrival=arrival, joint_price=joint_price,
-                              joint_avail=joint_avail, v=v, eps_d=eps_d, threshold=threshold)
+def _slot(kind, freeze, q0=0.0, z0=0.0, t0=1, param=None, arrival=0, price_ris=1.0, price_spectrum=1.0,
+          avail_ris=1, avail_spectrum=1, v=1.0, eps_d=1.0, threshold=10.0):
+    return kind, freeze, dict(q0=q0, z0=z0, t0=t0, param=param, arrival=arrival, price_ris=price_ris,
+                              price_spectrum=price_spectrum, avail_ris=avail_ris, avail_spectrum=avail_spectrum,
+                              v=v, eps_d=eps_d, threshold=threshold)
 
 
 @settings(max_examples=500, deadline=None)
@@ -448,13 +459,13 @@ def _slot(kind, freeze, q0=0.0, z0=0.0, t0=1, param=None, arrival=0, joint_price
 # an empty queue with z frozen: no wish or a blocked one keeps z, a lease
 # on it clamps q at 0.0
 @example(call=_slot("dsf", True, z0=3.0))
-@example(call=_slot("dsf", True, z0=30.0, joint_avail=0))
+@example(call=_slot("dsf", True, z0=30.0, avail_spectrum=0))
 @example(call=_slot("dsf", True, z0=30.0))
 # arrivals that a float cannot hold exactly
 @example(call=_slot("greedy", False, q0=0.5, arrival=2**53 + 1))
-@example(call=_slot("queue_threshold", True, q0=0.5, arrival=2**62, param=5.0, joint_avail=0))
-# a price exactly at the price_only cutoff
-@example(call=_slot("price_only", False, q0=1.0, joint_price=8.0, param=8.0))
+@example(call=_slot("queue_threshold", True, q0=0.5, arrival=2**62, param=5.0, avail_ris=0))
+# a joint price exactly at the price_only cutoff
+@example(call=_slot("price_only", False, q0=1.0, price_ris=3.0, price_spectrum=5.0, param=8.0))
 # periodic on its period, with and without a backlog
 @example(call=_slot("periodic", False, q0=1.0, t0=6, param=3))
 @example(call=_slot("periodic", True, t0=6, param=3))
@@ -462,16 +473,29 @@ def _slot(kind, freeze, q0=0.0, z0=0.0, t0=1, param=None, arrival=0, joint_price
 @example(call=_slot("dsf", False, q0=2.0, arrival=1, z0=3.0, threshold=6.0))
 @example(call=_slot("dsf", False, q0=2.0, arrival=1, z0=3.5, threshold=6.0))
 def test_one_slot_kernel_matches_the_loop_bit_for_bit(call):
-    """On one slot, the one-slot kernel's (q_after, z_after, wish) are the
-    loop's final (q, z), bit for bit, and the wish it stores, as an int."""
+    """On one slot, the one-slot kernel's state holds the loop's final
+    (q, z), bit for bit, as floats, and its record holds the wish the loop
+    stores, as an int, and is what slot_values gives from the loop's
+    results, with each field of its annotated type."""
     kind, freeze, inputs = call
     head = [inputs[name] for name in ("q0", "z0", "t0", "param")]
-    market = [inputs[name] for name in ("arrival", "joint_price", "joint_avail")]
+    arrival, price_ris, price_spectrum, avail_ris, avail_spectrum = (
+        inputs[name] for name in ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_spectrum")
+    )
     tail = [inputs[name] for name in ("v", "eps_d", "threshold")]
+    joint_avail = avail_ris & avail_spectrum
     x_desired = bytearray(1)
-    q, z = _kernels.get_loop((kind, freeze))(*head, *([value] for value in market), *tail,
+    q, z = _kernels.get_loop((kind, freeze))(*head, [arrival], [price_ris + price_spectrum], [joint_avail], *tail,
                                              x_desired, [-1.0], [-1.0])
-    q_after, z_after, wish = _kernels.get_loop((kind, freeze, True))(*head, *((value,) for value in market), *tail)
-    assert float.hex(q_after) == float.hex(q) and float.hex(z_after) == float.hex(z)
-    assert type(q_after) is float and type(z_after) is float
-    assert type(wish) is int and wish == x_desired[0]
+    state, record = _kernels.get_loop((kind, freeze, True))(
+        *head, (arrival,), price_ris, price_spectrum, avail_ris, avail_spectrum, *tail
+    )
+    assert type(state) is QueueState and type(record) is SlotRecord
+    assert float.hex(state.q) == float.hex(q) and float.hex(state.z) == float.hex(z)
+    assert type(state.q) is float and type(state.z) is float
+    assert type(record.x_desired) is int and record.x_desired == x_desired[0]
+    assert record == SlotRecord(*_kernels.slot_values(
+        inputs["t0"], inputs["q0"] + arrival, inputs["z0"], arrival, avail_ris, avail_spectrum, price_ris,
+        price_spectrum, joint_avail, x_desired[0], q, z,
+    ))
+    assert [type(value).__name__ for value in vars(record).values()] == [f.type for f in fields(SlotRecord)]

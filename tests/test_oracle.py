@@ -465,6 +465,46 @@ def test_realization_with_a_short_column(short, deadline):
     )
 
 
+class CountedObservation:
+    """An observation that counts, in `reads`, the reads of its fields."""
+
+    def __init__(self, reads, **fields):
+        self._reads, self._fields = reads, fields
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        self._reads.append(name)
+        return self._fields[name]
+
+
+def counted_market(n, bad_slot=None, **bad):
+    """`n` counted observations of WORKED[0]'s values, slot `bad_slot` (1-based)
+    given the values in `bad`, and the list their reads are counted in."""
+    reads = []
+    return [
+        CountedObservation(reads, **{**vars(WORKED[0]), **(bad if t == bad_slot else {})})
+        for t in range(1, n + 1)
+    ], reads
+
+
+def test_only_the_observations_before_the_deadline_are_read():
+    market, reads = counted_market(1000, bad_slot=500, arrival=-1)
+    assert offline_min_cost(market, 1, 12) == offline_min_cost(list(WORKED[:1]) * 12, 1, 12)
+    assert len(reads) == 12 * len(MARKET_FIELDS)
+
+
+@pytest.mark.parametrize("n, bad_slot, message", [
+    (2, None, "realization has 2 slots but the deadline needs 3"),
+    (3, 3, "slot 3: arrival must be >= 0, got -1"),
+    (4, 4, None),  # past the deadline, so never judged
+])
+def test_counted_observations_keep_the_messages(n, bad_slot, message):
+    market, reads = counted_market(n, bad_slot, arrival=-1)
+    assert oracle_error(market, 3) == message
+    assert len(reads) == min(n, 3) * len(MARKET_FIELDS)
+
+
 def test_two_dimensional_column_is_checked_slot_by_slot():
     flags = np.ones(2, dtype=np.int64)
     realization = Realization(np.zeros((2, 2), dtype=np.int64), np.ones(2), np.ones(2), flags, flags)

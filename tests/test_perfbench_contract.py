@@ -16,14 +16,19 @@ from leasesim.environment import ScenarioConfig, draw_realization
 from leasesim.policies import POLICY_KINDS, parse_policy
 from leasesim.simulator import default_params, run, step
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """perfbench's module `name`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_perfbench_records_the_python_loop():
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    record = module.environment_record()
+    record = load("run").environment_record()
     assert record["backend"] == "python"
     assert record["numba_importable"] is False
 
@@ -60,3 +65,18 @@ def test_every_loop_takes_the_arrival_column_fifth(kind, freeze):
     every kind, with z frozen or not, takes `arrival` fifth."""
     names = list(inspect.signature(simulator.get_loop((kind, freeze))).parameters)
     assert names[4] == "arrival"
+
+
+def test_the_tracer_counts_one_one_slot_kernel_call_per_step():
+    """Under perfbench's tracer, an online_oracle op makes exactly one
+    1-slot kernels.loop span inside each simulator.step span."""
+    spans, workloads = load("spans"), load("workloads")
+    workload = workloads.build("online_oracle", tiny=True)
+    scenario = workload.make_input(workloads.market_seed(7, workloads.TIMED, 0))
+    tracer = spans.Tracer()
+    tracer.run_op(0, workload.op, scenario)
+    steps = [i for i, span in enumerate(tracer.spans) if span[spans.NAME] == "simulator.step"]
+    loops = [span for span in tracer.spans if span[spans.NAME] == spans.LOOP_SPAN]
+    assert len(steps) == workload.windows * workload.window_slots * len(workload.policies)
+    assert [span[spans.PARENT] for span in loops] == steps
+    assert [span[spans.WORK] for span in loops] == [1] * len(steps)
