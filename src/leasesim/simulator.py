@@ -300,8 +300,9 @@ def _market_slots(
     """The first `deadline` slots as MARKET_FIELDS tuples of Python ints
     and floats, checked.
 
-    A Realization's tuples come from its columns' tolist(), the first
-    `deadline` observations' from their fields, each read once.
+    A Realization's tuples come from its columns, by tolist() from an
+    ndarray and list() from any other sequence; the first `deadline`
+    observations' from their fields, each read once.
     _kernels.slots_accepted, the fast accept generated from COLUMN_RULES,
     judges them. Only a window it does not accept is judged column by
     column by check_column in MARKET_FIELDS order, so a bad market is named
@@ -316,7 +317,8 @@ def _market_slots(
             raise ConfigError(
                 f"realization columns differ in length: {short} has {n} slots, another has {max(lengths)}"
             )
-        slots = list(zip(*(getattr(realization, name)[:deadline].tolist() for name in MARKET_FIELDS)))
+        columns = (getattr(realization, name)[:deadline] for name in MARKET_FIELDS)
+        slots = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns)))
     else:
         slots = list(map(attrgetter(*MARKET_FIELDS), islice(realization, deadline)))
         n = len(slots)

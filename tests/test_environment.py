@@ -347,18 +347,31 @@ def judged_columns(draw):
 @example(column=("price_ris", np.array([1.0, math.inf], dtype=np.float16)))
 @example(column=("cost", np.array([-0.0, 5e-324, math.inf])))
 @example(column=("arrival", np.array([0, 2**64 - 1], dtype=np.uint64)))
-# edges of the one-reduction accept, the max of the unsigned view less low:
-# a negative int wraps past the bound, and so does a value below low 1
+# edges of the min-and-max accept: a negative int, and a value below low 1
 @example(column=("arrival", np.array([0, -1], dtype=np.int8)))
 @example(column=("t", np.array([0], dtype=np.uint64)))
 @example(column=("t", np.array([1, 0], dtype=np.int64)))
-# -0.0's bit pattern passes the bound, so the scan accepts it
+# -0.0 is >= 0, so the accept takes it
 @example(column=("price_ris", np.array([-0.0, 1.0])))
-# a float dtype's own max is the bound, and inf lies just past it
+# a float dtype's own max is accepted, and inf just past it is not
 @example(column=("price_ris", np.array([np.finfo(np.float32).max], dtype=np.float32)))
 @example(column=("price_ris", np.array([math.inf], dtype=np.float32)))
 @example(column=("arrival", np.array([2**63 - 1], dtype=np.int64)))
 @example(column=("q_before", np.array([-1], dtype=np.int64)))
+# min and max are NaN, which fails both tests
+@example(column=("price_ris", np.array([1.0, 2.0, math.nan])))
+# an empty column has no min
+@example(column=("t", np.empty(0, dtype=np.int64)))
+@example(column=("cost", np.empty(0)))
+# a bool column goes value by value, where check_value rejects True
+@example(column=("avail_ris", np.array([True, False])))
+@example(column=("price_ris", np.array([2.0, -0.0, 1.0])))
+# past int64, so the bound 2**63 - 1 must be compared exactly
+@example(column=("t", np.array([1, 2**63], dtype=np.uint64)))
+# where longdouble is wider than float64, this lies just past float64's
+# max, so it fails the range, though check_value, rounding it to that max,
+# accepts it: the rows after it, not only it, go value by value
+@example(column=("price_ris", np.array([np.longdouble("1.79769313486231575e308"), -1.0])))
 def test_first_bad_row_is_the_first_row_check_value_rejects(column):
     name, values = column
     assert column_error(name, values) == first_rejection(name, values)

@@ -521,6 +521,18 @@ def test_accepts_realization_object():
     assert via_object == via_list
 
 
+@pytest.mark.parametrize("price_ris, message", [
+    ([1.0, 2.0], None),
+    ([1.0, -2.0], "slot 2: price_ris must be a finite number >= 0, got -2.0"),
+])
+def test_list_columns_give_what_array_columns_give(price_ris, message):
+    columns = ([0, 1], price_ris, [1.0, 2.0], [1, 1], [1, 1])
+    as_lists, as_arrays = Realization(*columns), Realization(*map(np.array, columns))
+    assert oracle_error(as_lists, 2) == oracle_error(as_arrays, 2) == message
+    if message is None:
+        assert offline_min_cost(as_lists, 0, 2) == offline_min_cost(as_arrays, 0, 2) == (4.0, [0, 1], True)
+
+
 def test_returned_schedule_replays_to_claimed_cost():
     rng = np.random.default_rng(0)
     for trial in range(30):
