@@ -32,7 +32,8 @@ from .environment import (
     with_seed,
 )
 from .policies import PolicySpec, policy_label
-from .simulator import TRACE_COLUMNS, TRACE_DTYPES, Trace, default_params, run, runs
+from .simulator import TRACE_COLUMNS, TRACE_DTYPES, Trace, cell_columns, default_params
+from .simulator import run  # unused here; perfbench's tracer wraps reporting.run
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,17 @@ class SweepTable:
     rows: tuple[SweepCell, ...]
 
 
+def _column_reader(trace: Trace | dict[str, np.ndarray]):
+    """The column lookup of a Trace, or of a dict of trace columns as
+    simulator.cell_columns yields them."""
+    return trace.column if isinstance(trace, Trace) else trace.__getitem__
+
+
 @np.errstate(over="ignore")
-def summarize(trace: Trace) -> RunSummary:
-    """Scalar metrics of a trace; errors on an empty one.
+def summarize(trace: Trace | dict[str, np.ndarray]) -> RunSummary:
+    """Scalar metrics of a trace, or of a cell's columns as
+    simulator.cell_columns yields them, by the same rule; errors on an
+    empty one.
 
     The accumulated cost is taken from the running sum so that the last
     element of cumulative_average_cost_series matches the final average
@@ -77,27 +86,30 @@ def summarize(trace: Trace) -> RunSummary:
     means are `float(column.sum()) / n`, ndarray.mean's own rule for
     float64, so the same bits in one pass instead of two.
     """
-    n = len(trace)
+    column = _column_reader(trace)
+    n = len(column("t"))
     if n == 0:
         raise ConfigError("cannot summarize an empty trace")
-    running_cost = np.cumsum(trace.column("cost"))
+    running_cost = np.cumsum(column("cost"))
     accumulated = float(running_cost[-1])
     return RunSummary(
         accumulated_cost=accumulated,
-        average_queue=float(trace.column("q_after").sum()) / n,
-        average_virtual_queue=float(trace.column("z_after").sum()) / n,
-        lease_count=int(trace.column("r").sum()),
-        final_backlog=float(trace.column("q_after")[-1]),
+        average_queue=float(column("q_after").sum()) / n,
+        average_virtual_queue=float(column("z_after").sum()) / n,
+        lease_count=int(column("r").sum()),
+        final_backlog=float(column("q_after")[-1]),
         cumulative_average_cost_final=accumulated / n,
     )
 
 
-def cumulative_average_cost_series(trace: Trace) -> list[float]:
-    """Running mean of realized cost; element t is the average over slots 1..t."""
-    n = len(trace)
+def cumulative_average_cost_series(trace: Trace | dict[str, np.ndarray]) -> list[float]:
+    """Running mean of realized cost, of a trace or of a cell's columns as
+    summarize reads them; element t is the average over slots 1..t."""
+    column = _column_reader(trace)
+    n = len(column("t"))
     if n == 0:
         raise ConfigError("cannot build a series from an empty trace")
-    running = np.cumsum(trace.column("cost"))
+    running = np.cumsum(column("cost"))
     return (running / np.arange(1, n + 1)).tolist()
 
 
@@ -111,10 +123,12 @@ def sweep(
     """Run one simulation per (v, eps_d) cell, in row-major grid order.
 
     With common random numbers (the default) every cell sees the same
-    market realization, drawn and prepared once (simulator.runs), so
-    differences between rows are pure policy effect. Otherwise each cell
-    gets a seed derived from (base seed, cell index), stable across runs
-    and independent of execution order.
+    market realization, drawn and prepared once, so differences between
+    rows are pure policy effect. Otherwise each cell gets a seed derived
+    from (base seed, cell index), stable across runs and independent of
+    execution order. Each row summarizes its cell's columns as
+    simulator.cell_columns yields them: no Trace is built and no column
+    copied, and the summary is the one summarize gives run()'s trace.
     """
     if not v_grid or not eps_grid:
         raise ConfigError("sweep grids must be non-empty")
@@ -123,15 +137,18 @@ def sweep(
     # scenario's prices and horizon, so its params serve them all
     cell_params = [default_params(scenario, v=v, eps_d=eps_d) for v in v_grid for eps_d in eps_grid]
     if common_random_numbers:
-        traces = runs(scenario, [(policy, params) for params in cell_params])
+        seeds = [scenario.seed] * len(cell_params)
+        cells = cell_columns(scenario, [(policy, params) for params in cell_params])
     else:
-        traces = (
-            run(with_seed(scenario, derive_seed(scenario.seed, cell_index)), policy, params)
-            for cell_index, params in enumerate(cell_params)
+        seeds = [derive_seed(scenario.seed, cell_index) for cell_index in range(len(cell_params))]
+        cells = (
+            columns
+            for seed, params in zip(seeds, cell_params)
+            for columns in cell_columns(with_seed(scenario, seed), [(policy, params)])
         )
     rows = [
-        SweepCell(v=params.v, eps_d=params.eps_d, seed=trace.scenario.seed, summary=summarize(trace))
-        for params, trace in zip(cell_params, traces)
+        SweepCell(v=params.v, eps_d=params.eps_d, seed=seed, summary=summarize(columns))
+        for params, seed, columns in zip(cell_params, seeds, cells)
     ]
     return SweepTable(
         policy=policy,
@@ -150,14 +167,18 @@ def compare(
     """Run every policy against the identical market realization.
 
     Common random numbers are mandatory here: one market is drawn for all
-    policies (simulator.runs), so the logged arrival, price, and
-    availability columns agree across all returned runs.
+    policies, so every policy sees the same arrival, price, and
+    availability columns. Each policy's summary and series are read from
+    its cell's columns as simulator.cell_columns yields them, by the rules
+    summarize and cumulative_average_cost_series apply to run()'s trace;
+    no Trace is built.
     """
     if not policies:
         raise ConfigError("compare needs at least one policy")
+    cells = [(policy, params) for policy in policies]
     return [
-        (trace.policy, summarize(trace), cumulative_average_cost_series(trace))
-        for trace in runs(scenario, [(policy, params) for policy in policies])
+        (policy, summarize(columns), cumulative_average_cost_series(columns))
+        for (policy, _), columns in zip(cells, cell_columns(scenario, cells))
     ]
 
 

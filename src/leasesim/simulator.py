@@ -4,7 +4,8 @@ Each slot proceeds through the same stages regardless of policy:
 arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage, and audit() rebuilds a trace by the
-same rule. runs() draws one market for many cells; run() is its
+same rule. cell_columns() draws one market for many cells and gives
+each cell's columns; runs() makes a trace of each, and run() is its
 one-cell case; step() returns what a kind's one-slot kernel builds, its
 state and record. runs(), audit() and the kernels share one record rule,
 _kernels.RECORD_RULE: _slot_values is generated from it, and each kernel
@@ -170,8 +171,9 @@ def _cell_columns(
     cells: Sequence[tuple[PolicySpec, ControlParams]],
 ) -> Iterator[dict[str, np.ndarray]]:
     """All trace columns of each (policy, params) cell, run on
-    `realization` from q0, z0 and slot t0, each with its own copy of the
-    market columns.
+    `realization` from q0, z0 and slot t0. Every cell's dict holds the same
+    t array and the realization's own market arrays, unwritten and
+    uncopied; the other columns are the cell's own.
 
     The loop's three market columns are built once as lists: arrival as
     floats, which keep its queue updates float with float, joint_price and
@@ -193,6 +195,7 @@ def _cell_columns(
     if any(policy.kind in PRICE_READING_KINDS for policy, _ in cells):
         joint_price = joint_price.tolist()
     market = (realization.arrival.astype(np.float64).tolist(), joint_price, joint_avail.tolist())
+    t = np.arange(t0, t0 + n, dtype=np.int64)
     for policy, params in cells:
         wishes, q_ops, z_ops = bytearray(n), np.full(n, -1.0), np.full(n, -1.0)
         get_loop((policy.kind, freeze_z))(q0, z0, t0, policy.param, *market, params.v, params.eps_d, params.threshold,
@@ -206,11 +209,28 @@ def _cell_columns(
             z_steps[:1] += z0
             z_after = np.cumsum(z_steps)
         yield dict(zip(TRACE_COLUMNS, _slot_values(
-            np.arange(t0, t0 + n, dtype=np.int64), q_before, _shifted(z0, z_after),
-            realization.arrival.copy(), realization.avail_ris.copy(), realization.avail_spectrum.copy(),
-            realization.price_ris.copy(), realization.price_spectrum.copy(),
+            t, q_before, _shifted(z0, z_after),
+            realization.arrival, realization.avail_ris, realization.avail_spectrum,
+            realization.price_ris, realization.price_spectrum,
             joint_avail, x_desired, q_after, z_after,
         )))
+
+
+def cell_columns(
+    scenario: ScenarioConfig,
+    cells: Sequence[tuple[PolicySpec, ControlParams]],
+) -> Iterator[dict[str, np.ndarray]]:
+    """All trace columns of each (policy, params) cell, all on one market
+    realization, as a dict by trace column name.
+
+    The market is drawn from `scenario` and prepared once however many
+    cells follow, and each cell runs its kind's loop from the scenario's
+    initial backlog. The dicts share t and the market columns, which no
+    reader may write; summarize reads a dict as it reads a trace, so a
+    caller that only summarizes builds no Trace and copies nothing.
+    """
+    realization = draw_realization(scenario)
+    return _cell_columns(realization, float(scenario.initial_backlog), 0.0, 1, scenario.freeze_z_when_empty, cells)
 
 
 def runs(
@@ -219,16 +239,16 @@ def runs(
 ) -> Iterator[Trace]:
     """One trace per (policy, params) cell, all on one market realization.
 
-    The market is drawn and prepared once however many cells follow, and
-    each cell runs its kind's loop; each trace is the one run() gives for
-    its cell. Traces are yielded one at a time, so only the caller keeps
-    them alive.
+    Each trace holds its cell's cell_columns, with its own copy of t and
+    the market columns, so every trace owns writable columns that no other
+    trace shares; each is the trace run() gives for its cell. Traces are
+    yielded one at a time, so only the caller keeps them alive.
     """
     cells = list(cells)
-    realization = draw_realization(scenario)
-    columns = _cell_columns(realization, float(scenario.initial_backlog), 0.0, 1, scenario.freeze_z_when_empty, cells)
-    for (policy, params), cell_columns in zip(cells, columns):
-        yield Trace(cell_columns, scenario=scenario, policy=policy, params=params)
+    for (policy, params), columns in zip(cells, cell_columns(scenario, cells)):
+        for name in ("t",) + MARKET_FIELDS:  # the columns every cell of the market shares
+            columns[name] = columns[name].copy()
+        yield Trace(columns, scenario=scenario, policy=policy, params=params)
 
 
 def run(

@@ -267,7 +267,7 @@ def test_sweep_rejects_an_eps_whose_z_sum_overflows_before_any_cell(tmp_path, sc
     """At horizon_slots 200, eps_d 1e305 could take the sum of z, which the
     summary averages, past the largest float, so sweep exits 1 naming eps_d
     before its first cell runs; 1e300 is run."""
-    monkeypatch.setattr(reporting, "runs", lambda *args: pytest.fail("a cell ran"))
+    monkeypatch.setattr(reporting, "cell_columns", lambda *args: pytest.fail("a cell ran"))
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--scenario", scenario_path, "--v", "1", "--eps", "1,1e305", "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -9,12 +9,15 @@ import pytest
 
 from leasesim.core import ConfigError
 from leasesim.environment import (
+    MARKET_FIELDS,
     ScenarioConfig,
     derive_seed,
+    draw_realization,
     scenario_from_dict,
+    with_seed,
 )
 from leasesim import reporting, simulator
-from leasesim.policies import parse_policy, policy_label
+from leasesim.policies import POLICY_KINDS, parse_policy, policy_label
 from leasesim.reporting import (
     compare,
     comparison_ranking,
@@ -183,9 +186,8 @@ def _no_cell_runs(monkeypatch):
     def no_run(*args):
         raise AssertionError("a cell ran")
 
-    # a CRN sweep runs its cells through runs, a reseeded one through run
-    monkeypatch.setattr(reporting, "run", no_run)
-    monkeypatch.setattr(reporting, "runs", no_run)
+    # a CRN sweep runs its cells through one cell_columns call, a reseeded one through one per cell
+    monkeypatch.setattr(reporting, "cell_columns", no_run)
 
 
 def test_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatch):
@@ -220,6 +222,61 @@ def test_crn_sweep_equals_cell_by_cell_runs():
             trace = run(scenario, DSF, default_params(scenario, v=v, eps_d=eps_d))
             want.append(reporting.SweepCell(v=v, eps_d=eps_d, seed=scenario.seed, summary=summarize(trace)))
     assert table.rows == tuple(want)
+
+
+# a label of each policy kind
+ALL_POLICIES = ("dsf", "dsf_exact_argmin", "periodic:3", "greedy", "price_only:8", "queue_threshold:5", "myopic")
+
+
+@pytest.mark.parametrize("crn", [True, False], ids=["crn", "reseeded"])
+@pytest.mark.parametrize("backlog", [0, 3])
+@pytest.mark.parametrize("freeze", [False, True], ids=["ticking", "frozen"])
+def test_sweep_and_compare_summaries_equal_those_of_run_traces(freeze, backlog, crn):
+    """sweep and compare summarize each cell's columns without building a
+    trace; every row, summary and series is, repr for repr, the one
+    summarize and cumulative_average_cost_series give run()'s trace."""
+    assert {parse_policy(label).kind for label in ALL_POLICIES} == set(POLICY_KINDS)
+    scenario = ScenarioConfig(horizon_slots=80, initial_backlog=backlog, seed=31, freeze_z_when_empty=freeze)
+    v_grid, eps_grid = [2.0, 20.0], [0.5, 2.0]
+    policies = [parse_policy(label) for label in ALL_POLICIES]
+    for policy in policies:
+        table = sweep(scenario, policy, v_grid, eps_grid, common_random_numbers=crn)
+        grid = [(v, eps_d) for v in v_grid for eps_d in eps_grid]
+        for cell_index, ((v, eps_d), row) in enumerate(zip(grid, table.rows, strict=True)):
+            seed = scenario.seed if crn else derive_seed(scenario.seed, cell_index)
+            trace = run(with_seed(scenario, seed), policy, default_params(scenario, v=v, eps_d=eps_d))
+            want = reporting.SweepCell(v=v, eps_d=eps_d, seed=seed, summary=summarize(trace))
+            assert repr(row) == repr(want)
+    params = default_params(scenario, v=5.0, eps_d=1.0)
+    results = compare(scenario, policies, params)
+    for policy, (got_policy, summary, series) in zip(policies, results, strict=True):
+        trace = run(scenario, policy, params)
+        assert got_policy is policy
+        assert repr(summary) == repr(summarize(trace))
+        assert repr(series) == repr(cumulative_average_cost_series(trace))
+
+
+def test_a_read_only_market_serves_sweep_and_compare_and_runs_copies_it(monkeypatch):
+    """sweep and compare read the drawn market's columns, shared by every
+    cell, without writing them; runs() gives each trace its own writable
+    copy of them."""
+    scenario = ScenarioConfig(horizon_slots=60, initial_backlog=2, seed=8)
+    params = default_params(scenario, v=5.0, eps_d=1.0)
+    want_table = sweep(scenario, DSF, [1.0, 5.0], [1.0])
+    want_results = compare(scenario, [DSF, GREEDY], params)
+    market = draw_realization(scenario)
+    for name in MARKET_FIELDS:
+        getattr(market, name).flags.writeable = False
+    monkeypatch.setattr(simulator, "draw_realization", lambda scenario: market)
+    assert sweep(scenario, DSF, [1.0, 5.0], [1.0]) == want_table
+    sweep(scenario, DSF, [1.0, 5.0], [1.0], common_random_numbers=False)
+    assert compare(scenario, [DSF, GREEDY], params) == want_results
+    traces = list(simulator.runs(scenario, [(DSF, params), (GREEDY, params)]))
+    for name in TRACE_COLUMNS:
+        for trace in traces:
+            assert trace.column(name).flags.writeable, name
+            assert not any(np.shares_memory(trace.column(name), getattr(market, field)) for field in MARKET_FIELDS)
+        assert not np.shares_memory(traces[0].column(name), traces[1].column(name)), name
 
 
 @pytest.fixture
