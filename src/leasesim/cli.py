@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from ._version import VERSION
@@ -465,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """The console script: main() on sys.argv, each warning printed as one
+    line, "warning: <message>", as an error is, with no source line."""
+    warnings.formatwarning = lambda message, *args, **kwargs: f"warning: {message}\n"
     sys.exit(main())
 
 

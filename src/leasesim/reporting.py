@@ -67,17 +67,11 @@ class SweepTable:
     rows: tuple[SweepCell, ...]
 
 
-def _column_reader(trace: Trace | dict[str, np.ndarray]):
-    """The column lookup of a Trace, or of a dict of trace columns as
-    simulator.cell_columns yields them."""
-    return trace.column if isinstance(trace, Trace) else trace.__getitem__
-
-
 @np.errstate(over="ignore")
 def summarize(trace: Trace | dict[str, np.ndarray]) -> RunSummary:
     """Scalar metrics of a trace, or of a cell's columns as
-    simulator.cell_columns yields them, by the same rule; errors on an
-    empty one.
+    simulator.cell_columns yields them, by the same rule: both are read
+    by subscript; errors on an empty one.
 
     The accumulated cost is taken from the running sum so that the last
     element of cumulative_average_cost_series matches the final average
@@ -86,18 +80,17 @@ def summarize(trace: Trace | dict[str, np.ndarray]) -> RunSummary:
     means are `float(column.sum()) / n`, ndarray.mean's own rule for
     float64, so the same bits in one pass instead of two.
     """
-    column = _column_reader(trace)
-    n = len(column("t"))
+    n = len(trace["t"])
     if n == 0:
         raise ConfigError("cannot summarize an empty trace")
-    running_cost = np.cumsum(column("cost"))
+    running_cost = np.cumsum(trace["cost"])
     accumulated = float(running_cost[-1])
     return RunSummary(
         accumulated_cost=accumulated,
-        average_queue=float(column("q_after").sum()) / n,
-        average_virtual_queue=float(column("z_after").sum()) / n,
-        lease_count=int(column("r").sum()),
-        final_backlog=float(column("q_after")[-1]),
+        average_queue=float(trace["q_after"].sum()) / n,
+        average_virtual_queue=float(trace["z_after"].sum()) / n,
+        lease_count=int(trace["r"].sum()),
+        final_backlog=float(trace["q_after"][-1]),
         cumulative_average_cost_final=accumulated / n,
     )
 
@@ -105,11 +98,10 @@ def summarize(trace: Trace | dict[str, np.ndarray]) -> RunSummary:
 def cumulative_average_cost_series(trace: Trace | dict[str, np.ndarray]) -> list[float]:
     """Running mean of realized cost, of a trace or of a cell's columns as
     summarize reads them; element t is the average over slots 1..t."""
-    column = _column_reader(trace)
-    n = len(column("t"))
+    n = len(trace["t"])
     if n == 0:
         raise ConfigError("cannot build a series from an empty trace")
-    running = np.cumsum(column("cost"))
+    running = np.cumsum(trace["cost"])
     return (running / np.arange(1, n + 1)).tolist()
 
 

@@ -5,11 +5,11 @@ arrival joins the queue, the policy sees (state, market), the desired
 lease is masked by availability, departure and cost accrue, both queues
 advance. A run logs every stage, and audit() rebuilds a trace by the
 same rule. cell_columns() draws one market for many cells and gives
-each cell's columns; runs() makes a trace of each, and run() is its
-one-cell case; step() returns what a kind's one-slot kernel builds, its
-state and record. runs(), audit() and the kernels share one record rule,
-_kernels.RECORD_RULE: _slot_values is generated from it, and each kernel
-runs it inline.
+each cell's columns; run() makes a Trace of one cell's, and a Trace
+copies every column it is given; step() returns what a kind's one-slot
+kernel builds, its state and record. run(), audit() and the kernels
+share one record rule, _kernels.RECORD_RULE: _slot_values is generated
+from it, and each kernel runs it inline.
 The oracle and step's kernel judge the market slots they read by
 environment.COLUMN_RULES, the rule the CSV readers apply too, through
 one accept expression per column generated from it; that table is also
@@ -23,7 +23,7 @@ import math
 from dataclasses import make_dataclass
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,12 +70,13 @@ _build_record = builder(SlotRecord)
 class Trace:
     """Column-oriented log of a run; iterates as SlotRecord rows.
 
-    Each column is stored as its TRACE_DTYPES dtype, copied only where
-    it is not already an array of that dtype. A column of another dtype is
-    first checked value by value, through check_value: a value that
-    COLUMN_RULES rejects, or that the cast to an integer column would
-    change (a fraction, NaN, inf), raises a ConfigError naming its 1-based
-    row."""
+    Each column is stored as a copy of its TRACE_DTYPES dtype, so a trace
+    owns every column it holds: writable, and shared with no other column,
+    trace or input. A column of another dtype is first checked value by
+    value, through check_value: a value that COLUMN_RULES rejects, or that
+    the cast to an integer column would change (a fraction, NaN, inf),
+    raises a ConfigError naming its 1-based row. trace[name] is
+    trace.column(name)."""
 
     def __init__(
         self,
@@ -98,8 +99,7 @@ class Trace:
                     if dtype == np.int64 and isinstance(value, (bool, float)) and float(value).is_integer():
                         value = int(value)  # the cast to an integer column keeps it
                     check_value(f"trace row {i}", name, value)
-                column = column.astype(dtype)
-            self._columns[name] = column
+            self._columns[name] = column.astype(dtype)
         self.scenario = scenario
         self.policy = policy
         self.params = params
@@ -111,6 +111,8 @@ class Trace:
         if name not in self._columns:
             raise KeyError(f"no trace column named {name!r}")
         return self._columns[name]
+
+    __getitem__ = column
 
     def record(self, i: int) -> SlotRecord:
         return _build_record([column.item(i) for column in self._columns.values()])
@@ -225,30 +227,14 @@ def cell_columns(
 
     The market is drawn from `scenario` and prepared once however many
     cells follow, and each cell runs its kind's loop from the scenario's
-    initial backlog. The dicts share t and the market columns, which no
-    reader may write; summarize reads a dict as it reads a trace, so a
-    caller that only summarizes builds no Trace and copies nothing.
+    initial backlog. The dicts share t and the market columns, and a
+    dict's y_desired is its x_desired and both effective columns its r, so
+    no reader may write them; summarize reads a dict as it reads a trace,
+    so a caller that only summarizes builds no Trace and copies nothing.
+    Trace(columns) copies each one.
     """
     realization = draw_realization(scenario)
     return _cell_columns(realization, float(scenario.initial_backlog), 0.0, 1, scenario.freeze_z_when_empty, cells)
-
-
-def runs(
-    scenario: ScenarioConfig,
-    cells: Iterable[tuple[PolicySpec, ControlParams]],
-) -> Iterator[Trace]:
-    """One trace per (policy, params) cell, all on one market realization.
-
-    Each trace holds its cell's cell_columns, with its own copy of t and
-    the market columns, so every trace owns writable columns that no other
-    trace shares; each is the trace run() gives for its cell. Traces are
-    yielded one at a time, so only the caller keeps them alive.
-    """
-    cells = list(cells)
-    for (policy, params), columns in zip(cells, cell_columns(scenario, cells)):
-        for name in ("t",) + MARKET_FIELDS:  # the columns every cell of the market shares
-            columns[name] = columns[name].copy()
-        yield Trace(columns, scenario=scenario, policy=policy, params=params)
 
 
 def run(
@@ -256,9 +242,10 @@ def run(
     policy: PolicySpec,
     params: ControlParams,
 ) -> Trace:
-    """Simulate the whole horizon and return the slot-by-slot trace."""
-    [trace] = runs(scenario, [(policy, params)])
-    return trace
+    """Simulate the whole horizon and return the slot-by-slot trace, which
+    copies its cell_columns and so owns every column."""
+    [columns] = cell_columns(scenario, [(policy, params)])
+    return Trace(columns, scenario=scenario, policy=policy, params=params)
 
 
 def step(
@@ -273,7 +260,7 @@ def step(
 
     Checks the freeze flag, then returns what the kind's one-slot kernel
     returns: it judges the slot index and the observation, applies the
-    slot loop's operations and builds the record by the record rule runs()
+    slot loop's operations and builds the record by the record rule run()
     applies too, so a chain of step() calls reproduces a full run exactly.
     A slot index or observation that breaks COLUMN_RULES raises a
     ConfigError naming it, the slot index first, then the observation's
@@ -287,7 +274,7 @@ def step(
 
 
 def audit(trace: Trace) -> None:
-    """Rebuild `trace` by runs()' slot rule from t[0], q_before[0],
+    """Rebuild `trace` by run()'s slot rule from t[0], q_before[0],
     z_before[0], the market, x_desired, z_after and the clamp operands the
     loop stores, and raise a ConfigError naming the first row that differs
     and its first differing column. The z step needs eps_d and the freeze

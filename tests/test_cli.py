@@ -430,6 +430,43 @@ def test_the_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys)
             assert capsys.readouterr().out.startswith("verdict: pass (delivered 100 of required 99 ")
 
 
+def test_the_readme_python_example_prints_one_summary(capsys):
+    """The README's Python API block, run as written, prints one
+    RunSummary line."""
+    section = README.read_text().split("## Python API\n", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("RunSummary(")
+
+
+def test_the_console_entry_prints_a_warning_as_one_line(tmp_path, monkeypatch, capsys):
+    """`python -m leasesim`, through entry(), prints a warning as one
+    "warning:" line with no file or source line; stdout and the files it
+    writes equal those of main(argv) in process."""
+    src = str(Path(leasesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    argv = ["run", "--scenario", "hot.json", "--out", "trace.csv"]
+    for name in ("subprocess", "in_process"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "hot.json").write_text(json.dumps({"arrival_prob": 0.95, "horizon_slots": 50}))
+    result = subprocess.run(
+        [sys.executable, "-m", "leasesim", *argv], capture_output=True, text=True, env=env,
+        cwd=tmp_path / "subprocess", timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == (
+        "warning: arrival_prob=0.95 is not below the joint availability 0.8100; "
+        "the data queue has no stability headroom\n"
+    )
+    monkeypatch.chdir(tmp_path / "in_process")
+    with pytest.warns(UserWarning, match="stability headroom"):
+        assert main(argv) == 0
+    assert result.stdout == capsys.readouterr().out
+    for name in ("trace.csv", "trace.summary.json"):
+        assert (tmp_path / "subprocess" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+
+
 # --- sweep -------------------------------------------------------------
 
 

@@ -179,9 +179,9 @@ def test_one_slot_kernel_reads_only_what_its_wish_names(kind, freeze):
 
 @pytest.mark.parametrize("path", ["list", "step"])
 def test_the_wish_buffer_reaches_the_loop_all_false(monkeypatch, path):
-    """The loop stores only the wishes that are True, so runs hands it a
-    wish buffer that holds False in every slot, a zeroed bytearray. step
-    hands no buffer: the one-slot kernel it fetches through
+    """The loop stores only the wishes that are True, so _cell_columns
+    hands it a wish buffer that holds False in every slot, a zeroed
+    bytearray. step hands no buffer: the one-slot kernel it fetches through
     simulator.get_loop, which perfbench counts, gets the state, the
     observation, the slot index and the kind's parameter, `arrival` fifth
     as a 1-tuple column, then the ControlParams, and returns step's state
@@ -366,9 +366,9 @@ def test_kernel_matches_decide_slot_by_slot():
 
 def test_loop_outputs_match_loop_dtypes(monkeypatch):
     """The loop's trailing arguments, after `threshold`, are the buffers it
-    writes: the wish and the clamp operands of q and z. runs hands them in
-    as a zeroed bytearray and memoryviews of float64 arrays filled with
-    -1.0, and gets the final (q, z) back as a tuple."""
+    writes: the wish and the clamp operands of q and z. _cell_columns
+    hands them in as a zeroed bytearray and memoryviews of float64 arrays
+    filled with -1.0, and gets the final (q, z) back as a tuple."""
     names = list(inspect.signature(_kernels.get_loop(("myopic", False))).parameters)
     outputs = names[names.index("threshold") + 1:]
     assert outputs == ["x_desired", "q_ops", "z_ops"]

@@ -258,7 +258,7 @@ def test_sweep_and_compare_summaries_equal_those_of_run_traces(freeze, backlog, 
 
 def test_a_read_only_market_serves_sweep_and_compare_and_runs_copies_it(monkeypatch):
     """sweep and compare read the drawn market's columns, shared by every
-    cell, without writing them; runs() gives each trace its own writable
+    cell, without writing them; each run() trace holds its own writable
     copy of them."""
     scenario = ScenarioConfig(horizon_slots=60, initial_backlog=2, seed=8)
     params = default_params(scenario, v=5.0, eps_d=1.0)
@@ -271,7 +271,7 @@ def test_a_read_only_market_serves_sweep_and_compare_and_runs_copies_it(monkeypa
     assert sweep(scenario, DSF, [1.0, 5.0], [1.0]) == want_table
     sweep(scenario, DSF, [1.0, 5.0], [1.0], common_random_numbers=False)
     assert compare(scenario, [DSF, GREEDY], params) == want_results
-    traces = list(simulator.runs(scenario, [(DSF, params), (GREEDY, params)]))
+    traces = [run(scenario, DSF, params), run(scenario, GREEDY, params)]
     for name in TRACE_COLUMNS:
         for trace in traces:
             assert trace.column(name).flags.writeable, name
@@ -281,8 +281,8 @@ def test_a_read_only_market_serves_sweep_and_compare_and_runs_copies_it(monkeypa
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls so far to simulator's draw_realization, which runs() makes
-    once per market, and get_loop, which it makes once per cell."""
+    """Calls so far to simulator's draw_realization, which cell_columns
+    makes once per market, and get_loop, which it makes once per cell."""
     counts = dict.fromkeys(("draw_realization", "get_loop"), 0)
 
     def counted(name, original):

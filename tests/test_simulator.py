@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from leasesim import _kernels, core, simulator
+from leasesim import _kernels, core, reporting, simulator
 from leasesim.core import (
     ConfigError,
     ControlParams,
@@ -32,7 +32,7 @@ from leasesim.environment import (
     with_seed,
 )
 from leasesim.policies import POLICY_KINDS, PolicySpec, parse_policy
-from leasesim.reporting import write_trace_csv
+from leasesim.reporting import read_trace_csv, write_trace_csv
 from leasesim.simulator import (
     TRACE_COLUMNS,
     TRACE_DTYPES,
@@ -40,10 +40,10 @@ from leasesim.simulator import (
     Trace,
     _cell_columns,
     audit,
+    cell_columns,
     default_params,
     offline_min_cost,
     run,
-    runs,
     step,
 )
 
@@ -639,20 +639,20 @@ def conserving_runs(draw):
 @settings(max_examples=60, deadline=None)
 @given(drawn=conserving_runs())
 def test_every_kind_conserves_packets_and_prices_its_leases(drawn):
-    """For every trace: initial backlog + the arrivals == the packets served
-    (q_before - q_after) + the last q_after, as integers; and each row's
-    cost is r * price_ris + r * price_spectrum."""
+    """For every cell's columns: initial backlog + the arrivals == the
+    packets served (q_before - q_after) + the last q_after, as integers; and
+    each row's cost is r * price_ris + r * price_spectrum."""
     scenario, cells = drawn
     kinds = []
-    for trace in runs(scenario, cells):
-        kinds.append(trace.policy.kind)
-        q_before, q_after = trace.column("q_before").tolist(), trace.column("q_after").tolist()
+    for (policy, _), columns in zip(cells, cell_columns(scenario, cells), strict=True):
+        kinds.append(policy.kind)
+        q_before, q_after = columns["q_before"].tolist(), columns["q_after"].tolist()
         assert all(q.is_integer() for q in q_before + q_after)
         served = sum(int(before) - int(after) for before, after in zip(q_before, q_after))
-        packets_in = scenario.initial_backlog + sum(trace.column("arrival").tolist())
+        packets_in = scenario.initial_backlog + sum(columns["arrival"].tolist())
         assert packets_in == served + int(q_after[-1])
-        r = trace.column("r")
-        assert np.array_equal(trace.column("cost"), r * trace.column("price_ris") + r * trace.column("price_spectrum"))
+        r = columns["r"]
+        assert np.array_equal(columns["cost"], r * columns["price_ris"] + r * columns["price_spectrum"])
     assert kinds == list(POLICY_KINDS)
 
 
@@ -799,34 +799,82 @@ def test_iterating_a_trace_gives_its_records(label, freeze):
 
 @pytest.mark.parametrize("freeze", [False, True])
 def test_runs_on_one_market_equal_standalone_runs(freeze):
-    """Each trace the shared-market generator yields is the trace run()
-    gives for its cell: same columns, dtypes and bytes, all writable."""
+    """Each cell's columns that cell_columns yields on one market are the
+    columns of the trace run() gives for its cell: same dtypes and bytes."""
     scenario = ScenarioConfig(horizon_slots=500, initial_backlog=3, seed=17, freeze_z_when_empty=freeze)
     cells = [
         (parse_policy(label), default_params(scenario, v=v, eps_d=eps_d))
         for label in ALL_POLICIES
         for v, eps_d in ((2.0, 0.5), (20.0, 2.0))
     ]
-    for (policy, params), got in zip(cells, runs(scenario, cells), strict=True):
+    for (policy, params), got in zip(cells, cell_columns(scenario, cells), strict=True):
         want = run(scenario, policy, params)
-        assert (got.scenario, got.policy, got.params) == (scenario, policy, params)
+        assert list(got) == list(TRACE_COLUMNS)
         for name in TRACE_COLUMNS:
-            assert got.column(name).dtype == want.column(name).dtype, name
-            assert got.column(name).tobytes() == want.column(name).tobytes(), name
-            assert got.column(name).flags.writeable, name
+            assert got[name].dtype == want.column(name).dtype, name
+            assert got[name].tobytes() == want.column(name).tobytes(), name
 
 
-def test_runs_traces_do_not_share_market_columns():
-    scenario = ScenarioConfig(horizon_slots=50, seed=4)
-    params = default_params(scenario, v=5.0, eps_d=1.0)
-    traces = runs(scenario, [(GREEDY, params), (GREEDY, params)])
-    first = next(traces)
-    for name in ("arrival", "price_ris", "price_spectrum", "avail_ris", "avail_spectrum"):
-        first.column(name)[:] = 0
-    second = next(traces)
-    want = run(scenario, GREEDY, params)
-    for name in TRACE_COLUMNS:
-        assert second.column(name).tobytes() == want.column(name).tobytes(), name
+def assert_owns_its_columns(trace, inputs):
+    """No two of the trace's columns share memory, and none shares memory
+    with an array of `inputs`; every column is writable; and zeroing r
+    leaves both effective columns as they were."""
+    columns = [trace.column(name) for name in TRACE_COLUMNS]
+    for i, column in enumerate(columns):
+        assert column.flags.writeable, TRACE_COLUMNS[i]
+        for other in columns[i + 1:] + list(inputs):
+            assert not np.shares_memory(column, other), TRACE_COLUMNS[i]
+    effective = [trace.column(name).copy() for name in ("x_effective", "y_effective")]
+    trace.column("r")[:] = 0
+    assert np.array_equal(trace.column("x_effective"), effective[0])
+    assert np.array_equal(trace.column("y_effective"), effective[1])
+
+
+def test_a_trace_owns_every_column(monkeypatch, tmp_path):
+    """A trace copies every column it is given: a run() trace of each kind,
+    a trace read back from CSV and a trace built from a dict that passes
+    one array as two columns each own every column they hold."""
+    markets, dicts = [], []
+
+    def recording_draw(scenario):
+        markets.append(draw_realization(scenario))
+        return markets[-1]
+
+    def recording_cell_columns(scenario, cells):
+        for columns in cell_columns(scenario, cells):
+            dicts.append(columns)
+            yield columns
+
+    monkeypatch.setattr(simulator, "draw_realization", recording_draw)
+    monkeypatch.setattr(simulator, "cell_columns", recording_cell_columns)
+    scenario = ScenarioConfig(horizon_slots=80, initial_backlog=3, seed=12)
+    params = default_params(scenario, v=2.0, eps_d=1.0)
+    for label in ALL_POLICIES:
+        trace = run(scenario, parse_policy(label), params)
+        assert trace.column("r").any(), label  # so zeroing r shows an alias
+        market = [getattr(markets[-1], name) for name in MARKET_FIELDS]
+        assert_owns_its_columns(trace, market + list(dicts[-1].values()))
+    assert len(markets) == len(dicts) == len(ALL_POLICIES)
+
+    greedy = run(scenario, GREEDY, params)
+    write_trace_csv(greedy, tmp_path / "trace.csv")
+    read = []
+    read_columns = reporting._read_csv_columns
+
+    def recording_read(*args):
+        read.append(read_columns(*args))
+        return read[-1]
+
+    monkeypatch.setattr(reporting, "_read_csv_columns", recording_read)
+    trace = read_trace_csv(tmp_path / "trace.csv")
+    assert trace.column("r").any()
+    assert_owns_its_columns(trace, read[0].values())
+
+    given = {name: greedy.column(name) for name in TRACE_COLUMNS}
+    given["y_desired"] = given["x_desired"]
+    given["x_effective"] = given["y_effective"] = given["r"]
+    assert given["x_desired"].dtype == np.int64 and given["r"].any()
+    assert_owns_its_columns(Trace(given), given.values())
 
 
 def test_default_params_rejects_a_v_whose_threshold_overflows():
@@ -873,16 +921,17 @@ def test_price_reading_kinds_are_the_kinds_whose_wishes_follow_prices(monkeypatc
 
 def test_mixed_runs_equal_separate_runs():
     """compare's cells (dsf, myopic, price_only:8) on one market: the
-    joint-price list is built for all of them, and each trace is
-    byte-equal to run() of its cell alone."""
+    joint-price list is built for all of them, and each cell's columns are
+    byte-equal to those of run() of its cell alone."""
     scenario = ScenarioConfig(horizon_slots=500, initial_backlog=3, seed=29)
     params = default_params(scenario, v=10.0, eps_d=1.0)
     policies = [parse_policy(label) for label in ("dsf", "myopic", "price_only:8")]
-    for policy, got in zip(policies, runs(scenario, [(policy, params) for policy in policies]), strict=True):
+    for policy, got in zip(policies, cell_columns(scenario, [(policy, params) for policy in policies]), strict=True):
         want = run(scenario, policy, params)
+        assert list(got) == list(TRACE_COLUMNS)
         for name in TRACE_COLUMNS:
-            assert got.column(name).dtype == want.column(name).dtype, name
-            assert got.column(name).tobytes() == want.column(name).tobytes(), name
+            assert got[name].dtype == want.column(name).dtype, name
+            assert got[name].tobytes() == want.column(name).tobytes(), name
 
 
 @pytest.mark.parametrize(
@@ -909,8 +958,8 @@ def test_python_loop_gets_a_price_list_only_for_price_reading_kinds(monkeypatch,
     monkeypatch.setattr(simulator, "get_loop", recording_get_loop)
     scenario = ScenarioConfig(horizon_slots=50, seed=4)
     params = default_params(scenario, v=5.0, eps_d=1.0)
-    traces = list(runs(scenario, [(parse_policy(label), params) for label in labels]))
-    assert len(traces) == len(calls) == len(labels)
+    cells = list(cell_columns(scenario, [(parse_policy(label), params) for label in labels]))
+    assert len(cells) == len(calls) == len(labels)
     for args in calls:
         arrival, joint_price = args[4], args[5]
         assert type(arrival) is list
