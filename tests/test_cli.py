@@ -31,6 +31,17 @@ def write_json(tmp_path, name, document):
     return str(path)
 
 
+def run_module(argv, cwd=None):
+    """`python -m leasesim *argv` in a subprocess, with this tree's package
+    first on its path and no PYTHONWARNINGS."""
+    src = str(Path(leasesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "leasesim", *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
+    )
+
+
 # --- run ---------------------------------------------------------------
 
 
@@ -443,17 +454,11 @@ def test_the_console_entry_prints_a_warning_as_one_line(tmp_path, monkeypatch, c
     """`python -m leasesim`, through entry(), prints a warning as one
     "warning:" line with no file or source line; stdout and the files it
     writes equal those of main(argv) in process."""
-    src = str(Path(leasesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("PYTHONWARNINGS", None)
     argv = ["run", "--scenario", "hot.json", "--out", "trace.csv"]
     for name in ("subprocess", "in_process"):
         (tmp_path / name).mkdir()
         (tmp_path / name / "hot.json").write_text(json.dumps({"arrival_prob": 0.95, "horizon_slots": 50}))
-    result = subprocess.run(
-        [sys.executable, "-m", "leasesim", *argv], capture_output=True, text=True, env=env,
-        cwd=tmp_path / "subprocess", timeout=60,
-    )
+    result = run_module(argv, cwd=tmp_path / "subprocess")
     assert result.returncode == 0
     assert result.stderr == (
         "warning: arrival_prob=0.95 is not below the joint availability 0.8100; "
@@ -1303,11 +1308,7 @@ def test_build_parser_holds_only_the_named_subcommand():
 def test_module_entry_point_reads_sys_argv(capsys, argv):
     """`python -m leasesim` calls main() with no argv, so the subcommand
     comes from sys.argv; its output equals main(argv) in process."""
-    src = str(Path(leasesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "leasesim", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    result = run_module(argv)
     assert result.returncode == 0, result.stderr
     assert main(argv) == 0
     assert result.stdout == capsys.readouterr().out
