@@ -166,6 +166,7 @@ def derive_scenario(
     Streaming: arrivals spread over the window as Bernoulli draws instead,
     at most one a slot, so n_packets may not exceed deadline_slots.
     """
+    check_bool("streaming", streaming)
     if streaming:
         if translation.n_packets > translation.deadline_slots:
             raise ConfigError(

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import VERSION
-from .core import ConfigError, ControlParams, record_dict
+from .core import ConfigError, ControlParams, check_bool, record_dict
 from .environment import (
     MARKET_FIELDS,
     Realization,
@@ -114,33 +114,30 @@ def sweep(
 ) -> SweepTable:
     """Run one simulation per (v, eps_d) cell, in row-major grid order.
 
-    With common random numbers (the default) every cell sees the same
-    market realization, drawn and prepared once, so differences between
-    rows are pure policy effect. Otherwise each cell gets a seed derived
-    from (base seed, cell index), stable across runs and independent of
-    execution order. Each row summarizes its cell's columns as
-    simulator.cell_columns yields them: no Trace is built and no column
-    copied, and the summary is the one summarize gives run()'s trace.
+    Cells run market by market, one market drawn per distinct seed. With
+    common random numbers (the default) every cell runs on the base
+    scenario's market, so differences between rows are pure policy effect.
+    Otherwise each cell runs on its own market, seeded by derive_seed(base
+    seed, cell index), stable across runs and independent of execution
+    order. A row's seed is its market's. Each row summarizes its cell's
+    columns as simulator.cell_columns yields them: no Trace is built and no
+    column copied, and the summary is the one summarize gives run()'s trace.
     """
+    check_bool("common_random_numbers", common_random_numbers)
     if not v_grid or not eps_grid:
         raise ConfigError("sweep grids must be non-empty")
     # every cell's params, built before the first run so that a bad grid
     # value fails before any cell runs; reseeded cells keep the base
     # scenario's prices and horizon, so its params serve them all
-    cell_params = [default_params(scenario, v=v, eps_d=eps_d) for v in v_grid for eps_d in eps_grid]
+    cells = [(policy, default_params(scenario, v=v, eps_d=eps_d)) for v in v_grid for eps_d in eps_grid]
     if common_random_numbers:
-        seeds = [scenario.seed] * len(cell_params)
-        cells = cell_columns(scenario, [(policy, params) for params in cell_params])
+        markets = [(scenario, cells)]
     else:
-        seeds = [derive_seed(scenario.seed, cell_index) for cell_index in range(len(cell_params))]
-        cells = (
-            columns
-            for seed, params in zip(seeds, cell_params)
-            for columns in cell_columns(with_seed(scenario, seed), [(policy, params)])
-        )
+        markets = [(with_seed(scenario, derive_seed(scenario.seed, i)), [cell]) for i, cell in enumerate(cells)]
     rows = [
-        SweepCell(v=params.v, eps_d=params.eps_d, seed=seed, summary=summarize(columns))
-        for params, seed, columns in zip(cell_params, seeds, cells)
+        SweepCell(v=params.v, eps_d=params.eps_d, seed=market.seed, summary=summarize(columns))
+        for market, market_cells in markets
+        for (_, params), columns in zip(market_cells, cell_columns(market, market_cells))
     ]
     return SweepTable(
         policy=policy,

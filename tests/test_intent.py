@@ -1,5 +1,6 @@
 """Intent translation and assurance tests."""
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -181,6 +182,14 @@ def test_derive_scenario_streaming():
     assert derived.initial_backlog == 0
     assert derived.arrival_prob == pytest.approx(100 / 900)
     assert derived.horizon_slots == 900
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None, np.True_], ids=repr)
+def test_derive_scenario_rejects_a_streaming_flag_that_is_not_a_bool(flag):
+    intent = IntentSpec(payload_mb=100.0, deadline_s=100.0, reliability_pct=99.0)
+    translation = translate_intent(intent, DEFAULT_SCENARIO)
+    with pytest.raises(ConfigError, match=f"^streaming must be true or false, got {re.escape(repr(flag))}$"):
+        derive_scenario(translation, DEFAULT_SCENARIO, streaming=flag)
 
 
 def test_derive_scenario_streaming_needs_a_slot_per_packet():

@@ -205,6 +205,14 @@ def test_reseeded_sweep_rejects_a_bad_grid_value_before_any_cell_runs(monkeypatc
         )
 
 
+@pytest.mark.parametrize("flag", ["no", 1, None, np.True_], ids=repr)
+def test_sweep_rejects_a_crn_flag_that_is_not_a_bool_before_any_cell_runs(monkeypatch, flag):
+    _no_cell_runs(monkeypatch)
+    message = f"^common_random_numbers must be true or false, got {re.escape(repr(flag))}$"
+    with pytest.raises(ConfigError, match=message):
+        sweep(ScenarioConfig(horizon_slots=10), DSF, [1.0], [1.0], common_random_numbers=flag)
+
+
 @pytest.mark.parametrize("crn", [True, False])
 def test_sweep_rejects_a_v_whose_threshold_overflows_before_any_cell_runs(monkeypatch, crn):
     _no_cell_runs(monkeypatch)
@@ -282,38 +290,49 @@ def test_a_read_only_market_serves_sweep_and_compare_and_runs_copies_it(monkeypa
 @pytest.fixture
 def call_counts(monkeypatch):
     """Calls so far to simulator's draw_realization, which cell_columns
-    makes once per market, and get_loop, which it makes once per cell."""
-    counts = dict.fromkeys(("draw_realization", "get_loop"), 0)
+    makes once per market, as the seed of each scenario it was given, and
+    the number of calls to get_loop, which cell_columns makes once per cell."""
+    calls = {"draw_realization": [], "get_loop": 0}
+    draw_realization, get_loop = simulator.draw_realization, simulator.get_loop
 
-    def counted(name, original):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return call
+    def drawn(scenario):
+        calls["draw_realization"].append(scenario.seed)
+        return draw_realization(scenario)
 
-    for name in counts:
-        monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
-    return counts
+    def fetched(key):
+        calls["get_loop"] += 1
+        return get_loop(key)
+
+    monkeypatch.setattr(simulator, "draw_realization", drawn)
+    monkeypatch.setattr(simulator, "get_loop", fetched)
+    return calls
 
 
 def test_crn_sweep_draws_the_market_once(call_counts):
+    """A sweep draws one market per distinct seed, and each row's seed is
+    that of the market its cell ran on."""
     v_grid = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
     eps_grid = [0.5, 1.0, 2.0]
+    scenario = ScenarioConfig(horizon_slots=30)
     with pytest.raises(ConfigError, match="^eps_d must be a finite number > 0, got nan"):
-        sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, [1.0, math.nan])
-    assert call_counts == dict.fromkeys(call_counts, 0)  # a bad grid value fails before the market is drawn
+        sweep(scenario, DSF, v_grid, [1.0, math.nan])
+    assert call_counts == {"draw_realization": [], "get_loop": 0}  # a bad grid value fails before the market is drawn
     cells = len(v_grid) * len(eps_grid)
-    sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid)
-    assert call_counts == {"draw_realization": 1, "get_loop": cells}
-    sweep(ScenarioConfig(horizon_slots=30), DSF, v_grid, eps_grid, common_random_numbers=False)
-    assert call_counts == {"draw_realization": 1 + cells, "get_loop": 2 * cells}
+    table = sweep(scenario, DSF, v_grid, eps_grid)
+    assert call_counts == {"draw_realization": [scenario.seed], "get_loop": cells}
+    assert [row.seed for row in table.rows] == [scenario.seed] * cells
+    table = sweep(scenario, DSF, v_grid, eps_grid, common_random_numbers=False)
+    drawn = call_counts["draw_realization"][1:]
+    assert drawn == [derive_seed(scenario.seed, i) for i in range(cells)]
+    assert drawn == [row.seed for row in table.rows]
+    assert call_counts["get_loop"] == 2 * cells
 
 
 def test_compare_draws_the_market_once(call_counts):
     scenario = ScenarioConfig(horizon_slots=30)
     labels = ("dsf", "greedy", "periodic:2", "myopic", "price_only:8", "queue_threshold:10")
     compare(scenario, [parse_policy(p) for p in labels], default_params(scenario, v=10.0, eps_d=1.0))
-    assert call_counts == {"draw_realization": 1, "get_loop": len(labels)}
+    assert call_counts == {"draw_realization": [scenario.seed], "get_loop": len(labels)}
 
 
 def test_compare_shares_the_market():
